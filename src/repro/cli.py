@@ -619,57 +619,70 @@ def _cmd_claims(args) -> None:
 
 
 def _cmd_trace_report(args) -> int:
+    from repro.metrics.registry import MetricsRegistry
+    from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
+
+    stream = getattr(args, "stream", False)
+    if stream and getattr(args, "chrome_out", None):
+        raise ReproError(
+            "--chrome-out needs the materialized trace and cannot be "
+            "combined with --stream (the bounded frontier never holds "
+            "the whole timeline); drop one of the flags"
+        )
+    # The job runs under its own registry (MpiJob captures the ambient
+    # registry at construction), then folds into the process-wide one
+    # so --metrics-out still sees this run.
+    registry = MetricsRegistry()
+    analyzer = None
+    try:
+        if stream:
+            analyzer = TraceStreamAnalyzer(
+                StreamConfig(
+                    frontier_limit=getattr(args, "frontier", None) or 8192,
+                ),
+                registry=registry,
+            )
+        return _run_trace_report(args, registry, analyzer)
+    except OSError as error:
+        raise ReproError(str(error)) from error
+    finally:
+        # Also on failure: an analyzer-owned spill directory must not
+        # outlive the command.
+        if analyzer is not None:
+            analyzer.close()
+
+
+def _run_trace_report(args, registry, analyzer) -> int:
+    """Simulate the fig4 job under *registry*, analyze it (streamed
+    when *analyzer* is given) and write the report bundle."""
     import json
 
     from repro import metrics as metrics_mod
     from repro.apps import BigDFT, Specfem3D
     from repro.cluster import MpiJob, tibidabo
     from repro.engine.manifest import RunManifest
-    from repro.metrics.registry import MetricsRegistry, use_registry
+    from repro.metrics.registry import use_registry
     from repro.obs import build_run_report, build_stream_run_report
     from repro.tracing import TraceRecorder, write_chrome_trace
-    from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
 
-    stream = getattr(args, "stream", False)
     chrome_out = getattr(args, "chrome_out", None)
-    if stream and chrome_out:
-        raise ReproError(
-            "--chrome-out needs the materialized trace and cannot be "
-            "combined with --stream (the bounded frontier never holds "
-            "the whole timeline); drop one of the flags"
-        )
-    if getattr(args, "sample", None) is not None and not stream:
-        raise ReproError("--sample only applies to --stream runs")
     app = BigDFT() if args.app == "bigdft" else Specfem3D()
     num_ranks = 36
     scenario = f"fig4-{args.app}-{num_ranks}ranks-seed{args.seed}"
-    # The job runs under its own registry (MpiJob captures the ambient
-    # registry at construction), then folds into the process-wide one
-    # so --metrics-out still sees this run.
-    registry = MetricsRegistry()
-    analyzer = recorder = None
+    recorder = None
+    if analyzer is not None:
+        tracer = analyzer
+    else:
+        recorder = tracer = TraceRecorder()
     with use_registry(registry):
         cluster = tibidabo(num_nodes=18, seed=args.seed)
-        if stream:
-            analyzer = TraceStreamAnalyzer(
-                StreamConfig(
-                    frontier_limit=getattr(args, "frontier", None) or 8192,
-                    sample_per_label=getattr(args, "sample", None),
-                    sample_seed=args.seed,
-                ),
-                registry=registry,
-            )
-            tracer = analyzer
-        else:
-            recorder = TraceRecorder()
-            tracer = recorder
         MpiJob(
             cluster, num_ranks, app.rank_program(cluster, num_ranks),
             tracer=tracer,
         ).run()
 
     out_dir = Path(args.out or "trace-report-out")
-    if stream:
+    if analyzer is not None:
         result = analyzer.finalize()
         report = build_stream_run_report(
             result, scenario=scenario, registry=registry
@@ -681,18 +694,15 @@ def _cmd_trace_report(args) -> int:
         ambient.merge(registry.snapshot())
 
     written = report.save(out_dir)
-    if stream:
+    if analyzer is not None:
         stats = result.stats
         payload = {"stats": stats.to_dict()}
-        if result.sampling is not None:
-            payload["sampling"] = result.sampling
         written["stream_stats.json"] = out_dir / "stream_stats.json"
         written["stream_stats.json"].write_text(
             json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
             + "\n",
             encoding="utf-8",
         )
-        analyzer.close()
         print(
             f"[trace-stream] events={stats.events_ingested} "
             f"frontier_high_water={stats.frontier_high_water} "
@@ -711,7 +721,7 @@ def _cmd_trace_report(args) -> int:
         registry, out_dir / "metrics.json", "json", deterministic=True
     )
     key = {"app": args.app, "seed": args.seed, "ranks": num_ranks}
-    if stream:
+    if analyzer is not None:
         key["stream"] = True
     manifest = RunManifest(
         sweep=f"trace-report/{args.app}",
@@ -838,7 +848,6 @@ def _cmd_reproduce_all(args) -> int:
                 # default skips it unless a path asks for it).
                 local.chrome_out = str(artefact_dir / "trace.chrome.json")
                 local.stream = False
-                local.sample = None
                 with redirect_stdout(buffer):
                     _cmd_trace_report(local)
             else:
@@ -1184,10 +1193,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace-report --stream: in-memory event "
                              "frontier limit before spilling to disk "
                              "(default 8192)")
-    parser.add_argument("--sample", type=int, default=None, metavar="K",
-                        help="trace-report --stream: reservoir-sample K "
-                             "waits per operation label; wait-state totals "
-                             "become estimates with reported error bounds")
     parser.add_argument("--threshold", default="5%",
                         help="diff-metrics drift threshold, e.g. 5%% or "
                              "0.05 (default 5%%)")

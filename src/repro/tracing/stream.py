@@ -17,45 +17,42 @@ series plus one global message series, each a sorted array in the same
 total order the batch store uses — ``(t1, t0, record position)`` for
 states, ``(seq, record position)`` for messages.  When the live count
 exceeds ``frontier_limit``, the oldest events of the largest series
-are retired to an append-only, sha256-framed **spill log** (the same
-framing discipline as the run journal) in segments of
-``segment_events``; a small LRU cache decodes retired segments back on
-demand.  Receive waits additionally ride an append-only wait log so
-the final classification replays them in exact record order.  What
-never spills is scalar state only: per-label latency arrays (for the
-baseline medians), per-rank useful-compute sums, collective
-entry/exit extrema, and the distinct-message-id set.
+are retired to an append-only **spill log** in segments of
+``segment_events``.  Each segment is one frame of typed columns
+(packed float64/int64 arrays, a per-frame string table, JSON only for
+message tags) behind a sha256 digest of the exact bytes written; a
+small LRU cache decodes retired segments back on demand.  Receive
+waits additionally ride an append-only wait log so the final
+classification replays them in exact record order.  What never spills
+is scalar state only: per-label latency arrays (for the baseline
+medians), per-rank useful-compute sums, collective entry/exit extrema,
+and the distinct-message-id set.
 
 Because both stores present events in the identical total order and
 the arithmetic lives in :mod:`repro.tracing.attribution`, the final
 numbers are **byte-identical** to the batch analysis — the golden
 ``fig4_trace_report.json`` reproduces exactly under ``--stream``.
-
-For runs too large even to stream exactly, ``sample_per_label``
-switches the wait log to per-label reservoir sampling (Algorithm R,
-deterministic seed): wait-state totals become unbiased estimates
-scaled by ``N/n`` with reported standard errors and 95% confidence
-intervals, while the critical path, collective imbalance, baselines
-and POP efficiencies stay exact.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-import math
 import os
 import random
 import shutil
 import statistics
+import struct
 import tempfile
 from array import array
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
-from repro.engine.hashing import content_key
 from repro.errors import TraceError
 from repro.metrics.registry import current_registry
 from repro.tracing.attribution import (
@@ -76,31 +73,73 @@ from repro.tracing.waitstates import (
     wait_entries_from_buckets,
 )
 
-#: Bump when the spill-segment framing changes shape.
-SPILL_SCHEMA = 1
+#: Bump when the spill-frame layout changes.
+SPILL_SCHEMA = 2
 
 #: How often (in ingested events) the ``trace.*`` metrics are flushed
 #: to the registry between the final flush at :meth:`finalize`.
 _METRICS_EVERY = 4096
 
-#: Reservoir size for the *provisional* per-label baseline latencies
-#: behind live summaries (the exact baselines are computed at
-#: finalize from the full latency arrays).
+#: Reservoir size (and seed) for the *provisional* per-label baseline
+#: latencies behind live summaries (the exact baselines are computed
+#: at finalize from the full latency arrays).
 _LIVE_BASELINE_RESERVOIR = 512
+_LIVE_BASELINE_SEED = "trace-stream-live:7"
+
+#: Decoded spill segments the LRU cache keeps.
+_CACHE_SEGMENTS = 48
 
 _INF = float("inf")
 
 
+# ---------------------------------------------------------------------------
+# Spill frames
+# ---------------------------------------------------------------------------
+#
+# frame   := sha256(body) body
+# body    := header strings column*
+# header  := schema u16, kind u8, rank i64, events u32
+# strings := count u32, byte length of each string i64[count], UTF-8 text
+# column  := codec char, payload bytes u32, payload
+#
+# Column codecs: ``d`` packed float64, ``q`` packed int64, ``s`` int64
+# indices into the frame's string table, ``j`` a JSON list.  A column
+# whose values do not all have its codec's exact type (an ``int`` time,
+# a ``float`` size, an int beyond 64 bits) is written as ``j`` rather
+# than coerced, so every decoded value equals the original in value and
+# type.  Arrays use native byte order: a spill log never outlives the
+# process that wrote it.
+
+_FRAME_KINDS = ("states", "comms", "waits")
+
+#: Column codecs per frame kind, in the order the series encode them.
+_LAYOUTS = {
+    # record position, label, t0, t1, kind, cause
+    "states": "qsddsq",
+    # record position, src, dst, tag, nbytes, send, arrival, label, seq
+    "comms": "qqqjqddsq",
+    # rank, label, t0, t1, kind, cause
+    "waits": "qsddsq",
+}
+
+_DIGEST_BYTES = hashlib.sha256().digest_size
+_HEADER = struct.Struct("<HBqI")
+_STRINGS = struct.Struct("<I")
+_COLUMN = struct.Struct("<cI")
+_TYPED = {b"d": float, b"q": int, b"s": str}
+
+
 def _encode_tag(tag: Any) -> Any:
-    """Message tags are hashables; frame tuples as lists for JSON."""
-    if tag is None or isinstance(tag, (str, int, float)):
+    """Frame a JSON-column value: tuples become lists, scalars of the
+    JSON types pass through by exact type (no subclass coercion)."""
+    if tag is None or type(tag) in (str, int, float, bool):
         return tag
-    if isinstance(tag, tuple):
+    if type(tag) is tuple:
         return [_encode_tag(item) for item in tag]
     raise TraceError(
-        f"cannot spill message tag {tag!r} of type {type(tag).__name__}; "
-        "streaming analysis needs JSON-framable tags "
-        "(None, str, int, float, or tuples thereof)"
+        f"cannot spill {tag!r} of type {type(tag).__name__}; streaming "
+        "analysis needs JSON-framable message tags and event fields "
+        "(None, bool, str, int, float, or tuples thereof)"
     )
 
 
@@ -110,12 +149,132 @@ def _decode_tag(tag: Any) -> Any:
     return tag
 
 
-class SpillLog:
-    """Append-only, sha256-framed segment log (journal discipline).
+def _encode_column(codec: bytes, values: Sequence, strings: dict) -> bytes:
+    if codec in _TYPED and {*map(type, values)} <= {_TYPED[codec]}:
+        try:
+            if codec == b"s":
+                for value in dict.fromkeys(values):
+                    strings.setdefault(value, len(strings))
+                packed = array("q", map(strings.__getitem__, values))
+            else:
+                packed = array(codec.decode(), values)
+        except OverflowError:
+            pass  # an int beyond 64 bits: keep it exact as JSON
+        else:
+            payload = packed.tobytes()
+            return _COLUMN.pack(codec, len(payload)) + payload
+    payload = json.dumps(
+        [_encode_tag(value) for value in values], separators=(",", ":")
+    ).encode("utf-8")
+    return _COLUMN.pack(b"j", len(payload)) + payload
 
-    One JSON line per segment; every read re-derives the content key
-    and refuses corrupt or misaddressed segments, so a bad disk turns
-    into a :class:`TraceError` instead of silently wrong analysis.
+
+def _encode_strings(strings: dict) -> bytes:
+    blobs = [text.encode("utf-8", "surrogatepass") for text in strings]
+    return (
+        _STRINGS.pack(len(blobs))
+        + array("q", map(len, blobs)).tobytes()
+        + b"".join(blobs)
+    )
+
+
+def encode_frame(kind: str, rank: int, columns: Sequence[Sequence]) -> bytes:
+    """One spill frame holding *columns* (all of one length) of a
+    segment of *kind* events for *rank*."""
+    layout = _LAYOUTS[kind]
+    if len(columns) != len(layout):
+        raise TraceError(
+            f"{kind} frames hold {len(layout)} columns, got {len(columns)}"
+        )
+    count = len(columns[0])
+    if any(len(column) != count for column in columns):
+        raise TraceError(f"{kind} frame columns differ in length")
+    try:
+        header = _HEADER.pack(
+            SPILL_SCHEMA, _FRAME_KINDS.index(kind), rank, count
+        )
+    except struct.error as error:
+        raise TraceError(
+            f"cannot frame {count} {kind} of rank {rank}: {error}"
+        ) from None
+    strings: dict[str, int] = {}
+    encoded = [
+        _encode_column(codec.encode(), values, strings)
+        for codec, values in zip(layout, columns)
+    ]
+    body = b"".join([header, _encode_strings(strings), *encoded])
+    return hashlib.sha256(body).digest() + body
+
+
+def _unpack(typecode: str, data) -> list:
+    packed = array(typecode)
+    packed.frombytes(data)
+    return packed.tolist()
+
+
+def decode_frame(data: bytes, *, kind: str, rank: int) -> list[list]:
+    """The columns of a frame written by :func:`encode_frame`.
+
+    The digest is checked against the exact bytes before anything is
+    parsed, then the header's kind and rank against the caller's
+    expectation; every failure is a :class:`TraceError`.
+    """
+    view = memoryview(data)
+    body = view[_DIGEST_BYTES:]
+    if (
+        len(body) < _HEADER.size
+        or hashlib.sha256(body).digest() != view[:_DIGEST_BYTES]
+    ):
+        raise TraceError("corrupt: its sha256 does not match its bytes")
+    schema, code, frame_rank, count = _HEADER.unpack_from(body)
+    frame_kind = _FRAME_KINDS[code] if code < len(_FRAME_KINDS) else code
+    if schema != SPILL_SCHEMA or frame_kind != kind or frame_rank != rank:
+        raise TraceError(
+            f"misaddressed: holds schema {schema} kind={frame_kind!r} "
+            f"rank={frame_rank}, wanted schema {SPILL_SCHEMA} "
+            f"kind={kind!r} rank={rank}"
+        )
+    try:
+        at = _HEADER.size
+        (size,) = _STRINGS.unpack_from(body, at)
+        at += _STRINGS.size
+        lengths = _unpack("q", body[at:at + 8 * size])
+        at += 8 * size
+        strings = []
+        for length in lengths:
+            strings.append(
+                str(body[at:at + length], "utf-8", "surrogatepass")
+            )
+            at += length
+        columns = []
+        for _ in _LAYOUTS[kind]:
+            codec, length = _COLUMN.unpack_from(body, at)
+            at += _COLUMN.size
+            payload = body[at:at + length]
+            at += length
+            if codec == b"j":
+                column = [_decode_tag(v) for v in json.loads(bytes(payload))]
+            elif codec == b"s":
+                column = list(map(strings.__getitem__, _unpack("q", payload)))
+            else:
+                column = _unpack(codec.decode(), payload)
+            if len(column) != count:
+                raise ValueError(f"a column holds {len(column)} values")
+            columns.append(column)
+        if at != len(body):
+            raise ValueError(f"{len(body) - at} trailing bytes")
+    except (ValueError, IndexError, struct.error) as error:
+        raise TraceError(f"malformed: {error}") from error
+    return columns
+
+
+class SpillLog:
+    """Append-only log of sha256-framed segments (journal discipline).
+
+    One frame per segment (see :func:`encode_frame`); every read
+    verifies the frame's digest over the bytes on disk and its kind
+    and rank before decoding, so a bad disk turns into a
+    :class:`TraceError` instead of silently wrong analysis.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -124,18 +283,11 @@ class SpillLog:
         self.bytes_written = 0
         self.segments_written = 0
 
-    def append(self, kind: str, rank: int, events: list) -> tuple[int, int]:
-        """Frame one segment; returns ``(offset, length)``."""
-        record = {
-            "schema": SPILL_SCHEMA, "kind": kind, "rank": rank,
-            "events": events,
-        }
-        record["sha256"] = content_key(
-            {k: record[k] for k in ("schema", "kind", "rank", "events")}
-        )
-        data = (
-            json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n"
-        ).encode("utf-8")
+    def append(
+        self, kind: str, rank: int, columns: Sequence[Sequence]
+    ) -> tuple[int, int]:
+        """Frame one segment's columns; returns ``(offset, length)``."""
+        data = encode_frame(kind, rank, columns)
         self._file.seek(0, os.SEEK_END)
         offset = self._file.tell()
         self._file.write(data)
@@ -144,33 +296,30 @@ class SpillLog:
         self.segments_written += 1
         return offset, len(data)
 
-    def read(self, offset: int, length: int, *, kind: str, rank: int) -> list:
-        """Decode and verify the segment framed at *offset*."""
+    def read(
+        self, offset: int, length: int, *, kind: str, rank: int
+    ) -> list[list]:
+        """The verified columns of the frame at *offset*."""
         self._file.seek(offset)
         data = self._file.read(length)
-        try:
-            record = json.loads(data)
-        except (ValueError, UnicodeDecodeError) as error:
+        where = f"spill frame at offset {offset} of {self.path.name}"
+        if len(data) != length:
             raise TraceError(
-                f"spill segment at offset {offset} of {self.path.name} "
-                f"is unreadable: {error}"
-            ) from error
-        digest = record.pop("sha256", None) if isinstance(record, dict) else None
-        if (
-            not isinstance(record, dict)
-            or digest != content_key(record)
-            or record.get("kind") != kind
-            or record.get("rank") != rank
-        ):
-            raise TraceError(
-                f"spill segment at offset {offset} of {self.path.name} is "
-                f"corrupt or misaddressed (wanted kind={kind!r} rank={rank})"
+                f"{where} is truncated: read {len(data)} of {length} bytes"
             )
-        return record["events"]
+        try:
+            return decode_frame(data, kind=kind, rank=rank)
+        except TraceError as error:
+            raise TraceError(f"{where} is {error}") from None
 
     def close(self) -> None:
         if not self._file.closed:
             self._file.close()
+
+
+# ---------------------------------------------------------------------------
+# Event series over frontier, stragglers and spilled segments
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -184,28 +333,47 @@ class _SegRef:
     max_key: tuple
 
 
+class _Segment:
+    """A decoded spill segment: its sort keys, and its events built
+    from their rows on first access (a cursor or lookup touches few)."""
+
+    __slots__ = ("keys", "_rows", "_events", "_make")
+
+    def __init__(self, keys: list[tuple], rows: list[tuple], make) -> None:
+        self.keys = keys
+        self._rows = rows
+        self._events: list = [None] * len(rows)
+        self._make = make
+
+    def event(self, index: int):
+        event = self._events[index]
+        if event is None:
+            event = self._events[index] = self._make(*self._rows[index])
+        return event
+
+
 class _SegmentCache:
     """Tiny LRU over decoded spill segments (bounded working set)."""
 
     def __init__(self, log: SpillLog, capacity: int) -> None:
         self._log = log
-        self._capacity = max(1, capacity)
-        self._entries: OrderedDict[tuple, tuple[list, list]] = OrderedDict()
+        self._capacity = capacity
+        self._entries: OrderedDict[tuple, _Segment] = OrderedDict()
 
-    def get(self, series: "_EventSeries", ref: _SegRef) -> tuple[list, list]:
+    def get(self, series: "_EventSeries", ref: _SegRef) -> _Segment:
         key = (id(series), ref.offset)
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             return entry
-        payload = self._log.read(
+        columns = self._log.read(
             ref.offset, ref.length, kind=series.kind, rank=series.rank
         )
-        entry = series.decode(payload)
-        if len(entry[0]) != ref.count:
+        entry = series.decode(columns)
+        if len(entry.keys) != ref.count:
             raise TraceError(
                 f"spill segment at offset {ref.offset} decoded to "
-                f"{len(entry[0])} events, expected {ref.count}"
+                f"{len(entry.keys)} events, expected {ref.count}"
             )
         self._entries[key] = entry
         if len(self._entries) > self._capacity:
@@ -218,10 +386,7 @@ class _SeriesCursor:
     retired segments in descending key order (the ``retreat()``
     protocol the shared walk and classifier consume)."""
 
-    __slots__ = (
-        "_series", "_f", "_s", "_g", "_w",
-        "_seg_keys", "_seg_events", "_source", "state",
-    )
+    __slots__ = ("_series", "_f", "_s", "_g", "_w", "_seg", "_source", "state")
 
     def __init__(self, series: "_EventSeries", f: int, s: int, g: int, w: int):
         self._series = series
@@ -229,14 +394,13 @@ class _SeriesCursor:
         self._s = s
         self._g = g
         self._w = w
-        self._seg_keys: list | None = None
-        self._seg_events: list | None = None
+        self._seg: _Segment | None = None
         if g >= 0:
             self._load_segment()
         self._select()
 
     def _load_segment(self) -> None:
-        self._seg_keys, self._seg_events = self._series.cache.get(
+        self._seg = self._series.cache.get(
             self._series, self._series.segments[self._g]
         )
 
@@ -251,7 +415,7 @@ class _SeriesCursor:
             if best_key is None or key > best_key:
                 source, best_key = "s", key
         if self._g >= 0 and self._w >= 0:
-            key = self._seg_keys[self._w]
+            key = self._seg.keys[self._w]
             if best_key is None or key > best_key:
                 source, best_key = "g", key
         self._source = source
@@ -260,7 +424,7 @@ class _SeriesCursor:
         elif source == "s":
             self.state = series.straggler_events[self._s]
         elif source == "g":
-            self.state = self._seg_events[self._w]
+            self.state = self._seg.event(self._w)
         else:
             self.state = None
 
@@ -275,7 +439,7 @@ class _SeriesCursor:
                 self._g -= 1
                 if self._g >= 0:
                     self._load_segment()
-                    self._w = len(self._seg_keys) - 1
+                    self._w = len(self._seg.keys) - 1
         self._select()
 
 
@@ -303,10 +467,12 @@ class _EventSeries:
         self.watermark: tuple | None = None
         self.next_pos = 0
 
-    def encode(self, event, key: tuple) -> list:
+    def encode(self, keys: list[tuple], events: list) -> list[list]:
+        """The frame columns of a segment (see :data:`_LAYOUTS`)."""
         raise NotImplementedError
 
-    def decode(self, payload: list) -> tuple[list, list]:
+    def decode(self, columns: list[list]) -> _Segment:
+        """A segment back from its frame columns."""
         raise NotImplementedError
 
     def add(self, key: tuple, event) -> None:
@@ -338,11 +504,10 @@ class _EventSeries:
         count = min(count, len(self.keys))
         if count <= 0:
             return 0
-        payload = [
-            self.encode(event, key)
-            for key, event in zip(self.keys[:count], self.events[:count])
-        ]
-        offset, length = log.append(self.kind, self.rank, payload)
+        offset, length = log.append(
+            self.kind, self.rank,
+            self.encode(self.keys[:count], self.events[:count]),
+        )
         ref = _SegRef(offset, length, count, self.keys[0], self.keys[count - 1])
         self.segments.append(ref)
         self._segment_min_keys.append(ref.min_key)
@@ -358,9 +523,21 @@ class _EventSeries:
         g = bisect_right(self._segment_min_keys, probe) - 1
         w = -1
         if g >= 0:
-            seg_keys, _ = self.cache.get(self, self.segments[g])
-            w = bisect_right(seg_keys, probe) - 1
+            segment = self.cache.get(self, self.segments[g])
+            w = bisect_right(segment.keys, probe) - 1
         return _SeriesCursor(self, f, s, g, w)
+
+
+def _columns(fields: attrgetter, events: list) -> list[list]:
+    """Transpose (non-empty) *events* into one column per field."""
+    return [list(column) for column in zip(*map(fields, events))]
+
+
+_STATE_FIELDS = attrgetter("label", "t0", "t1", "kind", "cause")
+_WAIT_FIELDS = attrgetter("rank", "label", "t0", "t1", "kind", "cause")
+_COMM_FIELDS = attrgetter(
+    "src", "dst", "tag", "nbytes", "send_time", "arrival_time", "label", "seq"
+)
 
 
 class _StateSeries(_EventSeries):
@@ -368,18 +545,17 @@ class _StateSeries(_EventSeries):
 
     kind = "states"
 
-    def encode(self, state: StateEvent, key: tuple) -> list:
-        return [key[2], state.label, state.t0, state.t1, state.kind, state.cause]
+    def encode(self, keys: list[tuple], events: list) -> list[list]:
+        positions = list(map(itemgetter(2), keys))
+        return [positions] + _columns(_STATE_FIELDS, events)
 
-    def decode(self, payload: list) -> tuple[list, list]:
-        keys: list[tuple] = []
-        events: list[StateEvent] = []
-        for pos, label, t0, t1, kind, cause in payload:
-            keys.append((t1, t0, pos))
-            events.append(
-                StateEvent(self.rank, label, t0, t1, kind=kind, cause=cause)
-            )
-        return keys, events
+    def decode(self, columns: list[list]) -> _Segment:
+        pos, labels, t0s, t1s, kinds, causes = columns
+        return _Segment(
+            list(zip(t1s, t0s, pos)),
+            list(zip(labels, t0s, t1s, kinds, causes)),
+            partial(StateEvent, self.rank),
+        )
 
 
 class _CommSeries(_EventSeries):
@@ -389,24 +565,16 @@ class _CommSeries(_EventSeries):
 
     kind = "comms"
 
-    def encode(self, comm: CommEvent, key: tuple) -> list:
-        return [
-            key[1], comm.src, comm.dst, _encode_tag(comm.tag), comm.nbytes,
-            comm.send_time, comm.arrival_time, comm.label, comm.seq,
-        ]
+    def encode(self, keys: list[tuple], events: list) -> list[list]:
+        positions = list(map(itemgetter(1), keys))
+        return [positions] + _columns(_COMM_FIELDS, events)
 
-    def decode(self, payload: list) -> tuple[list, list]:
-        keys: list[tuple] = []
-        events: list[CommEvent] = []
-        for gpos, src, dst, tag, nbytes, send, arrival, label, seq in payload:
-            keys.append((seq, gpos))
-            events.append(
-                CommEvent(
-                    src=src, dst=dst, tag=_decode_tag(tag), nbytes=nbytes,
-                    send_time=send, arrival_time=arrival, label=label, seq=seq,
-                )
-            )
-        return keys, events
+    def decode(self, columns: list[list]) -> _Segment:
+        positions, *fields = columns
+        seqs = fields[-1]
+        return _Segment(
+            list(zip(seqs, positions)), list(zip(*fields)), CommEvent
+        )
 
     def lookup(self, seq: int) -> CommEvent | None:
         """The last-recorded message stamped *seq*, wherever it lives."""
@@ -423,12 +591,12 @@ class _CommSeries(_EventSeries):
                 best_key, best = key, self.straggler_events[index]
         seg = bisect_right(self._segment_min_keys, probe) - 1
         if seg >= 0:
-            seg_keys, seg_events = self.cache.get(self, self.segments[seg])
-            index = bisect_right(seg_keys, probe) - 1
-            if index >= 0 and seg_keys[index][0] == seq:
-                key = seg_keys[index]
+            segment = self.cache.get(self, self.segments[seg])
+            index = bisect_right(segment.keys, probe) - 1
+            if index >= 0 and segment.keys[index][0] == seq:
+                key = segment.keys[index]
                 if best_key is None or key > best_key:
-                    best_key, best = key, seg_events[index]
+                    best_key, best = key, segment.event(index)
         return best
 
 
@@ -438,7 +606,6 @@ class StreamConfig:
 
     ``frontier_limit`` bounds the live in-memory event count (``None``
     never evicts); ``segment_events`` sizes retired segments;
-    ``sample_per_label`` switches the wait log to reservoir sampling;
     ``summary_every`` (events) drives :func:`on_summary` with
     provisional live summaries.
     """
@@ -449,9 +616,6 @@ class StreamConfig:
     contention_factor: float = DEFAULT_CONTENTION_FACTOR
     summary_every: int = 0
     on_summary: Callable[[dict], None] | None = None
-    sample_per_label: int | None = None
-    sample_seed: int = 7
-    cache_segments: int = 48
 
     def __post_init__(self) -> None:
         if self.frontier_limit is not None and self.frontier_limit < 1:
@@ -469,15 +633,6 @@ class StreamConfig:
         if self.summary_every < 0:
             raise TraceError(
                 f"summary_every must be >= 0, got {self.summary_every}"
-            )
-        if self.sample_per_label is not None and self.sample_per_label < 2:
-            raise TraceError(
-                "sample_per_label must be >= 2 (need variance), got "
-                f"{self.sample_per_label}"
-            )
-        if self.cache_segments < 1:
-            raise TraceError(
-                f"cache_segments must be >= 1, got {self.cache_segments}"
             )
 
 
@@ -514,8 +669,7 @@ class StreamResult:
     """What :meth:`TraceStreamAnalyzer.finalize` learned.
 
     ``path`` and ``waits`` are the same types the batch analysis
-    produces; ``sampling`` is ``None`` in exact mode, else the
-    per-entry error bounds of the sampled wait-state estimates.
+    produces.
     """
 
     path: CriticalPath
@@ -523,7 +677,6 @@ class StreamResult:
     num_ranks: int
     runtime_seconds: float
     stats: StreamStats
-    sampling: dict[str, Any] | None
 
 
 class _StreamingView(TimelineView):
@@ -563,8 +716,8 @@ class TraceStreamAnalyzer:
 
     Drive it directly (``MpiJob(..., tracer=analyzer)``), or tee a
     recorder into it (``TraceRecorder(sink=analyzer)``); then call
-    :meth:`finalize` for the exact (or sampled) analysis and
-    :meth:`close` to drop the spill log.
+    :meth:`finalize` for the exact analysis and :meth:`close` to drop
+    the spill log.
     """
 
     def __init__(
@@ -583,7 +736,7 @@ class TraceStreamAnalyzer:
             self._dir = Path(tempfile.mkdtemp(prefix="trace-stream-"))
             self._own_dir = True
         self._log = SpillLog(self._dir / "trace.spill")
-        self._cache = _SegmentCache(self._log, self.config.cache_segments)
+        self._cache = _SegmentCache(self._log, _CACHE_SEGMENTS)
         self._states: dict[int, _StateSeries] = {}
         self._comms = _CommSeries(-1, self._cache)
         self._comm_gpos = 0
@@ -597,9 +750,6 @@ class TraceStreamAnalyzer:
         self._end_time = 0.0
         self._wait_tail: list[StateEvent] = []
         self._wait_segments: list[tuple[int, int, int]] = []
-        self._samples: dict[str, list[StateEvent]] = {}
-        self._sample_counts: dict[str, int] = {}
-        self._sample_rngs: dict[str, random.Random] = {}
         self._events = 0
         self._states_n = 0
         self._comms_n = 0
@@ -719,49 +869,32 @@ class TraceStreamAnalyzer:
             raise TraceError("stream analyzer already finalized")
 
     def _note_wait(self, event: StateEvent) -> None:
-        k = self.config.sample_per_label
-        if k is not None:
-            label = event.label
-            seen = self._sample_counts.get(label, 0) + 1
-            self._sample_counts[label] = seen
-            reservoir = self._samples.setdefault(label, [])
-            if len(reservoir) < k:
-                reservoir.append(event)
-            else:
-                rng = self._sample_rngs.get(label)
-                if rng is None:
-                    rng = self._sample_rngs[label] = random.Random(
-                        f"trace-stream-sample:{self.config.sample_seed}:{label}"
-                    )
-                slot = rng.randrange(seen)
-                if slot < k:
-                    reservoir[slot] = event
-        else:
-            self._wait_tail.append(event)
-            self._live += 1
-            if len(self._wait_tail) >= self.config.segment_events:
-                self._flush_waits()
+        self._wait_tail.append(event)
+        self._live += 1
+        if len(self._wait_tail) >= self.config.segment_events:
+            self._flush_waits()
         if self._tracking_live():
             self._provisional_classify(event)
 
     def _flush_waits(self) -> None:
         if not self._wait_tail:
             return
-        payload = [
-            [e.rank, e.label, e.t0, e.t1, e.kind, e.cause]
-            for e in self._wait_tail
-        ]
-        offset, length = self._log.append("waits", -1, payload)
-        self._wait_segments.append((offset, length, len(payload)))
+        columns = _columns(_WAIT_FIELDS, self._wait_tail)
+        offset, length = self._log.append("waits", -1, columns)
+        self._wait_segments.append((offset, length, len(self._wait_tail)))
         self._live -= len(self._wait_tail)
         self._wait_tail = []
 
     def _iter_waits(self) -> Iterator[StateEvent]:
         """Replay every receive wait in exact record order."""
-        for offset, length, _count in self._wait_segments:
-            payload = self._log.read(offset, length, kind="waits", rank=-1)
-            for rank, label, t0, t1, kind, cause in payload:
-                yield StateEvent(rank, label, t0, t1, kind=kind, cause=cause)
+        for offset, length, count in self._wait_segments:
+            columns = self._log.read(offset, length, kind="waits", rank=-1)
+            if len(columns[0]) != count:
+                raise TraceError(
+                    f"wait segment at offset {offset} holds "
+                    f"{len(columns[0])} waits, expected {count}"
+                )
+            yield from map(StateEvent, *columns)
         yield from self._wait_tail
 
     def _after_ingest(self) -> None:
@@ -814,7 +947,7 @@ class TraceStreamAnalyzer:
             rng = self._live_rngs.get(label)
             if rng is None:
                 rng = self._live_rngs[label] = random.Random(
-                    f"trace-stream-live:{self.config.sample_seed}:{label}"
+                    f"{_LIVE_BASELINE_SEED}:{label}"
                 )
             slot = rng.randrange(seen)
             if slot < _LIVE_BASELINE_RESERVOIR:
@@ -950,7 +1083,7 @@ class TraceStreamAnalyzer:
         )
 
     def finalize(self) -> StreamResult:
-        """Run the exact (or sampled) analysis over everything ingested.
+        """Run the exact analysis over everything ingested.
 
         Idempotent: the first call computes and caches the result.
         """
@@ -960,9 +1093,7 @@ class TraceStreamAnalyzer:
             raise TraceError("stream analyzer is closed")
         if self._node_count == 0:
             raise TraceError("cannot analyze an empty trace stream")
-        baselines = baselines_from_latencies(
-            {label: list(values) for label, values in self._latencies.items()}
-        )
+        baselines = baselines_from_latencies(self._latencies)
         view = _StreamingView(self)
         classifier = WaitClassifier(
             view, baselines, self.config.contention_factor
@@ -974,23 +1105,19 @@ class TraceStreamAnalyzer:
             bucket[0] += seconds
             bucket[1] += 1
 
-        sampling: dict[str, Any] | None = None
-        if self.config.sample_per_label is None:
-            for event in self._iter_waits():
-                message = view.message(event.cause)
-                if (
-                    message is not None
-                    and message.arrival_time > event.t1 + _EPS
-                ):
-                    raise TraceError(
-                        f"wait {event} ends before its cause arrives at "
-                        f"{message.arrival_time}"
-                    )
-                for category, seconds in classifier.classify(event).items():
-                    if seconds > 0.0:
-                        add(category, event.label, seconds)
-        else:
-            sampling = self._classify_sampled(classifier, add)
+        for event in self._iter_waits():
+            message = view.message(event.cause)
+            if (
+                message is not None
+                and message.arrival_time > event.t1 + _EPS
+            ):
+                raise TraceError(
+                    f"wait {event} ends before its cause arrives at "
+                    f"{message.arrival_time}"
+                )
+            for category, seconds in classifier.classify(event).items():
+                if seconds > 0.0:
+                    add(category, event.label, seconds)
 
         for kind, spread in collective_instance_spreads(self._instances):
             add("collective-imbalance", kind, spread)
@@ -1014,55 +1141,8 @@ class TraceStreamAnalyzer:
             num_ranks=self._num_ranks,
             runtime_seconds=self._end_time,
             stats=self.stats,
-            sampling=sampling,
         )
         return self._result
-
-    def _classify_sampled(self, classifier: WaitClassifier, add) -> dict:
-        """Classify the per-label reservoirs exactly, scale by N/n, and
-        report per-entry error bounds.
-
-        Estimates are Horvitz–Thompson style: each sampled wait stands
-        for ``N/n`` waits of its label, so category totals are unbiased;
-        the standard error is ``N * sd(s_i) / sqrt(n)`` over the
-        per-sample category seconds (zeros included).
-        """
-        entries: list[dict[str, Any]] = []
-        for label in self._samples:
-            reservoir = self._samples[label]
-            population = self._sample_counts[label]
-            sampled = len(reservoir)
-            scale = population / sampled
-            blames = [classifier.classify(event) for event in reservoir]
-            categories = sorted({c for blame in blames for c in blame})
-            for category in categories:
-                values = [blame.get(category, 0.0) for blame in blames]
-                total = math.fsum(values)
-                if total <= 0.0:
-                    continue
-                estimate = scale * total
-                sd = statistics.stdev(values) if sampled > 1 else 0.0
-                stderr = population * sd / math.sqrt(sampled)
-                add(category, label, estimate)
-                entries.append(
-                    {
-                        "category": category,
-                        "label": label,
-                        "estimate_s": estimate,
-                        "stderr_s": stderr,
-                        "ci95_s": 1.96 * stderr,
-                        "sampled": sampled,
-                        "population": population,
-                    }
-                )
-        return {
-            "mode": "reservoir",
-            "per_label_reservoir": self.config.sample_per_label,
-            "seed": self.config.sample_seed,
-            "entries": sorted(
-                entries, key=lambda e: (-e["estimate_s"], e["category"], e["label"])
-            ),
-        }
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -226,10 +226,12 @@ def baselines_from_latencies(
     latencies: Mapping[str, Iterable[float]]
 ) -> dict[str, float]:
     """Per-label baseline latency: the trace-wide median (floored at
-    :data:`_EPS`).  The median is order-independent, so batch and
-    streaming ingestion agree exactly."""
+    :data:`_EPS`), always a ``float``.  The median is order-independent
+    and the result type does not depend on whether the store kept the
+    latencies as ints or packed doubles, so batch and streaming
+    ingestion agree exactly."""
     return {
-        label: max(summarize(list(values)).median, _EPS)
+        label: float(max(summarize(list(values)).median, _EPS))
         for label, values in latencies.items()
     }
 

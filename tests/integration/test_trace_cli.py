@@ -4,11 +4,13 @@
 JSON + markdown, Chrome trace, deterministic metrics, run manifest)
 and print the Figure 4 diagnosis; ``repro diff-metrics`` is the
 regression gate CI runs against ``tests/golden/`` — its exit code IS
-the contract.  Also pins the ``--metrics-out`` failure mode: a clean
-one-line error, never a traceback.
+the contract.  Also pins the ``--metrics-out`` and unwritable
+``--out`` failure modes: a clean one-line error, never a traceback
+(and never a leaked spill directory).
 """
 
 import json
+import tempfile
 
 import pytest
 
@@ -124,26 +126,25 @@ class TestStreamMode:
         assert code == 1
         assert "cannot be" in err and "Traceback" not in err
 
-    def test_sample_without_stream_is_a_clean_error(self, tmp_path, capsys):
-        code = main([
-            "trace-report", "--sample", "64", "--out", str(tmp_path / "o"),
-        ])
+    @pytest.mark.parametrize(
+        "mode", [[], ["--stream"]], ids=["batch", "stream"]
+    )
+    def test_unwritable_out_is_one_line_and_leaks_no_spill_dir(
+        self, mode, tmp_path, monkeypatch, capsys
+    ):
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmpdir))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        blocker = tmp_path / "a-file"
+        blocker.write_text("not a directory\n")
+        code = main(["trace-report", *mode, "--out", str(blocker / "out")])
         _, err = capsys.readouterr()
         assert code == 1
-        assert "--sample only applies" in err and "Traceback" not in err
-
-    def test_sampled_stream_reports_error_bounds(self, tmp_path):
-        out = tmp_path / "sampled"
-        assert main([
-            "trace-report", "--stream", "--sample", "128",
-            "--out", str(out),
-        ]) == 0
-        payload = json.loads((out / "stream_stats.json").read_text())
-        sampling = payload["sampling"]
-        assert sampling["mode"] == "reservoir"
-        for entry in sampling["entries"]:
-            assert entry["ci95_s"] >= 0.0
-            assert entry["sampled"] <= entry["population"]
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error in trace-report: ")
+        assert "Not a directory" in err
+        assert list(tmpdir.iterdir()) == []
 
 
 class TestDiffMetrics:

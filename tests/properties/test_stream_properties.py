@@ -2,8 +2,9 @@
 
 Hypothesis generates random fig4-shaped traces — per-rank monotone
 timelines, cross-rank messages, waits in arrival order, all timestamps
-multiples of 1/8 so float arithmetic is exact — and the tests assert
-the streaming analyzer's contract:
+multiples of 1/8 so float arithmetic is exact, or plain ``int`` time
+units for some traces — and the tests assert the streaming analyzer's
+contract:
 
 * for any trace, streaming produces *exactly* the batch report
   (same JSON document, byte for byte);
@@ -32,12 +33,13 @@ def trace_ops(draw):
     """One random trace as a replayable list of tracer calls."""
     num_ranks = draw(st.integers(2, 4))
     rounds = draw(st.integers(1, 4))
-    now = [0.0] * num_ranks
+    unit = draw(st.sampled_from([Q, 1]))  # 1: integer timestamps
+    now = [0 * unit] * num_ranks
     ops = []
     seq = 0
     for round_index in range(rounds):
         for rank in range(num_ranks):
-            dt = draw(st.integers(1, 6)) * Q
+            dt = draw(st.integers(1, 6)) * unit
             ops.append(
                 ("state", rank, "compute", now[rank], now[rank] + dt,
                  "compute", -1)
@@ -49,12 +51,12 @@ def trace_ops(draw):
                 dst = draw(st.integers(0, num_ranks - 1))
                 if dst == src:
                     dst = (src + 1) % num_ranks
-                latency = draw(st.integers(1, 12)) * Q
+                latency = draw(st.integers(1, 12)) * unit
                 send = now[src]
                 ops.append(
-                    ("state", src, "msg", send, send + Q, "send", seq)
+                    ("state", src, "msg", send, send + unit, "send", seq)
                 )
-                now[src] = send + Q
+                now[src] = send + unit
                 message = CommEvent(
                     src=src, dst=dst, tag=("t", round_index, src),
                     nbytes=1024, send_time=send,

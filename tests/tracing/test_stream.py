@@ -4,10 +4,8 @@ The load-bearing claim is *byte identity*: for the same trace, the
 streaming analysis — whatever its frontier limit, however much it
 spilled — produces the same :class:`RunReport` JSON as the batch
 graph+classifier pipeline.  Everything else (spill framing, eviction
-accounting, live summaries, sampled error bounds) supports that.
+accounting, live summaries) supports that.
 """
-
-import json
 
 import pytest
 
@@ -23,6 +21,8 @@ from repro.tracing.stream import (
     _decode_tag,
     _encode_tag,
     build_synthetic_trace,
+    decode_frame,
+    encode_frame,
 )
 
 
@@ -119,40 +119,78 @@ class TestLifecycle:
         assert (tmp_path / "spill").exists()
 
 
+STATE_COLUMNS = [
+    [0, 1], ["compute", "alltoallv"], [0.0, 1.0], [1.0, 2.5],
+    ["compute", "wait"], [-1, 4],
+]
+
+
 class TestSpillLog:
     def test_round_trip(self, tmp_path):
         log = SpillLog(tmp_path / "s.spill")
-        offset, length = log.append("states", 3, [[0, "a", 0.0, 1.0, "state", -1]])
-        assert log.read(offset, length, kind="states", rank=3) == (
-            [[0, "a", 0.0, 1.0, "state", -1]]
-        )
+        offset, length = log.append("states", 3, STATE_COLUMNS)
+        assert log.read(offset, length, kind="states", rank=3) == STATE_COLUMNS
+        assert log.bytes_written == length
+        assert log.segments_written == 1
         log.close()
 
+    def test_frames_pack_typed_columns_not_json(self):
+        frame = encode_frame("states", 3, STATE_COLUMNS)
+        # Labels and kinds live once in the string table; times are
+        # packed doubles, so no JSON text reaches the frame.
+        assert frame.count(b"alltoallv") == 1
+        assert b"[" not in frame[32:]
+
+    def test_values_off_their_column_type_fall_back_to_json(self):
+        columns = [
+            [2**70, 1], ["a", "b"], [0, 1], [2, 3.5], ["state", "wait"],
+            [True, -1],
+        ]
+        frame = encode_frame("states", 0, columns)
+        assert b"[0,1]" in frame and b"[2,3.5]" in frame
+        decoded = decode_frame(frame, kind="states", rank=0)
+        assert decoded == columns
+        assert [type(v) for v in decoded[2]] == [int, int]
+        assert [type(v) for v in decoded[5]] == [bool, int]
+
     def test_corruption_is_a_trace_error(self, tmp_path):
-        path = tmp_path / "s.spill"
-        log = SpillLog(path)
-        offset, length = log.append("states", 0, [[0, "a", 0.0, 1.0, "state", -1]])
-        log._file.seek(offset + 30)
+        log = SpillLog(tmp_path / "s.spill")
+        offset, length = log.append("states", 0, STATE_COLUMNS)
+        log._file.seek(offset + length - 3)
         log._file.write(b"X")
         log._file.flush()
-        with pytest.raises(TraceError, match="corrupt or misaddressed"):
+        with pytest.raises(TraceError, match="corrupt: its sha256"):
             log.read(offset, length, kind="states", rank=0)
         log.close()
 
     def test_misaddressed_read_is_a_trace_error(self, tmp_path):
         log = SpillLog(tmp_path / "s.spill")
-        offset, length = log.append("states", 0, [])
-        with pytest.raises(TraceError, match="corrupt or misaddressed"):
+        offset, length = log.append("states", 0, [[] for _ in range(6)])
+        with pytest.raises(TraceError, match="misaddressed"):
             log.read(offset, length, kind="states", rank=7)
-        with pytest.raises(TraceError, match="corrupt or misaddressed"):
-            log.read(offset, length, kind="comms", rank=0)
+        with pytest.raises(TraceError, match="misaddressed"):
+            log.read(offset, length, kind="waits", rank=0)
         log.close()
 
     def test_truncated_frame_is_a_trace_error(self, tmp_path):
         log = SpillLog(tmp_path / "s.spill")
-        offset, length = log.append("states", 0, [[0, "a", 0.0, 1.0, "state", -1]])
-        with pytest.raises(TraceError, match="unreadable"):
+        offset, length = log.append("states", 0, STATE_COLUMNS)
+        with pytest.raises(TraceError, match="corrupt"):
             log.read(offset, length - 5, kind="states", rank=0)
+        log._file.truncate(offset + length - 5)
+        with pytest.raises(TraceError, match="truncated: read"):
+            log.read(offset, length, kind="states", rank=0)
+        log.close()
+
+    def test_malformed_segments_are_refused_at_write(self, tmp_path):
+        log = SpillLog(tmp_path / "s.spill")
+        with pytest.raises(TraceError, match="hold 6 columns"):
+            log.append("states", 0, [[0]])
+        with pytest.raises(TraceError, match="differ in length"):
+            log.append("states", 0, [[0], [], [], [], [], []])
+        with pytest.raises(TraceError, match="cannot frame"):
+            log.append("states", 2**63, STATE_COLUMNS)
+        assert log.segments_written == 0
         log.close()
 
 
@@ -169,6 +207,13 @@ class TestTagCodec:
         with pytest.raises(TraceError, match="JSON-framable"):
             _encode_tag({"not": "hashable-framing"})
 
+        class Stamp(int):
+            pass
+
+        # JSON would write a subclass as its base type: refuse, never coerce.
+        with pytest.raises(TraceError, match="JSON-framable"):
+            _encode_tag(("alltoallv", Stamp(3)))
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -178,8 +223,6 @@ class TestConfigValidation:
             ({"segment_events": 0}, "segment_events"),
             ({"contention_factor": 1.0}, "contention_factor"),
             ({"summary_every": -1}, "summary_every"),
-            ({"sample_per_label": 1}, "sample_per_label"),
-            ({"cache_segments": 0}, "cache_segments"),
         ],
     )
     def test_bad_knobs_are_rejected(self, kwargs, match):
@@ -248,56 +291,6 @@ class TestLiveSummaries:
         exact_total = sum(e.seconds for e in result.waits.entries)
         assert live_total > 0.0
         assert exact_total > 0.0
-
-
-class TestSampling:
-    def test_sampled_estimates_carry_error_bounds(self):
-        exact = _stream_only(StreamConfig(), rounds=60, seed=3)
-        with exact:
-            exact_result = exact.finalize()
-        config = StreamConfig(sample_per_label=128, sample_seed=5)
-        with _stream_only(config, rounds=60, seed=3) as analyzer:
-            result = analyzer.finalize()
-        sampling = result.sampling
-        assert sampling is not None
-        assert sampling["mode"] == "reservoir"
-        assert sampling["per_label_reservoir"] == 128
-        assert sampling["entries"], "no sampled wait-state estimates"
-        for entry in sampling["entries"]:
-            assert entry["sampled"] <= min(128, entry["population"])
-            assert entry["estimate_s"] > 0.0
-            assert entry["ci95_s"] == pytest.approx(1.96 * entry["stderr_s"])
-        # The dominant estimate lands within its own 95% interval
-        # (fixed seeds — deterministic, not a flaky statistical test).
-        exact_by_key = {
-            (e.category, e.label): e.seconds for e in exact_result.waits.entries
-        }
-        top = sampling["entries"][0]
-        true_seconds = exact_by_key[(top["category"], top["label"])]
-        assert abs(top["estimate_s"] - true_seconds) <= max(
-            top["ci95_s"], 0.35 * true_seconds
-        )
-
-    def test_sampling_leaves_the_critical_path_exact(self):
-        with _stream_only(StreamConfig(), rounds=30) as analyzer:
-            exact = analyzer.finalize()
-        with _stream_only(
-            StreamConfig(sample_per_label=64), rounds=30
-        ) as analyzer:
-            sampled = analyzer.finalize()
-        assert sampled.path == exact.path
-        assert sampled.runtime_seconds == exact.runtime_seconds
-        assert sampled.waits.efficiencies == exact.waits.efficiencies
-
-    def test_sampling_is_seed_deterministic(self):
-        documents = []
-        for _ in range(2):
-            with _stream_only(
-                StreamConfig(sample_per_label=64, sample_seed=9), rounds=30
-            ) as analyzer:
-                result = analyzer.finalize()
-                documents.append(json.dumps(result.sampling, sort_keys=True))
-        assert documents[0] == documents[1]
 
 
 class TestStreamingValidation:
