@@ -198,22 +198,13 @@ def _fig3_multiseed(args, sweeps) -> None:
 
 
 def _cmd_fig4(args) -> None:
-    from repro.apps import BigDFT
-    from repro.cluster import MpiJob, tibidabo
-    from repro.tracing import TraceRecorder, analyze_collectives
+    from repro.engine.sweeps import run_fig4
 
-    for upgraded in (False, True):
-        cluster = tibidabo(num_nodes=18, seed=args.seed, upgraded_switches=upgraded)
-        recorder = TraceRecorder()
-        app = BigDFT()
-        result = MpiJob(
-            cluster, 36, app.rank_program(cluster, 36), tracer=recorder
-        ).run()
-        report = analyze_collectives(recorder, "alltoallv")
+    for upgraded, job in run_fig4(args.engine, seed=args.seed):
         label = "upgraded" if upgraded else "commodity"
         print(f"Figure 4 ({label} switches): "
-              f"{len(report.delayed)}/{len(report.instances)} alltoallv delayed, "
-              f"{result.loss_episodes} loss episodes, job {result.elapsed_seconds:.2f}s")
+              f"{job['delayed']}/{job['instances']} alltoallv delayed, "
+              f"{job['loss_episodes']} loss episodes, job {job['elapsed_s']:.2f}s")
 
 
 def _cmd_fig5(args) -> None:
@@ -618,7 +609,17 @@ def _cmd_claims(args) -> None:
         raise SystemExit(1)
 
 
+#: MPI ranks of the traced Figure 4 job.
+TRACE_REPORT_RANKS = 36
+
+
 def _cmd_trace_report(args) -> int:
+    _trace_report(args)
+    return 0
+
+
+def _trace_report(args) -> list[Path]:
+    """Run ``trace-report`` as *args* describe; returns the files written."""
     from repro.metrics.registry import MetricsRegistry
     from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
 
@@ -652,7 +653,7 @@ def _cmd_trace_report(args) -> int:
             analyzer.close()
 
 
-def _run_trace_report(args, registry, analyzer) -> int:
+def _run_trace_report(args, registry, analyzer) -> list[Path]:
     """Simulate the fig4 job under *registry*, analyze it (streamed
     when *analyzer* is given) and write the report bundle."""
     import json
@@ -667,7 +668,7 @@ def _run_trace_report(args, registry, analyzer) -> int:
 
     chrome_out = getattr(args, "chrome_out", None)
     app = BigDFT() if args.app == "bigdft" else Specfem3D()
-    num_ranks = 36
+    num_ranks = TRACE_REPORT_RANKS
     scenario = f"fig4-{args.app}-{num_ranks}ranks-seed{args.seed}"
     recorder = None
     if analyzer is not None:
@@ -732,11 +733,11 @@ def _run_trace_report(args, registry, analyzer) -> int:
         # Attach by name relative to the output directory, so the
         # manifest stays byte-identical wherever the bundle lands.
         manifest.attach(name, path.name)
-    manifest.save(out_dir)
+    manifest_path = manifest.save(out_dir)
     print(report.to_markdown(), end="")
     for name, path in sorted(written.items()):
         print(f"[trace-report] wrote {path}", file=sys.stderr)
-    return 0
+    return [*written.values(), manifest_path]
 
 
 def _cmd_diff_metrics(args) -> int:
@@ -793,6 +794,47 @@ PINNED_ARTEFACTS: tuple[str, ...] = (
 )
 
 
+def _bundle_trace_report(args, artefact_dir: Path) -> str:
+    """The bundle's trace-report, memoized whole through the engine.
+
+    The cache payload is the exact text of every file the command
+    writes plus its stdout, so a warm bundle rewrites the cold run's
+    bytes without simulating anything.  Returns the stdout.
+    """
+    import io
+    from contextlib import redirect_stdout
+
+    def compute() -> dict:
+        local = argparse.Namespace(**vars(args))
+        local.out = str(artefact_dir)
+        # The pinned bundle keeps the Chrome export (the CLI default
+        # skips it unless a path asks for it).
+        local.chrome_out = str(artefact_dir / "trace.chrome.json")
+        local.stream = False
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            written = _trace_report(local)
+        # The recorder and the Chrome document are gone by now; only
+        # the written text is held while the payload is encoded.
+        return {
+            "stdout": buffer.getvalue(),
+            "files": {
+                path.name: path.read_bytes().decode("utf-8")
+                for path in written
+            },
+        }
+
+    payload = args.engine.run_cached(
+        f"trace-report/{args.app}",
+        {"experiment": "trace-report", "app": args.app, "seed": args.seed,
+         "ranks": TRACE_REPORT_RANKS, "chrome": True},
+        compute,
+    )
+    for name, text in payload["files"].items():
+        (artefact_dir / name).write_bytes(text.encode("utf-8"))
+    return payload["stdout"]
+
+
 def _cmd_reproduce_all(args) -> int:
     import io
     from contextlib import redirect_stdout
@@ -839,34 +881,26 @@ def _cmd_reproduce_all(args) -> int:
         previous = metrics_mod.set_registry(registry)
         local = argparse.Namespace(**vars(args))
         local.summaries = {}
-        hits = misses = 0
-        buffer = io.StringIO()
         try:
+            local.engine = ExperimentEngine(
+                cache=cache,
+                jobs=args.jobs,
+                manifest_dir=None,
+                echo=lambda line: print(line, file=sys.stderr),
+                policy=_build_policy(args),
+            )
             if name == "trace-report":
-                local.out = str(artefact_dir)
-                # The pinned bundle keeps the Chrome export (the CLI
-                # default skips it unless a path asks for it).
-                local.chrome_out = str(artefact_dir / "trace.chrome.json")
-                local.stream = False
-                with redirect_stdout(buffer):
-                    _cmd_trace_report(local)
+                stdout = _bundle_trace_report(local, artefact_dir)
             else:
-                local.engine = ExperimentEngine(
-                    cache=cache,
-                    jobs=args.jobs,
-                    manifest_dir=None,
-                    echo=lambda line: print(line, file=sys.stderr),
-                    policy=_build_policy(args),
-                )
+                buffer = io.StringIO()
                 with redirect_stdout(buffer):
                     COMMANDS[name](local)
-                hits = local.engine.total_hits
-                misses = local.engine.total_misses
+                stdout = buffer.getvalue()
         finally:
             metrics_mod.set_registry(previous)
-        (artefact_dir / "stdout.txt").write_text(
-            buffer.getvalue(), encoding="utf-8"
-        )
+        hits = local.engine.total_hits
+        misses = local.engine.total_misses
+        (artefact_dir / "stdout.txt").write_text(stdout, encoding="utf-8")
         if name != "trace-report":
             # trace-report writes its own deterministic metrics.json.
             metrics_mod.write_metrics(

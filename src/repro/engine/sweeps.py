@@ -166,6 +166,30 @@ def page_alloc_point(params: Mapping[str, Any]) -> dict[str, Any]:
     return {"gb_per_s": sample.ideal_bandwidth_bytes_per_s / 1e9}
 
 
+def fig4_point(params: Mapping[str, Any]) -> dict[str, Any]:
+    """One Figure 4 job: its alltoallv delays on one switch variant."""
+    from repro.cluster import MpiJob, tibidabo
+    from repro.tracing import TraceRecorder, analyze_collectives
+
+    cluster = tibidabo(
+        num_nodes=params["num_nodes"], seed=params["seed"],
+        upgraded_switches=params["upgraded"],
+    )
+    ranks = params["ranks"]
+    app = build_app(params["app"])
+    recorder = TraceRecorder()
+    result = MpiJob(
+        cluster, ranks, app.rank_program(cluster, ranks), tracer=recorder
+    ).run()
+    report = analyze_collectives(recorder, "alltoallv")
+    return {
+        "delayed": len(report.delayed),
+        "instances": len(report.instances),
+        "loss_episodes": result.loss_episodes,
+        "elapsed_s": result.elapsed_seconds,
+    }
+
+
 def cluster_energy_point(params: Mapping[str, Any]) -> dict[str, Any]:
     """Energy-to-solution of one cluster job at one core count."""
     from repro.cluster import tibidabo
@@ -284,6 +308,25 @@ def run_speedup_curve(
         (cores, baseline_cores * base_time / times[cores])
         for cores in sorted(times)
     ]
+
+
+def run_fig4(
+    engine: ExperimentEngine, *, seed: int
+) -> list[tuple[bool, dict[str, Any]]]:
+    """The Figure 4 BigDFT job on commodity, then upgraded, switches.
+
+    One point per switch variant, so a cold run fans the two jobs out
+    and a warm one reads both from the cache.  Returns
+    ``(upgraded, payload)`` pairs in that order.
+    """
+    base = {"app": "bigdft", "num_nodes": 18, "ranks": 36, "seed": seed}
+    spec = SweepSpec(
+        "fig4",
+        fig4_point,
+        [dict(base, upgraded=upgraded) for upgraded in (False, True)],
+        key=dict(base, experiment="fig4-alltoallv"),
+    )
+    return [(point["upgraded"], value) for point, value in engine.run(spec)]
 
 
 def run_variant_grid(

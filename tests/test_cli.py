@@ -1,8 +1,11 @@
 """Tests for the ``python -m repro`` CLI."""
 
+import json
+
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
+from repro.metrics import MetricsRegistry, to_json
 
 
 class TestParser:
@@ -74,10 +77,31 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "LINPACK" in out and "BigDFT" in out
 
-    def test_fig4(self, capsys):
-        assert main(["fig4"]) == 0
-        out = capsys.readouterr().out
-        assert "commodity" in out and "upgraded" in out
+    def test_fig4(self, tmp_path, capsys):
+        def fig4(*flags):
+            assert main(["fig4", *flags]) == 0
+            return capsys.readouterr()
+
+        def deterministic_metrics(path):
+            registry = MetricsRegistry()
+            registry.merge(json.loads(path.read_text(encoding="utf-8")))
+            return to_json(registry, deterministic=True)
+
+        serial = fig4("--jobs", "1", "--no-cache",
+                      "--metrics-out", str(tmp_path / "jobs1.json"))
+        assert "commodity" in serial.out and "upgraded" in serial.out
+        # One point per switch variant: the two jobs fan out and cache
+        # like every other sweep, with byte-stable stdout and metrics.
+        parallel = fig4("--jobs", "2", "--no-cache",
+                        "--metrics-out", str(tmp_path / "jobs2.json"))
+        assert parallel.out == serial.out
+        assert deterministic_metrics(tmp_path / "jobs1.json") == (
+            deterministic_metrics(tmp_path / "jobs2.json")
+        )
+        fig4()
+        warm = fig4()
+        assert warm.out == serial.out
+        assert "[engine] fig4: 2 points | hits 2 | misses 0" in warm.err
 
     def test_fig6(self, capsys):
         assert main(["fig6"]) == 0
