@@ -4,8 +4,8 @@ The paper's harness (§V–§VI) is a sweep machine — stride/size grids,
 unroll degrees 1–12, node counts 1–48 — and so is this reproduction.
 :class:`ExperimentEngine` is the one execution path every sweep shares:
 
-* **fan-out** — pending points run on worker processes (threads when
-  the worker doesn't pickle, a plain loop at ``jobs=1``), with results
+* **fan-out** — pending points run on forked worker processes (a plain
+  loop at ``jobs=1`` or where the platform cannot fork), with results
   always assembled in submission order, so the output is byte-identical
   no matter how completion interleaves;
 * **memoization** — completed points land in a content-addressed
@@ -45,13 +45,8 @@ where sample N's value depends on the N-1 samples before it) set
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -61,7 +56,12 @@ from repro.engine.journal import RunJournal
 from repro.engine.manifest import PointRecord, RunManifest
 from repro.engine.resilience import ExecutionPolicy
 from repro.errors import EngineError, PointTimeout, RetryExhausted, WorkerCrash
-from repro.metrics.registry import MetricsRegistry, current_registry, use_registry
+from repro.metrics.registry import (
+    AnyRegistry,
+    MetricsRegistry,
+    current_registry,
+    use_registry,
+)
 from repro.version import __version__
 
 #: Bump to invalidate every cache entry written by older engines.
@@ -157,9 +157,9 @@ def _timed_call(
 
     With ``capture=True`` the worker runs under a fresh, thread-scoped
     metrics registry and its snapshot rides back with the value — the
-    same path whether the point ran in-process, on a thread, or in a
-    worker process, which is why ``--jobs 1`` and ``--jobs 4`` merge to
-    identical metrics.
+    same path whether the point ran in-process or in a worker process,
+    which is why ``--jobs 1`` and ``--jobs 4`` merge to identical
+    metrics.
     """
     start = time.perf_counter()
     if capture:
@@ -199,15 +199,105 @@ def _point_process_main(conn, worker, params, capture) -> None:
         conn.close()
 
 
-@dataclass
-class _Attempt:
-    """One in-flight execution of one point in the process supervisor."""
+async def run_attempt(
+    worker: Worker,
+    params: Mapping[str, Any],
+    attempt: int,
+    *,
+    timeout_s: float | None,
+    deadline: float | None,
+    label: str,
+    metrics: AnyRegistry,
+    scope: str,
+) -> tuple[Any, float, dict[str, Any] | None]:
+    """One forked attempt at one point, supervised on the running loop.
 
-    proc: Any
-    conn: Any
-    index: int
-    attempt: int
-    deadline: float | None
+    The engine's process pool and the job service both run every
+    attempt through here.  The child's result pipe and its process
+    sentinel are registered on the event loop, so a worker that dies
+    without reporting (``os._exit``, OOM kill, signal) is seen at once
+    even while forked siblings hold inherited pipe ends.  The attempt's
+    budget is ``timeout_s`` capped at ``deadline`` (a
+    ``time.monotonic()`` instant); a worker past it, or an attempt
+    cancelled by its caller, is killed outright.  Returns ``(value,
+    wall, snapshot)`` or raises the worker's own exception,
+    :class:`~repro.errors.PointTimeout` or
+    :class:`~repro.errors.WorkerCrash`; timeouts and crashes tick
+    ``<scope>.timeouts`` and ``<scope>.worker_crashes``.
+    """
+    import asyncio  # deferred: `repro --help` imports this module
+
+    budget = timeout_s
+    if deadline is not None:
+        left = max(0.0, deadline - time.monotonic())
+        budget = left if budget is None else min(budget, left)
+    loop = asyncio.get_running_loop()
+    ctx = multiprocessing.get_context("fork")
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(
+        target=_point_process_main,
+        args=(child_conn, worker, params, metrics.enabled),
+        daemon=True,
+    )
+    proc.start()
+    child_conn.close()
+    wake = asyncio.Event()
+    pipe_fd = parent_conn.fileno()
+    loop.add_reader(pipe_fd, wake.set)
+    loop.add_reader(proc.sentinel, wake.set)
+    ends = None if budget is None else time.monotonic() + budget
+    try:
+        while True:
+            # Liveness first: a child already seen dead has written
+            # everything it ever will, so the poll below cannot miss
+            # its result.  The other order loses a reply sent between
+            # an empty poll and the liveness check.
+            dead = not proc.is_alive()
+            if parent_conn.poll():
+                try:
+                    message = parent_conn.recv()
+                except (EOFError, OSError):
+                    message = None  # died mid-send
+                except Exception as error:
+                    message = (
+                        "error", f"undecodable worker message: {error!r}",
+                    )
+                break
+            if dead:
+                message = None  # died without reporting
+                break
+            wait_s = None if ends is None else ends - time.monotonic()
+            if wait_s is not None and wait_s <= 0:
+                proc.kill()
+                metrics.inc(f"{scope}.timeouts")
+                raise PointTimeout(budget, attempt=attempt)
+            wake.clear()
+            try:
+                await asyncio.wait_for(wake.wait(), timeout=wait_s)
+            except asyncio.TimeoutError:
+                pass  # the budget check above fires next time round
+    except asyncio.CancelledError:
+        proc.kill()
+        raise
+    finally:
+        loop.remove_reader(pipe_fd)
+        loop.remove_reader(proc.sentinel)
+        parent_conn.close()
+        proc.join(timeout=5.0)
+
+    if message is None:
+        metrics.inc(f"{scope}.worker_crashes")
+        raise WorkerCrash(
+            f"worker for {label} died with exit code {proc.exitcode}",
+            kind="exit", exitcode=proc.exitcode, attempt=attempt,
+        )
+    if message[0] == "ok":
+        _, value, wall, snapshot = message
+        return value, wall, snapshot
+    if message[0] == "raise":
+        raise message[1]
+    metrics.inc(f"{scope}.worker_crashes")
+    raise WorkerCrash(message[1], kind="protocol", attempt=attempt)
 
 
 class ExperimentEngine:
@@ -262,18 +352,12 @@ class ExperimentEngine:
     # -- execution ---------------------------------------------------------
 
     def _pick_executor(self, spec: SweepSpec, pending: int) -> str:
-        if self.jobs <= 1 or spec.serial_only or pending <= 1:
+        if (
+            self.jobs <= 1 or spec.serial_only or pending <= 1
+            or "fork" not in multiprocessing.get_all_start_methods()
+        ):
             return "serial"
-        try:
-            pickle.dumps((spec.worker, spec.points))
-            return "process"
-        except (pickle.PickleError, AttributeError, TypeError):
-            # The three ways worker pickling actually fails: closures
-            # and locals raise AttributeError, unpicklable members
-            # (locks, sockets) TypeError, lookup mismatches
-            # PicklingError.  Anything else is a real bug and
-            # propagates instead of silently degrading the pool.
-            return "thread"
+        return "process"
 
     def _timeout_for(self, spec: SweepSpec) -> float | None:
         if spec.point_timeout_s is not None:
@@ -329,38 +413,15 @@ class ExperimentEngine:
 
         def fail(index, attempt, error: BaseException) -> float | None:
             """Record a failed attempt; a float means retry after it."""
-            record = {
-                "type": type(error).__name__,
-                "message": str(error),
-                "attempt": attempt,
-            }
-            if attempt < self.policy.max_attempts:
-                delay = self.policy.retry_delay_s(attempt, hashes[index])
-                if (
-                    run_deadline is None
-                    or time.monotonic() + delay <= run_deadline
-                ):
-                    transient.setdefault(index, []).append(record)
-                    self.metrics.inc("engine.retries")
-                    return delay
-                # The retry budget is not spent, but the run deadline
-                # truncates the schedule: what the point ran out of is
-                # its budget, so the manifest records RetryExhausted —
-                # the last attempt's incidental error (often a
-                # PointTimeout) survives as the cause, not the type.
-                transient.setdefault(index, []).append(record)
-                record = {
-                    "type": "RetryExhausted",
-                    "message": (
-                        f"retry schedule truncated by the "
-                        f"{self.policy.deadline_s:g}s run deadline after "
-                        f"attempt {attempt} "
-                        f"({record['type']}: {record['message']})"
-                    ),
-                    "attempt": attempt,
-                }
+            delay, final = self.policy.settle(
+                error, attempt, hashes[index], run_deadline,
+                transient.setdefault(index, []),
+            )
+            if final is None:
+                self.metrics.inc("engine.retries")
+                return delay
             attempts[index] = attempt
-            failures[index] = record
+            failures[index] = final
             failure_exc[index] = error
             return None
 
@@ -395,20 +456,14 @@ class ExperimentEngine:
                 pending.append(index)
 
             executor_kind = self._pick_executor(spec, len(pending))
-            if pending:
-                if executor_kind == "process":
-                    self._run_processes(
-                        spec, pending, capture, complete, fail, timeout_s,
-                        run_deadline,
-                    )
-                elif executor_kind == "thread":
-                    self._run_threads(
-                        spec, pending, capture, complete, fail, timeout_s
-                    )
-                else:
-                    self._run_serial(
-                        spec, pending, capture, complete, fail, timeout_s
-                    )
+            if executor_kind == "process":
+                self._run_processes(
+                    spec, pending, complete, fail, timeout_s, run_deadline
+                )
+            elif pending:
+                self._run_serial(
+                    spec, pending, capture, complete, fail, timeout_s
+                )
 
         # Historical contract: without a fault-tolerance policy, a
         # worker exception propagates as itself (typed engine failures
@@ -461,7 +516,7 @@ class ExperimentEngine:
     def _run_serial(
         self, spec, pending, capture, complete, fail, timeout_s
     ) -> None:
-        """The ``jobs=1`` loop: retries work, timeouts are post-hoc.
+        """The in-process loop: retries work, timeouts are post-hoc.
 
         Serial execution cannot preempt a running point; an overrun is
         surfaced through the ``engine.timeouts`` counter but the value
@@ -487,235 +542,47 @@ class ExperimentEngine:
                 complete(index, value, wall, snapshot, attempt)
                 break
 
-    def _run_threads(
-        self, spec, pending, capture, complete, fail, timeout_s
-    ) -> None:
-        """Thread fan-out for unpicklable workers.
-
-        Threads cannot be killed: a timed-out future is abandoned (its
-        eventual result ignored) and the attempt retried on a fresh
-        submission.  Real isolation — actually reclaiming a hung
-        worker — needs process mode.
-        """
-        workers = min(self.jobs, len(pending))
-        pool = ThreadPoolExecutor(max_workers=workers)
-        in_flight: dict[Any, tuple[int, int, float]] = {}
-        backlog: list[tuple[float, int, int]] = []  # (not_before, index, attempt)
-
-        def schedule_failure(index, attempt, error) -> None:
-            delay = fail(index, attempt, error)
-            if delay is not None:
-                backlog.append((time.monotonic() + delay, index, attempt + 1))
-
-        try:
-            for index in pending:
-                future = pool.submit(
-                    _timed_call, spec.worker, spec.points[index], capture
-                )
-                in_flight[future] = (index, 1, time.monotonic())
-            while in_flight or backlog:
-                now = time.monotonic()
-                if backlog:
-                    due = [item for item in backlog if item[0] <= now]
-                    backlog = [item for item in backlog if item[0] > now]
-                    for _, index, attempt in sorted(due):
-                        future = pool.submit(
-                            _timed_call, spec.worker, spec.points[index],
-                            capture,
-                        )
-                        in_flight[future] = (index, attempt, time.monotonic())
-                if not in_flight:
-                    time.sleep(max(0.0, min(b[0] for b in backlog) - now))
-                    continue
-                wait_for: list[float] = []
-                if timeout_s is not None:
-                    wait_for.extend(
-                        started + timeout_s - now
-                        for _, _, started in in_flight.values()
-                    )
-                wait_for.extend(b[0] - now for b in backlog)
-                wait_timeout = max(0.0, min(wait_for)) if wait_for else None
-                done, _ = futures_wait(
-                    set(in_flight), timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                now = time.monotonic()
-                for future in done:
-                    index, attempt, _started = in_flight.pop(future)
-                    try:
-                        value, wall, snapshot = future.result()
-                    except Exception as error:
-                        schedule_failure(index, attempt, error)
-                    else:
-                        complete(index, value, wall, snapshot, attempt)
-                if timeout_s is not None:
-                    for future, (index, attempt, started) in list(
-                        in_flight.items()
-                    ):
-                        if now - started >= timeout_s:
-                            del in_flight[future]
-                            future.cancel()  # abandoned if already running
-                            self.metrics.inc("engine.timeouts")
-                            schedule_failure(
-                                index, attempt,
-                                PointTimeout(timeout_s, attempt=attempt),
-                            )
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
     def _run_processes(
-        self, spec, pending, capture, complete, fail, timeout_s,
-        run_deadline=None,
+        self, spec, pending, complete, fail, timeout_s, run_deadline
     ) -> None:
         """The supervised process pool: full crash/hang isolation.
 
-        Each attempt is its own process with its own result pipe.  The
-        supervisor waits on pipes *and* process sentinels, so a worker
-        that dies without reporting (``os._exit``, OOM kill, signal) is
-        detected immediately even while siblings hold inherited pipe
-        ends; a worker past its deadline is killed outright.  Either
-        way only that point's attempt fails — the pool never breaks.
-        A ``run_deadline`` (monotonic instant) additionally caps every
-        attempt: a worker still running when the run budget expires is
-        killed rather than allowed to overshoot it.
+        One asyncio task per pending point walks that point's attempts,
+        each a forked :func:`run_attempt` capped by the point timeout
+        and the run deadline.  A task holds one of ``jobs`` slots only
+        while an attempt runs, never during a backoff.  A typed abort
+        raised by ``complete`` (e.g. the journal's disk filled) ends
+        ``gather``; ``asyncio.run`` then cancels the sibling tasks, and
+        each cancelled attempt kills its worker.
         """
-        ctx = (
-            multiprocessing.get_context("fork")
-            if "fork" in multiprocessing.get_all_start_methods()
-            else multiprocessing.get_context()
-        )
-        workers = min(self.jobs, len(pending))
-        queue: deque[tuple[int, int, float]] = deque(
-            (index, 1, 0.0) for index in pending
-        )
-        running: list[_Attempt] = []
+        import asyncio  # deferred: `repro --help` imports this module
 
-        def launch(index: int, attempt: int, now: float) -> None:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_point_process_main,
-                args=(child_conn, spec.worker, spec.points[index], capture),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            deadline = None if timeout_s is None else now + timeout_s
-            if run_deadline is not None:
-                deadline = (
-                    run_deadline if deadline is None
-                    else min(deadline, run_deadline)
-                )
-            running.append(_Attempt(
-                proc=proc, conn=parent_conn, index=index, attempt=attempt,
-                deadline=deadline,
-            ))
-
-        def retire(task: _Attempt) -> None:
-            running.remove(task)
-            task.conn.close()
-            task.proc.join()
-
-        def requeue_or_fail(task: _Attempt, error: BaseException) -> None:
-            delay = fail(task.index, task.attempt, error)
-            if delay is not None:
-                queue.append(
-                    (task.index, task.attempt + 1, time.monotonic() + delay)
-                )
-
-        try:
-            while queue or running:
-                now = time.monotonic()
-                deferred: list[tuple[int, int, float]] = []
-                while queue and len(running) < workers:
-                    index, attempt, not_before = queue.popleft()
-                    if not_before > now:
-                        deferred.append((index, attempt, not_before))
-                        continue
-                    launch(index, attempt, now)
-                queue.extendleft(reversed(deferred))
-
-                if not running:
-                    # Everything is waiting out a backoff delay.
-                    time.sleep(
-                        max(0.0, min(nb for _, _, nb in queue) - now)
-                    )
-                    continue
-
-                wait_for = [
-                    t.deadline - now for t in running if t.deadline is not None
-                ]
-                if queue and len(running) < workers:
-                    wait_for.extend(nb - now for _, _, nb in queue)
-                wait_timeout = max(0.0, min(wait_for)) if wait_for else None
-                by_handle = {}
-                for task in running:
-                    by_handle[task.conn] = task
-                    by_handle[task.proc.sentinel] = task
-                ready = mp_connection.wait(
-                    list(by_handle), timeout=wait_timeout
-                )
-                now = time.monotonic()
-                seen: set[int] = set()
-                for handle in ready:
-                    task = by_handle[handle]
-                    if id(task) in seen or task not in running:
-                        continue
-                    seen.add(id(task))
-                    message: tuple | None
-                    if task.conn.poll():
-                        try:
-                            message = task.conn.recv()
-                        except (EOFError, OSError):
-                            message = None  # died mid-send
-                        except Exception as error:  # undecodable message
-                            message = (
-                                "error",
-                                f"undecodable worker message: {error!r}",
-                            )
-                    elif not task.proc.is_alive():
-                        message = None  # died without reporting
+        async def point(index: int, slots: asyncio.Semaphore) -> None:
+            attempt = 0
+            while True:
+                attempt += 1
+                async with slots:
+                    try:
+                        value, wall, snapshot = await run_attempt(
+                            spec.worker, spec.points[index], attempt,
+                            timeout_s=timeout_s, deadline=run_deadline,
+                            label=f"point #{index}", metrics=self.metrics,
+                            scope="engine",
+                        )
+                    except Exception as error:
+                        delay = fail(index, attempt, error)
                     else:
-                        continue  # sentinel raced a still-live worker
-                    retire(task)
-                    if message is None:
-                        self.metrics.inc("engine.worker_crashes")
-                        requeue_or_fail(task, WorkerCrash(
-                            f"worker for point #{task.index} died with exit "
-                            f"code {task.proc.exitcode}",
-                            kind="exit", exitcode=task.proc.exitcode,
-                            attempt=task.attempt,
-                        ))
-                    elif message[0] == "ok":
-                        _, value, wall, snapshot = message
-                        complete(task.index, value, wall, snapshot,
-                                 task.attempt)
-                    elif message[0] == "raise":
-                        requeue_or_fail(task, message[1])
-                    else:
-                        self.metrics.inc("engine.worker_crashes")
-                        requeue_or_fail(task, WorkerCrash(
-                            message[1], kind="protocol", attempt=task.attempt,
-                        ))
-                if timeout_s is not None or run_deadline is not None:
-                    budget = (
-                        timeout_s if timeout_s is not None
-                        else self.policy.deadline_s
-                    )
-                    for task in list(running):
-                        if task.deadline is not None and now >= task.deadline:
-                            task.proc.kill()
-                            retire(task)
-                            self.metrics.inc("engine.timeouts")
-                            requeue_or_fail(task, PointTimeout(
-                                budget, attempt=task.attempt,
-                            ))
-        finally:
-            # A typed abort (e.g. the journal's disk filled) must not
-            # leave orphaned workers behind.
-            for task in running:
-                task.proc.kill()
-                task.proc.join()
-                task.conn.close()
+                        complete(index, value, wall, snapshot, attempt)
+                        return
+                if delay is None:
+                    return
+                await asyncio.sleep(delay)
+
+        async def pool() -> None:
+            slots = asyncio.Semaphore(self.jobs)
+            await asyncio.gather(*(point(index, slots) for index in pending))
+
+        asyncio.run(pool())
 
     # -- metrics -----------------------------------------------------------
 

@@ -19,7 +19,9 @@ exact delay sequence of any run can be replayed from its seed.
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.faults.detect import RetryPolicy
@@ -31,8 +33,7 @@ class ExecutionPolicy:
 
     * ``point_timeout_s`` — wall-clock budget per attempt.  In process
       mode a worker exceeding it is killed and the attempt counts as a
-      :class:`~repro.errors.PointTimeout`; thread mode abandons the
-      future (the thread cannot be killed); serial mode only observes
+      :class:`~repro.errors.PointTimeout`; serial mode only observes
       the overrun (``engine.timeouts`` metric) since the value already
       exists.  ``None`` disables the budget.
     * ``retry`` — the backoff schedule for failed attempts; ``None``
@@ -112,3 +113,45 @@ class ExecutionPolicy:
         ).digest()
         fraction = int.from_bytes(digest[:8], "big") / 2.0**64  # [0, 1)
         return base * (1.0 - self.jitter + 2.0 * self.jitter * fraction)
+
+    def settle(
+        self,
+        error: BaseException,
+        attempt: int,
+        token: str,
+        deadline: float | None,
+        transient: list[dict[str, Any]],
+    ) -> tuple[float, None] | tuple[None, dict[str, Any]]:
+        """Settle failed *attempt* (1-based): retry it, or end the point.
+
+        Returns ``(delay, None)`` to retry after the seeded backoff, or
+        ``(None, record)`` with the point's final error record.  The
+        final record is the error's own once the retry budget is spent.
+        While retries remain but the backoff would land past *deadline*
+        (a ``time.monotonic()`` instant, the end of ``deadline_s``),
+        what the point ran out of is its budget: the record is
+        ``RetryExhausted``, and the last attempt's incidental error
+        (often a :class:`~repro.errors.PointTimeout`) survives as its
+        cause, not its type.  Every attempt that is not itself the
+        final record joins *transient*.
+        """
+        record = {
+            "type": type(error).__name__,
+            "message": str(error),
+            "attempt": attempt,
+        }
+        if attempt >= self.max_attempts:
+            return None, record
+        transient.append(record)
+        delay = self.retry_delay_s(attempt, token)
+        if deadline is None or time.monotonic() + delay <= deadline:
+            return delay, None
+        return None, {
+            "type": "RetryExhausted",
+            "message": (
+                f"retry schedule truncated by the {self.deadline_s:g}s "
+                f"run deadline after attempt {attempt} "
+                f"({record['type']}: {record['message']})"
+            ),
+            "attempt": attempt,
+        }

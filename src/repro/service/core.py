@@ -2,9 +2,10 @@
 
 This is the heart of ``repro serve``: it owns the admission queue, the
 single-flight map, the breaker board, the sharded result cache and the
-crash-safe journal, and supervises a pool of forked worker processes
-through asyncio (pipe fds and process sentinels registered on the
-event loop — no polling threads).
+crash-safe journal, and runs each job's attempts as forked workers
+through the engine's own attempt coroutine
+(:func:`repro.engine.engine.run_attempt` — pipe fds and process
+sentinels registered on the event loop, no polling threads).
 
 Failure is the design center, not the edge case:
 
@@ -12,8 +13,8 @@ Failure is the design center, not the edge case:
   attached (single-flight), queued, or *typed rejection* (overload,
   open breaker, draining);
 * a worker crash, hang or deadline overrun fails only its job, with
-  the same retry/backoff semantics and manifest-style error records as
-  the batch engine;
+  the batch engine's retry rule (:meth:`ExecutionPolicy.settle`) and
+  manifest-style error records;
 * every admitted job is journaled before it is acknowledged, every
   value before the job is reported done — ``kill -9`` at any instant
   loses no acknowledged work, and a restarted instance re-serves
@@ -23,7 +24,6 @@ Failure is the design center, not the edge case:
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import tempfile
 import time
 from dataclasses import dataclass
@@ -31,17 +31,15 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.engine.cache import ResultCache
-from repro.engine.engine import _point_process_main
+from repro.engine.engine import run_attempt
 from repro.engine.journal import RunJournal
 from repro.engine.resilience import ExecutionPolicy
 from repro.errors import (
     CircuitOpen,
     InvalidJobRequest,
     JobNotFound,
-    PointTimeout,
     ServiceDraining,
     ServiceOverloaded,
-    WorkerCrash,
 )
 from repro.faults.detect import RetryPolicy
 from repro.metrics.registry import current_registry
@@ -50,7 +48,6 @@ from repro.service.jobs import Job, JobState
 from repro.service.queue import AdmissionQueue, SingleFlight
 from repro.service.scenarios import (
     SCENARIOS,
-    Scenario,
     job_content_key,
     resolve_scenario,
 )
@@ -460,7 +457,7 @@ class JobService:
             if self.draining:
                 return
 
-    def _policy(self) -> ExecutionPolicy:
+    def _policy(self, job: Job) -> ExecutionPolicy:
         retry = None
         if self.config.retries > 0:
             retry = RetryPolicy(
@@ -471,183 +468,45 @@ class JobService:
         return ExecutionPolicy(
             point_timeout_s=self.config.point_timeout_s,
             retry=retry,
+            deadline_s=job.deadline_s,
         )
 
     async def _execute(self, job: Job) -> None:
         if job.state is not JobState.QUEUED:
             return
         await job.transition(JobState.RUNNING)
-        policy = self._policy()
-        scenario = SCENARIOS[job.scenario]
-        transient: list[dict[str, Any]] = []
-        attempt = 0
-        try:
-            while True:
-                attempt += 1
-                job.attempts = attempt
-                await job.touch()
-                remaining = job.remaining_s
-                if remaining is not None and remaining <= 0:
-                    await self._finish_failed(job, {
-                        "type": "RetryExhausted",
-                        "message": (
-                            f"job deadline of {job.deadline_s:g}s expired "
-                            f"before attempt {attempt} could start"
-                        ),
-                        "attempt": attempt,
-                    }, transient)
-                    return
-                timeout = policy.point_timeout_s
-                if remaining is not None:
-                    timeout = (
-                        remaining if timeout is None
-                        else min(timeout, remaining)
-                    )
-                started = time.perf_counter()
-                try:
-                    value, wall, snapshot = await self._run_attempt(
-                        scenario, job, timeout, attempt
-                    )
-                except asyncio.CancelledError:
-                    raise
-                except Exception as error:
-                    record = {
-                        "type": type(error).__name__,
-                        "message": str(error),
-                        "attempt": attempt,
-                    }
-                    if attempt < policy.max_attempts:
-                        delay = policy.retry_delay_s(
-                            attempt, job.content_hash
-                        )
-                        left = job.remaining_s
-                        if left is None or delay < left:
-                            transient.append(record)
-                            self.metrics.inc("service.retries")
-                            await asyncio.sleep(delay)
-                            continue
-                        # Same semantics as the engine's run deadline:
-                        # budget truncated -> RetryExhausted, with the
-                        # incidental last error kept as the cause.
-                        transient.append(record)
-                        record = {
-                            "type": "RetryExhausted",
-                            "message": (
-                                f"retry schedule truncated by the "
-                                f"{job.deadline_s:g}s job deadline after "
-                                f"attempt {attempt} "
-                                f"({record['type']}: {record['message']})"
-                            ),
-                            "attempt": attempt,
-                        }
-                    await self._finish_failed(job, record, transient)
-                    return
-                job.wall_seconds = wall if wall else (
-                    time.perf_counter() - started
-                )
-                await self._finish_done(job, value, snapshot)
-                return
-        except asyncio.CancelledError:
-            # cancel() already owns the terminal transition.
-            raise
-
-    async def _run_attempt(
-        self,
-        scenario: Scenario,
-        job: Job,
-        timeout_s: float | None,
-        attempt: int,
-    ) -> tuple[Any, float, Any]:
-        """One forked attempt, supervised without blocking the loop.
-
-        The child's result pipe fd and its process sentinel are both
-        registered on the event loop; whichever fires first wakes the
-        supervisor.  A hang past *timeout_s* or a cancellation kills
-        the child outright — the loop never waits on a corpse.
-        """
-        loop = asyncio.get_running_loop()
-        ctx = (
-            multiprocessing.get_context("fork")
-            if "fork" in multiprocessing.get_all_start_methods()
-            else multiprocessing.get_context()
-        )
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        capture = self.metrics.enabled
+        policy = self._policy(job)
+        worker = SCENARIOS[job.scenario].worker
         params = dict(job.params)
         if job.progress_path is not None:
             # Injected after key material was derived, so the progress
             # channel never perturbs caching or dedup.
             params["_progress_path"] = job.progress_path
-        proc = ctx.Process(
-            target=_point_process_main,
-            args=(child_conn, scenario.worker, params, capture),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        wake = asyncio.Event()
-        pipe_fd = parent_conn.fileno()
-        loop.add_reader(pipe_fd, wake.set)
-        loop.add_reader(proc.sentinel, wake.set)
-        deadline = (
-            None if timeout_s is None else time.monotonic() + timeout_s
-        )
-        try:
-            while True:
-                if parent_conn.poll():
-                    try:
-                        message = parent_conn.recv()
-                    except (EOFError, OSError):
-                        message = None
-                    except Exception as error:
-                        message = (
-                            "error",
-                            f"undecodable worker message: {error!r}",
-                        )
-                    break
-                if not proc.is_alive():
-                    message = None
-                    break
-                wait_budget = None
-                if deadline is not None:
-                    wait_budget = deadline - time.monotonic()
-                    if wait_budget <= 0:
-                        proc.kill()
-                        self.metrics.inc("service.timeouts")
-                        raise PointTimeout(timeout_s, attempt=attempt)
-                wake.clear()
-                try:
-                    await asyncio.wait_for(wake.wait(), timeout=wait_budget)
-                except asyncio.TimeoutError:
-                    proc.kill()
-                    self.metrics.inc("service.timeouts")
-                    raise PointTimeout(timeout_s, attempt=attempt)
-        except asyncio.CancelledError:
-            proc.kill()
-            raise
-        finally:
-            loop.remove_reader(pipe_fd)
+        transient: list[dict[str, Any]] = []
+        while True:
+            job.attempts += 1
+            await job.touch()
             try:
-                loop.remove_reader(proc.sentinel)
-            except (OSError, ValueError):
-                pass
-            parent_conn.close()
-            proc.join(timeout=5.0)
-
-        if message is None:
-            self.metrics.inc("service.worker_crashes")
-            raise WorkerCrash(
-                f"worker for job {job.job_id} died with exit code "
-                f"{proc.exitcode}",
-                kind="exit", exitcode=proc.exitcode, attempt=attempt,
-            )
-        if message[0] == "ok":
-            _, value, wall, snapshot = message
-            return value, wall, snapshot
-        if message[0] == "raise":
-            raise message[1]
-        self.metrics.inc("service.worker_crashes")
-        raise WorkerCrash(message[1], kind="protocol", attempt=attempt)
+                value, wall, snapshot = await run_attempt(
+                    worker, params, job.attempts,
+                    timeout_s=policy.point_timeout_s, deadline=job.deadline,
+                    label=f"job {job.job_id}", metrics=self.metrics,
+                    scope="service",
+                )
+            except Exception as error:
+                delay, final = policy.settle(
+                    error, job.attempts, job.content_hash, job.deadline,
+                    transient,
+                )
+                if final is not None:
+                    await self._finish_failed(job, final, transient)
+                    return
+                self.metrics.inc("service.retries")
+                await asyncio.sleep(delay)
+            else:
+                job.wall_seconds = wall
+                await self._finish_done(job, value, snapshot)
+                return
 
     # -- completion --------------------------------------------------------
 

@@ -135,13 +135,6 @@ class Job:
 
     # -- views -------------------------------------------------------------
 
-    @property
-    def remaining_s(self) -> float | None:
-        """Seconds left on the job's deadline, or ``None``."""
-        if self.deadline is None:
-            return None
-        return self.deadline - time.monotonic()
-
     def snapshot(self) -> dict[str, Any]:
         """The JSON view ``/jobs/{id}`` and the event stream serve."""
         return {

@@ -65,14 +65,14 @@ class TestDeterminism:
         assert [v["y"] for v in run.values] == [x ** 2 for x in range(12)]
         assert [p["x"] for p, _ in run] == list(range(12))
 
-    def test_closure_worker_falls_back_to_threads(self):
+    def test_closure_worker_runs_forked(self):
         offset = 10
         spec = SweepSpec(
             "closure", lambda p: {"y": p["x"] + offset},
             [{"x": x} for x in range(4)],
         )
         run = ExperimentEngine(jobs=4).run(spec)
-        assert run.manifest.executor == "thread"
+        assert run.manifest.executor == "process"
         assert [v["y"] for v in run.values] == [10, 11, 12, 13]
 
     def test_serial_only_spec_never_pools(self):
