@@ -8,15 +8,15 @@ kernels (Figure 7) the disk round-trip can cost more than computing.
 """
 
 from repro.engine import ExperimentEngine, ResultCache
-from repro.engine.sweeps import run_cluster_times
+from repro.engine.sweeps import run_replicated_times
 
 _COUNTS = [4, 8, 16]
 _TIMINGS: dict[str, float] = {}
 
 
 def _sweep(engine):
-    return run_cluster_times(
-        engine, "linpack", counts=_COUNTS, num_nodes=96, seed=7
+    return run_replicated_times(
+        engine, "linpack", counts=_COUNTS, num_nodes=96, seeds=[7]
     )
 
 

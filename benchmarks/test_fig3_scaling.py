@@ -7,15 +7,22 @@ cores versus a 4-core baseline; BigDFT's "efficiency drops rapidly".
 """
 
 from repro.core.report import render_series
-from repro.engine.sweeps import run_speedup_curve
+from repro.engine.sweeps import run_replicated_speedups
+
+
+def _speedup_curve(engine, app, *, counts, baseline_cores=1):
+    """One seed-7 strong-scaling curve: ``[(cores, speedup), ...]``."""
+    grid = run_replicated_speedups(
+        engine, app, counts=counts, num_nodes=96, seeds=[7],
+        baseline_cores=baseline_cores,
+    )
+    return [(cores, speedups[0]) for cores, speedups in grid.items()]
 
 
 def test_fig3a_linpack_speedup(benchmark, artefact, engine):
     counts = [1, 2, 4, 8, 16, 32, 64, 100]
     curve = benchmark.pedantic(
-        lambda: run_speedup_curve(
-            engine, "linpack", counts=counts, num_nodes=96, seed=7
-        ),
+        lambda: _speedup_curve(engine, "linpack", counts=counts),
         rounds=1, iterations=1,
     )
     artefact(
@@ -36,9 +43,8 @@ def test_fig3a_linpack_speedup(benchmark, artefact, engine):
 def test_fig3b_specfem3d_speedup(benchmark, artefact, engine):
     counts = [4, 8, 16, 32, 64, 128, 192]
     curve = benchmark.pedantic(
-        lambda: run_speedup_curve(
-            engine, "specfem3d", counts=counts, num_nodes=96, seed=7,
-            baseline_cores=4,
+        lambda: _speedup_curve(
+            engine, "specfem3d", counts=counts, baseline_cores=4
         ),
         rounds=1, iterations=1,
     )
@@ -55,9 +61,7 @@ def test_fig3b_specfem3d_speedup(benchmark, artefact, engine):
 def test_fig3c_bigdft_speedup(benchmark, artefact, engine):
     counts = [1, 2, 4, 8, 16, 24, 32, 36]
     curve = benchmark.pedantic(
-        lambda: run_speedup_curve(
-            engine, "bigdft", counts=counts, num_nodes=96, seed=7
-        ),
+        lambda: _speedup_curve(engine, "bigdft", counts=counts),
         rounds=1, iterations=1,
     )
     artefact(

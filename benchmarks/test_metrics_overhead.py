@@ -12,7 +12,7 @@ don't flake on scheduler noise).
 import time
 
 from repro.engine import ExperimentEngine
-from repro.engine.sweeps import run_cluster_times
+from repro.engine.sweeps import run_replicated_times
 from repro.metrics import MetricsRegistry, use_registry
 
 _COUNTS = [1, 4, 16]
@@ -24,8 +24,8 @@ _ABS_SLACK_S = 0.25
 
 def _sweep():
     engine = ExperimentEngine(cache=None)
-    return run_cluster_times(
-        engine, "linpack", counts=_COUNTS, num_nodes=16, seed=7
+    return run_replicated_times(
+        engine, "linpack", counts=_COUNTS, num_nodes=16, seeds=[7]
     )
 
 

@@ -140,61 +140,50 @@ def _cmd_fig2(args) -> None:
 
 def _cmd_fig3(args) -> None:
     from repro.core.report import render_series
-    from repro.engine.sweeps import run_speedup_curve
+    from repro.core.stats import stable_seed, summarize_replicates
+    from repro.engine.sweeps import run_replicated_speedups, seed_series
 
     quick = args.quick
-    sweeps = [
+    seeds = seed_series(args.seed, args.seeds)
+    for title, app, counts, baseline in (
         ("Figure 3a: LINPACK", "linpack",
          [1, 4, 16, 48] if quick else [1, 2, 4, 8, 16, 32, 64, 100], 1),
         ("Figure 3b: SPECFEM3D (vs 4 cores)", "specfem3d",
          [4, 16, 64] if quick else [4, 8, 16, 32, 64, 128, 192], 4),
         ("Figure 3c: BigDFT", "bigdft",
          [1, 4, 16, 36] if quick else [1, 2, 4, 8, 16, 24, 32, 36], 1),
-    ]
-    if args.seeds > 1:
-        _fig3_multiseed(args, sweeps)
-        return
-    for title, app, counts, baseline in sweeps:
-        curve = run_speedup_curve(
-            args.engine, app, counts=counts, num_nodes=96, seed=args.seed,
-            baseline_cores=baseline, label=f"fig3/{app}",
-        )
-        print(render_series(title, curve, x_label="cores", y_label="speedup"))
-        print()
-
-
-def _fig3_multiseed(args, sweeps) -> None:
-    """The ``--seeds N`` Figure 3 path: replicate, summarize, report."""
-    from repro.core.report import render_series
-    from repro.core.stats import stable_seed, summarize_replicates
-    from repro.engine.sweeps import run_replicated_speedups, seed_series
-
-    seeds = seed_series(args.seed, args.seeds)
-    for title, app, counts, baseline in sweeps:
+    ):
         grid = run_replicated_speedups(
             args.engine, app, counts=counts, num_nodes=96, seeds=seeds,
             baseline_cores=baseline, label=f"fig3/{app}",
         )
-        points = [
-            (cores, summarize_replicates(
-                grid[cores], confidence=args.ci,
-                seed=stable_seed("fig3", app, cores),
+        if len(seeds) == 1:
+            print(render_series(
+                title, [(cores, grid[cores][0]) for cores in counts],
+                x_label="cores", y_label="speedup",
             ))
-            for cores in counts
-        ]
-        print(render_series(
-            f"{title} (mean of {len(seeds)} seeds)",
-            [(cores, summary.mean) for cores, summary in points],
-            x_label="cores", y_label="speedup",
-        ))
-        print(f"  {args.ci:.0%} CI half-width per point: "
-              + " ".join(f"{s.ci_half_width:.3g}" for _, s in points))
-        bimodal = [cores for cores, s in points if s.bimodal]
-        if bimodal:
-            print(f"  bimodal points (Fig.5-style run-to-run modes): {bimodal}")
+        else:
+            points = [
+                (cores, summarize_replicates(
+                    grid[cores], confidence=args.ci,
+                    seed=stable_seed("fig3", app, cores),
+                ))
+                for cores in counts
+            ]
+            print(render_series(
+                f"{title} (mean of {len(seeds)} seeds)",
+                [(cores, summary.mean) for cores, summary in points],
+                x_label="cores", y_label="speedup",
+            ))
+            print(f"  {args.ci:.0%} CI half-width per point: "
+                  + " ".join(f"{s.ci_half_width:.3g}" for _, s in points))
+            bimodal = [cores for cores, s in points if s.bimodal]
+            if bimodal:
+                print("  bimodal points (Fig.5-style run-to-run modes): "
+                      f"{bimodal}")
+            _record_summary(args, "fig3", app, points,
+                            x_label="cores", y_label="speedup")
         print()
-        _record_summary(args, "fig3", app, points,
-                        x_label="cores", y_label="speedup")
 
 
 def _cmd_fig4(args) -> None:
@@ -341,32 +330,6 @@ def _cmd_x3(args) -> None:
 
 def _cmd_x4(args) -> None:
     from repro.core.report import render_table
-    from repro.engine.sweeps import run_energy_study
-
-    if args.seeds > 1:
-        _x4_multiseed(args)
-        return
-    for name, app, app_args, counts in (
-        ("SPECFEM3D", "specfem3d", {"timesteps": 10}, [8, 16, 32, 64]),
-        ("BigDFT", "bigdft", {"scf_iterations": 4}, [4, 8, 16, 24, 36]),
-    ):
-        rows = run_energy_study(
-            args.engine, app, counts=counts, num_nodes=96, seed=args.seed,
-            app_args=app_args, label=f"x4/{app}",
-        )
-        print(render_table(
-            f"X4: energy at scale — {name}",
-            ["cores", "time (s)", "energy (J)", "net power share"],
-            [[cores, f"{v['elapsed_s']:.1f}", f"{v['energy_j']:,.0f}",
-              f"{v['network_power_fraction']:.0%}"] for cores, v in rows],
-        ))
-        optimum = min(rows, key=lambda pair: pair[1]["energy_j"])[0]
-        print(f"  energy optimum: {optimum} cores\n")
-
-
-def _x4_multiseed(args) -> None:
-    """The ``--seeds N`` X4 path: replicated energy study with CIs."""
-    from repro.core.report import render_table
     from repro.core.stats import stable_seed, summarize_replicates
     from repro.engine.sweeps import run_replicated_energy, seed_series
 
@@ -379,23 +342,33 @@ def _x4_multiseed(args) -> None:
             args.engine, app, counts=counts, num_nodes=96, seeds=seeds,
             app_args=app_args, label=f"x4/{app}",
         )
-        points = [
-            (cores, summarize_replicates(
-                [v["energy_j"] for v in grid[cores]], confidence=args.ci,
-                seed=stable_seed("x4", app, cores),
+        if len(seeds) == 1:
+            rows = [(cores, grid[cores][0]) for cores in counts]
+            print(render_table(
+                f"X4: energy at scale — {name}",
+                ["cores", "time (s)", "energy (J)", "net power share"],
+                [[cores, f"{v['elapsed_s']:.1f}", f"{v['energy_j']:,.0f}",
+                  f"{v['network_power_fraction']:.0%}"] for cores, v in rows],
             ))
-            for cores in counts
-        ]
-        print(render_table(
-            f"X4: energy at scale — {name} (mean of {len(seeds)} seeds)",
-            ["cores", "energy (J)", f"±{args.ci:.0%} CI", "cv"],
-            [[cores, f"{s.mean:,.0f}", f"{s.ci_half_width:,.1f}",
-              f"{s.cv:.2%}"] for cores, s in points],
-        ))
-        optimum = min(points, key=lambda pair: pair[1].mean)[0]
+            optimum = min(rows, key=lambda pair: pair[1]["energy_j"])[0]
+        else:
+            points = [
+                (cores, summarize_replicates(
+                    [v["energy_j"] for v in grid[cores]], confidence=args.ci,
+                    seed=stable_seed("x4", app, cores),
+                ))
+                for cores in counts
+            ]
+            print(render_table(
+                f"X4: energy at scale — {name} (mean of {len(seeds)} seeds)",
+                ["cores", "energy (J)", f"±{args.ci:.0%} CI", "cv"],
+                [[cores, f"{s.mean:,.0f}", f"{s.ci_half_width:,.1f}",
+                  f"{s.cv:.2%}"] for cores, s in points],
+            ))
+            optimum = min(points, key=lambda pair: pair[1].mean)[0]
+            _record_summary(args, "x4", f"{app}/energy_j", points,
+                            x_label="cores", y_label="energy_j")
         print(f"  energy optimum: {optimum} cores\n")
-        _record_summary(args, "x4", f"{app}/energy_j", points,
-                        x_label="cores", y_label="energy_j")
 
 
 def _cmd_x5(args) -> None:
@@ -524,14 +497,14 @@ def _cmd_faults(args) -> None:
 
 def _cmd_x9(args) -> None:
     from repro.core.report import render_series
-    from repro.engine.sweeps import run_checkpoint_sweep, run_cluster_times
+    from repro.engine.sweeps import run_checkpoint_sweep, run_replicated_times
     from repro.faults import named_plan
 
     num_nodes, cores = 16, 32
-    clean = run_cluster_times(
+    clean = run_replicated_times(
         args.engine, "linpack", counts=[cores], num_nodes=num_nodes,
-        seed=args.seed, label="x9/clean",
-    )[cores]
+        seeds=[args.seed], label="x9/clean",
+    )[cores][0]
     plan = named_plan(
         "crashy", num_nodes=num_nodes, horizon_s=4.0 * clean, seed=args.seed
     )

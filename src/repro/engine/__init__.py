@@ -11,7 +11,9 @@ Public surface:
   scans with quarantine of corrupt shards.
 * :mod:`repro.engine.sweeps` — the repo's concrete sweep definitions
   (magicfilter unrolls, cluster scaling, fault/checkpoint studies),
-  shared by the CLI, the benchmarks and the tests.
+  shared by the CLI, the benchmarks and the tests; each experiment the
+  job service also runs is one :class:`~repro.engine.sweeps.Experiment`
+  record, the single source of its parameters and sweep key.
 * :mod:`repro.engine.chaos` — deterministic fault injection for the
   chaos harness (``tests/chaos/``).
 """

@@ -12,18 +12,33 @@ makes a ``--jobs 4`` run byte-identical to a serial one.
 Registries map names to machine and app models so cache keys stay
 textual: a cache entry's key is e.g. ``{"machine": "Intel Xeon
 X5550", "unroll": 6}``, never a pickled object.
+
+Each experiment that both the batch sweeps and the job service run is
+one :class:`Experiment` record — name, typed parameters with defaults,
+sweep-key fields — and both sides build every sweep key from it, so a
+``repro fig3`` point is a cache hit for ``repro submit``.  Records hold
+no worker: each caller names its worker where it runs, so a wrapper
+installed on a ``*_point`` attribute after import (``e2ebench/
+tracer.py``) is what runs.  A single-seed run is the replicated run
+with one seed.  Nothing heavy is imported at module level: the service
+loads this module in its parent process, and workers import their
+models when they run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.arch import EXYNOS5_DUAL, SNOWBALL_A9500, TEGRA2_NODE, XEON_X5550
 from repro.arch.cpu import MachineModel
-from repro.engine.engine import ExperimentEngine, SweepSpec
+from repro.engine.engine import (
+    ExperimentEngine, ReplicatedRun, SweepRun, SweepSpec, Worker,
+)
 from repro.errors import EngineError
-from repro.kernels.counters import CounterSet
-from repro.kernels.magicfilter import UNROLL_RANGE
+
+if TYPE_CHECKING:
+    from repro.kernels.counters import CounterSet
 
 #: Machines addressable by name in sweep params.
 MACHINES: dict[str, MachineModel] = {
@@ -57,6 +72,97 @@ def build_app(name: str, app_args: Mapping[str, Any] | None = None):
             f"unknown app {name!r}; known: {sorted(factories)}"
         ) from None
     return factory(**dict(app_args or {}))
+
+
+# ---------------------------------------------------------------------------
+# Experiment records (one per experiment the batch and the service share)
+# ---------------------------------------------------------------------------
+
+#: The default of a parameter that has none: submissions must give it.
+REQUIRED: Any = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One typed experiment parameter.
+
+    ``types`` are the JSON types accepted, ``default`` fills the
+    parameter when a submission leaves it out (:data:`REQUIRED`: it
+    may not), and ``choices``, when set, is the closed set of values
+    the parameter may take.
+    """
+
+    types: tuple[type, ...]
+    default: Any = REQUIRED
+    choices: tuple[Any, ...] | None = None
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its name, typed parameters, and sweep-key fields.
+
+    ``sweep_key(point)`` is the sweep invariants a point is cached
+    under; the seed and every other field outside ``key_fields`` ride
+    in the point itself.
+    """
+
+    name: str
+    params: Mapping[str, Param]
+    key_fields: tuple[str, ...] = ()
+
+    def sweep_key(self, point: Mapping[str, Any]) -> dict[str, Any]:
+        return {
+            "experiment": self.name,
+            **{field: point[field] for field in self.key_fields},
+        }
+
+    def run(
+        self,
+        engine: ExperimentEngine,
+        worker: Worker,
+        points: Sequence[Mapping[str, Any]],
+        *,
+        label: str,
+        seeds: Sequence[int] | None = None,
+    ) -> SweepRun | ReplicatedRun:
+        """Run *points* under this record's sweep key: once per seed of
+        *seeds* when given, else once each."""
+        # An empty sweep has no key; SweepSpec rejects it, typed.
+        key = self.sweep_key(points[0]) if points else None
+        spec = SweepSpec(label, worker, points, key=key)
+        if seeds is None:
+            return engine.run(spec)
+        return engine.run_replicated(spec, seeds)
+
+
+_CLUSTER_PARAMS = {
+    "app": Param((str,), choices=APP_NAMES),
+    "app_args": Param((dict,), {}),
+    "num_nodes": Param((int,), 96),
+    "seed": Param((int,), 7),
+    "cores": Param((int,)),
+}
+_CLUSTER_KEY = ("app", "app_args", "num_nodes")
+_MACHINE = Param((str,), choices=tuple(MACHINES))
+
+CLUSTER_ELAPSED = Experiment("cluster-elapsed", _CLUSTER_PARAMS, _CLUSTER_KEY)
+CLUSTER_ENERGY = Experiment("cluster-energy", _CLUSTER_PARAMS, _CLUSTER_KEY)
+MAGICFILTER = Experiment("magicfilter", {
+    "machine": _MACHINE,
+    "shape": Param((list,), [32, 32, 32]),
+    "unroll": Param((int,)),
+}, ("machine", "shape"))
+PAGE_ALLOC = Experiment("page-alloc", {
+    "machine": _MACHINE,
+    "fragmentation": Param((int, float), 0.0),
+    "seed": Param((int,), 7),
+    "array_bytes": Param((int,), 8 << 20),
+}, ("machine", "array_bytes"))
+CHAOS_SQUARES = Experiment("chaos-squares", {
+    "x": Param((int,)),
+    "state_dir": Param((str,)),
+    "faults": Param((dict,), {}),
+})
 
 
 # ---------------------------------------------------------------------------
@@ -214,100 +320,31 @@ def run_magicfilter_sweep(
     engine: ExperimentEngine,
     machine: str,
     *,
-    unrolls: Sequence[int] = UNROLL_RANGE,
+    unrolls: Sequence[int] | None = None,
     shape: tuple[int, int, int] = (32, 32, 32),
     label: str | None = None,
 ) -> dict[int, CounterSet]:
-    """The Figure 7 unroll sweep; returns ``unroll -> CounterSet``."""
-    spec = SweepSpec(
-        label or f"magicfilter/{machine}",
-        magicfilter_point,
+    """The Figure 7 unroll sweep; returns ``unroll -> CounterSet``.
+
+    ``unrolls`` defaults to the paper's ``UNROLL_RANGE``.
+    """
+    from repro.kernels.counters import CounterSet
+    from repro.kernels.magicfilter import UNROLL_RANGE
+
+    run = MAGICFILTER.run(
+        engine, magicfilter_point,
         [
             {"machine": machine, "shape": list(shape), "unroll": u}
-            for u in unrolls
+            for u in (UNROLL_RANGE if unrolls is None else unrolls)
         ],
-        key={
-            "experiment": "magicfilter",
-            "machine": machine,
-            "shape": list(shape),
-        },
+        label=label or f"magicfilter/{machine}",
     )
-    run = engine.run(spec)
     return {
         point["unroll"]: CounterSet(
             {event: float(v) for event, v in value["counters"].items()}
         )
         for point, value in run
     }
-
-
-def run_cluster_times(
-    engine: ExperimentEngine,
-    app: str,
-    *,
-    counts: Sequence[int],
-    num_nodes: int,
-    seed: int,
-    app_args: Mapping[str, Any] | None = None,
-    label: str | None = None,
-) -> dict[int, float]:
-    """Elapsed seconds per core count for one cluster app.
-
-    The sweep ``key`` deliberately omits the seed (each point carries
-    its own), so single-seed runs and :func:`run_replicated_times`
-    series share cache entries point-for-point.
-    """
-    key = {
-        "experiment": "cluster-elapsed",
-        "app": app,
-        "app_args": dict(app_args or {}),
-        "num_nodes": num_nodes,
-    }
-    spec = SweepSpec(
-        label or f"scaling/{app}",
-        cluster_time_point,
-        [
-            {
-                "app": app, "app_args": dict(app_args or {}),
-                "num_nodes": num_nodes, "seed": seed, "cores": cores,
-            }
-            for cores in counts
-        ],
-        key=key,
-    )
-    run = engine.run(spec)
-    return {point["cores"]: value["elapsed_s"] for point, value in run}
-
-
-def run_speedup_curve(
-    engine: ExperimentEngine,
-    app: str,
-    *,
-    counts: Sequence[int],
-    num_nodes: int,
-    seed: int,
-    baseline_cores: int = 1,
-    app_args: Mapping[str, Any] | None = None,
-    label: str | None = None,
-) -> list[tuple[int, float]]:
-    """The Figure 3 strong-scaling curve, via the engine.
-
-    Speedup is normalized as ``baseline_cores * t(baseline) /
-    t(cores)`` — identical to ``AppModel.speedup_curve``.
-    """
-    if baseline_cores not in counts:
-        raise EngineError(
-            f"baseline {baseline_cores} missing from sweep {list(counts)}"
-        )
-    times = run_cluster_times(
-        engine, app, counts=counts, num_nodes=num_nodes, seed=seed,
-        app_args=app_args, label=label,
-    )
-    base_time = times[baseline_cores]
-    return [
-        (cores, baseline_cores * base_time / times[cores])
-        for cores in sorted(times)
-    ]
 
 
 def run_fig4(
@@ -444,27 +481,22 @@ def run_page_alloc_sweep(
     label: str | None = None,
 ) -> dict[tuple[float, int], float]:
     """The X1 boot-to-boot bandwidth grid; keys are (fragmentation, seed)."""
-    spec = SweepSpec(
-        label or f"page-alloc/{machine}",
-        page_alloc_point,
+    run = PAGE_ALLOC.run(
+        engine, page_alloc_point,
         [
             {
                 "machine": machine, "fragmentation": fragmentation,
-                "seed": seed, "array_bytes": array_bytes,
+                "array_bytes": array_bytes,
             }
             for fragmentation in fragmentations
-            for seed in seeds
         ],
-        key={
-            "experiment": "page-alloc",
-            "machine": machine,
-            "array_bytes": array_bytes,
-        },
+        label=label or f"page-alloc/{machine}",
+        seeds=seeds,
     )
-    run = engine.run(spec)
     return {
-        (point["fragmentation"], point["seed"]): value["gb_per_s"]
-        for point, value in run
+        (point["fragmentation"], seed): value["gb_per_s"]
+        for point, values in run
+        for seed, value in zip(run.seeds, values)
     }
 
 
@@ -489,9 +521,8 @@ def run_chaos_sweep(
     """
     from repro.engine.chaos import chaos_point
 
-    spec = SweepSpec(
-        label or "chaos/squares",
-        chaos_point,
+    run = CHAOS_SQUARES.run(
+        engine, chaos_point,
         [
             {
                 "x": x, "state_dir": state_dir,
@@ -499,9 +530,8 @@ def run_chaos_sweep(
             }
             for x in xs
         ],
-        key={"experiment": "chaos-squares"},
+        label=label or "chaos/squares",
     )
-    run = engine.run(spec)
     return {point["x"]: value["value"] for point, value in run}
 
 
@@ -531,12 +561,11 @@ def run_replicated_times(
 
     One engine sweep over the full ``counts x seeds`` grid, so the
     worker pool sees every replicate at once and each ``(cores, seed)``
-    pair is its own cache entry — shared with single-seed
-    :func:`run_cluster_times` runs at the same seed.
+    pair is its own cache entry — shared with every other run of the
+    same point at the same seed, a one-seed run included.
     """
-    spec = SweepSpec(
-        label or f"scaling/{app}",
-        cluster_time_point,
+    run = CLUSTER_ELAPSED.run(
+        engine, cluster_time_point,
         [
             {
                 "app": app, "app_args": dict(app_args or {}),
@@ -544,14 +573,9 @@ def run_replicated_times(
             }
             for cores in counts
         ],
-        key={
-            "experiment": "cluster-elapsed",
-            "app": app,
-            "app_args": dict(app_args or {}),
-            "num_nodes": num_nodes,
-        },
+        label=label or f"scaling/{app}",
+        seeds=seeds,
     )
-    run = engine.run_replicated(spec, seeds)
     return {
         point["cores"]: tuple(value["elapsed_s"] for value in values)
         for point, values in run
@@ -604,10 +628,10 @@ def run_replicated_energy(
     app_args: Mapping[str, Any] | None = None,
     label: str | None = None,
 ) -> dict[int, tuple[dict[str, Any], ...]]:
-    """X4 energy replicates: ``cores -> (payload per seed)``."""
-    spec = SweepSpec(
-        label or f"energy/{app}",
-        cluster_energy_point,
+    """X4 energy replicates: ``cores -> (payload per seed)``, sorted by
+    core count."""
+    run = CLUSTER_ENERGY.run(
+        engine, cluster_energy_point,
         [
             {
                 "app": app, "app_args": dict(app_args or {}),
@@ -615,42 +639,7 @@ def run_replicated_energy(
             }
             for cores in sorted(counts)
         ],
-        key={
-            "experiment": "cluster-energy",
-            "app": app, "app_args": dict(app_args or {}),
-            "num_nodes": num_nodes,
-        },
+        label=label or f"energy/{app}",
+        seeds=seeds,
     )
-    run = engine.run_replicated(spec, seeds)
     return {point["cores"]: values for point, values in run}
-
-
-def run_energy_study(
-    engine: ExperimentEngine,
-    app: str,
-    *,
-    counts: Sequence[int],
-    num_nodes: int,
-    seed: int,
-    app_args: Mapping[str, Any] | None = None,
-    label: str | None = None,
-) -> list[tuple[int, dict[str, Any]]]:
-    """The X4 energy-at-scale rows, sorted by core count."""
-    spec = SweepSpec(
-        label or f"energy/{app}",
-        cluster_energy_point,
-        [
-            {
-                "app": app, "app_args": dict(app_args or {}),
-                "num_nodes": num_nodes, "seed": seed, "cores": cores,
-            }
-            for cores in sorted(counts)
-        ],
-        key={
-            "experiment": "cluster-energy",
-            "app": app, "app_args": dict(app_args or {}),
-            "num_nodes": num_nodes,
-        },
-    )
-    run = engine.run(spec)
-    return [(point["cores"], value) for point, value in run]

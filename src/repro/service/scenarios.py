@@ -4,7 +4,12 @@ A scenario maps a client's ``{"scenario": name, "params": {...}}``
 submission onto the exact (sweep key, point params, worker) triple the
 batch engine uses, so the service and the batch CLI are two doors into
 the *same* content-addressed result space: a point computed by ``repro
-fig3`` is a warm cache hit for ``repro submit``, and vice versa.
+fig3`` is a warm cache hit for ``repro submit``, and vice versa.  Each
+experiment both doors run is one :class:`~repro.engine.sweeps.Experiment`
+record — its parameters, defaults, allowed names and sweep-key fields —
+so a submission is validated and keyed from the same declaration the
+batch sweep is built from, and an unknown ``machine`` or ``app`` name
+is rejected before any worker forks.
 
 Every scenario carries a ``scenario_class`` — the circuit-breaker
 granularity.  A class that keeps crashing workers is shed as a unit
@@ -13,12 +18,16 @@ while other classes keep flowing.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from repro.engine import sweeps
+from repro.engine.chaos import chaos_point
 from repro.engine.engine import SCHEMA_VERSION
 from repro.engine.hashing import content_key
+from repro.engine.sweeps import REQUIRED, Experiment, Param
 from repro.errors import InvalidJobRequest
 from repro.version import __version__
 
@@ -48,18 +57,15 @@ def sleepy_point(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _validated(
-    scenario: str,
-    params: Mapping[str, Any],
-    fields: Mapping[str, tuple[Any, ...]],
-    defaults: Mapping[str, Any],
+    scenario: str, params: Mapping[str, Any], fields: Mapping[str, Param]
 ) -> dict[str, Any]:
-    """Check *params* against the scenario's field table.
+    """Check *params* against the scenario's record fields.
 
-    ``fields`` maps name -> accepted types; every submitted key must be
-    known, every key missing from both *params* and *defaults* is an
-    error, and type mismatches are reported with what arrived.  The
-    result is a complete, defaulted param dict in ``fields`` order so
-    identical submissions canonicalize to identical content keys.
+    Every submitted key must be known, every field with no default
+    must be given, type mismatches are reported with what arrived, and
+    a field with ``choices`` takes only those values.  The result is a
+    complete, defaulted param dict in ``fields`` order so identical
+    submissions canonicalize to identical content keys.
     """
     unknown = sorted(set(params) - set(fields))
     if unknown:
@@ -69,15 +75,16 @@ def _validated(
             f"accepted: {', '.join(sorted(fields))}"
         )
     out: dict[str, Any] = {}
-    for name, types in fields.items():
+    for name, field in fields.items():
         if name in params:
             value = params[name]
-        elif name in defaults:
-            value = defaults[name]
+        elif field.default is not REQUIRED:
+            value = copy.deepcopy(field.default)
         else:
             raise InvalidJobRequest(
                 f"scenario {scenario!r} requires parameter {name!r}"
             )
+        types = field.types
         if not isinstance(value, types) or (
             # bool passes isinstance(int) — reject it where a number
             # is meant, or True silently becomes cores=1.
@@ -88,6 +95,12 @@ def _validated(
                 f"scenario {scenario!r} parameter {name!r} must be "
                 f"{wanted}, got {type(value).__name__} ({value!r})"
             )
+        if field.choices is not None and value not in field.choices:
+            raise InvalidJobRequest(
+                f"scenario {scenario!r} parameter {name!r} must be one "
+                f"of {', '.join(repr(c) for c in field.choices)}; "
+                f"got {value!r}"
+            )
         out[name] = value
     return out
 
@@ -96,16 +109,19 @@ def _validated(
 class Scenario:
     """One named job type the service accepts.
 
-    ``build(params)`` validates a submission and returns the
-    ``(sweep_key, point)`` pair whose content key addresses the result
-    — the same material :meth:`ExperimentEngine.point_key` derives for
-    the equivalent batch sweep point.
+    ``build(params)`` validates a submission against ``record`` and
+    returns the ``(sweep_key, point)`` pair whose content key addresses
+    the result — the same material :meth:`ExperimentEngine.point_key`
+    derives for the equivalent batch sweep point.  ``check``, when set,
+    runs on the complete point: it raises on out-of-range values the
+    field types cannot express, and may normalise the point in place.
     """
 
     name: str
     scenario_class: str
+    record: Experiment
     worker: Callable[[Mapping[str, Any]], Any]
-    builder: Callable[[Mapping[str, Any]], tuple[dict[str, Any], dict[str, Any]]]
+    check: Callable[[dict[str, Any]], None] | None = None
     #: Progress-streaming scenarios get a per-job NDJSON file injected
     #: as ``_progress_path`` (worker-side only — never key material),
     #: which ``GET /jobs/<id>/trace`` tails while the job runs.
@@ -114,136 +130,41 @@ class Scenario:
     def build(
         self, params: Mapping[str, Any]
     ) -> tuple[dict[str, Any], dict[str, Any]]:
-        return self.builder(params)
+        point = _validated(self.name, params, self.record.params)
+        if self.check is not None:
+            self.check(point)
+        return self.record.sweep_key(point), point
 
 
-def _build_squares(params: Mapping[str, Any]):
-    point = _validated("squares", params, {"x": (int,)}, {})
-    return {"experiment": "service-squares"}, point
-
-
-def _build_sleepy(params: Mapping[str, Any]):
-    point = _validated(
-        "sleepy", params, {"duration_s": (int, float), "tag": (str,)},
-        {"tag": ""},
-    )
-    if params.get("duration_s", 0) < 0:
+def _check_sleepy(point: dict[str, Any]) -> None:
+    if point["duration_s"] < 0:
         raise InvalidJobRequest(
             f"scenario 'sleepy' duration_s must be >= 0, "
-            f"got {params['duration_s']}"
+            f"got {point['duration_s']}"
         )
-    return {"experiment": "service-sleepy"}, point
 
 
-def _build_chaos_squares(params: Mapping[str, Any]):
-    point = _validated(
-        "chaos-squares", params,
-        {"x": (int,), "state_dir": (str,), "faults": (dict,)},
-        {"faults": {}},
-    )
-    # Key parity with run_chaos_sweep: faulty and clean submissions of
-    # the same x share one entry (faults change the road, not the
-    # destination) — but state_dir/faults still ride in the point so
-    # the worker sees them.
-    return {"experiment": "chaos-squares"}, point
-
-
-def _build_cluster_elapsed(params: Mapping[str, Any]):
-    point = _validated(
-        "cluster-elapsed", params,
-        {
-            "app": (str,), "app_args": (dict,), "num_nodes": (int,),
-            "seed": (int,), "cores": (int,),
-        },
-        {"app_args": {}, "num_nodes": 96, "seed": 7},
-    )
-    key = {
-        "experiment": "cluster-elapsed",
-        "app": point["app"],
-        "app_args": dict(point["app_args"]),
-        "num_nodes": point["num_nodes"],
-    }
-    return key, point
-
-
-def _build_cluster_energy(params: Mapping[str, Any]):
-    point = _validated(
-        "cluster-energy", params,
-        {
-            "app": (str,), "app_args": (dict,), "num_nodes": (int,),
-            "seed": (int,), "cores": (int,),
-        },
-        {"app_args": {}, "num_nodes": 96, "seed": 7},
-    )
-    key = {
-        "experiment": "cluster-energy",
-        "app": point["app"],
-        "app_args": dict(point["app_args"]),
-        "num_nodes": point["num_nodes"],
-    }
-    return key, point
-
-
-def _build_magicfilter(params: Mapping[str, Any]):
-    point = _validated(
-        "magicfilter", params,
-        {"machine": (str,), "shape": (list,), "unroll": (int,)},
-        {"shape": [32, 32, 32]},
-    )
+def _check_shape(point: dict[str, Any]) -> None:
     shape = point["shape"]
     if len(shape) != 3 or not all(isinstance(n, int) for n in shape):
         raise InvalidJobRequest(
             f"scenario 'magicfilter' shape must be [nx, ny, nz], "
             f"got {shape!r}"
         )
-    key = {
-        "experiment": "magicfilter",
-        "machine": point["machine"],
-        "shape": list(shape),
-    }
-    return key, point
 
 
-def _build_trace_analysis(params: Mapping[str, Any]):
-    point = _validated(
-        "trace-analysis", params,
-        {"app": (str,), "seed": (int,), "num_ranks": (int,)},
-        {"app": "bigdft", "seed": 7, "num_ranks": 36},
-    )
-    if point["app"] not in ("bigdft", "specfem3d"):
-        raise InvalidJobRequest(
-            f"scenario 'trace-analysis' app must be 'bigdft' or "
-            f"'specfem3d', got {point['app']!r}"
-        )
+def _float_fragmentation(point: dict[str, Any]) -> None:
+    # The batch sweep passes floats; an integral submission must land
+    # on the same cache entry.
+    point["fragmentation"] = float(point["fragmentation"])
+
+
+def _check_ranks(point: dict[str, Any]) -> None:
     if not 2 <= point["num_ranks"] <= 256:
         raise InvalidJobRequest(
             f"scenario 'trace-analysis' num_ranks must be in [2, 256], "
             f"got {point['num_ranks']}"
         )
-    key = {
-        "experiment": "trace-analysis",
-        "app": point["app"],
-        "num_ranks": point["num_ranks"],
-    }
-    return key, point
-
-
-def _build_page_alloc(params: Mapping[str, Any]):
-    point = _validated(
-        "page-alloc", params,
-        {
-            "machine": (str,), "fragmentation": (int, float),
-            "seed": (int,), "array_bytes": (int,),
-        },
-        {"fragmentation": 0.0, "seed": 7, "array_bytes": 8 << 20},
-    )
-    point["fragmentation"] = float(point["fragmentation"])
-    key = {
-        "experiment": "page-alloc",
-        "machine": point["machine"],
-        "array_bytes": point["array_bytes"],
-    }
-    return key, point
 
 
 def trace_analysis_point(params: Mapping[str, Any]) -> dict[str, Any]:
@@ -322,56 +243,52 @@ def trace_analysis_point(params: Mapping[str, Any]) -> dict[str, Any]:
             handle.close()
 
 
-def _chaos_worker(params: Mapping[str, Any]) -> Any:
-    from repro.engine.chaos import chaos_point
-
-    return chaos_point(params)
-
-
-def _cluster_time_worker(params: Mapping[str, Any]) -> Any:
-    from repro.engine.sweeps import cluster_time_point
-
-    return cluster_time_point(params)
-
-
-def _cluster_energy_worker(params: Mapping[str, Any]) -> Any:
-    from repro.engine.sweeps import cluster_energy_point
-
-    return cluster_energy_point(params)
-
-
-def _magicfilter_worker(params: Mapping[str, Any]) -> Any:
-    from repro.engine.sweeps import magicfilter_point
-
-    return magicfilter_point(params)
-
-
-def _page_alloc_worker(params: Mapping[str, Any]) -> Any:
-    from repro.engine.sweeps import page_alloc_point
-
-    return page_alloc_point(params)
-
-
+#: Built after ``sweeps`` has finished importing, so each worker is the
+#: module attribute as it stands then (a tracer's wrapper included).
 SCENARIOS: dict[str, Scenario] = {
     s.name: s
     for s in (
-        Scenario("squares", "demo", squares_point, _build_squares),
-        Scenario("sleepy", "slow", sleepy_point, _build_sleepy),
-        Scenario("chaos-squares", "chaos", _chaos_worker, _build_chaos_squares),
+        Scenario(
+            "squares", "demo",
+            Experiment("service-squares", {"x": Param((int,))}),
+            squares_point,
+        ),
+        Scenario(
+            "sleepy", "slow",
+            Experiment("service-sleepy", {
+                "duration_s": Param((int, float)), "tag": Param((str,), ""),
+            }),
+            sleepy_point, _check_sleepy,
+        ),
+        Scenario("chaos-squares", "chaos", sweeps.CHAOS_SQUARES, chaos_point),
         Scenario(
             "cluster-elapsed", "cluster",
-            _cluster_time_worker, _build_cluster_elapsed,
+            sweeps.CLUSTER_ELAPSED, sweeps.cluster_time_point,
         ),
         Scenario(
             "cluster-energy", "cluster",
-            _cluster_energy_worker, _build_cluster_energy,
+            sweeps.CLUSTER_ENERGY, sweeps.cluster_energy_point,
         ),
-        Scenario("magicfilter", "kernels", _magicfilter_worker, _build_magicfilter),
-        Scenario("page-alloc", "memsim", _page_alloc_worker, _build_page_alloc),
+        Scenario(
+            "magicfilter", "kernels",
+            sweeps.MAGICFILTER, sweeps.magicfilter_point, _check_shape,
+        ),
+        Scenario(
+            "page-alloc", "memsim",
+            sweeps.PAGE_ALLOC, sweeps.page_alloc_point, _float_fragmentation,
+        ),
         Scenario(
             "trace-analysis", "tracing",
-            trace_analysis_point, _build_trace_analysis,
-            progress=True,
+            Experiment(
+                "trace-analysis",
+                {
+                    "app": Param((str,), "bigdft", ("bigdft", "specfem3d")),
+                    "seed": Param((int,), 7),
+                    "num_ranks": Param((int,), 36),
+                },
+                ("app", "num_ranks"),
+            ),
+            trace_analysis_point, _check_ranks, progress=True,
         ),
     )
 }

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from repro.engine import ExperimentEngine
-from repro.engine.sweeps import run_speedup_curve
+from repro.engine.sweeps import run_replicated_speedups
 from repro.metrics import (
     MetricsRegistry,
     to_json,
@@ -31,8 +31,8 @@ def fig3_registry():
     reg = MetricsRegistry()
     with use_registry(reg):
         engine = ExperimentEngine(jobs=1, cache=None)
-        run_speedup_curve(
-            engine, "linpack", counts=[1, 4], num_nodes=8, seed=7,
+        run_replicated_speedups(
+            engine, "linpack", counts=[1, 4], num_nodes=8, seeds=[7],
             baseline_cores=1, label="fig3/linpack",
         )
     return reg

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.engine import ExperimentEngine, SweepSpec, content_key
+from repro.engine import ExperimentEngine, SweepSpec, content_key, sweeps
 from repro.errors import InvalidJobRequest
 from repro.service import SCENARIOS, job_content_key, resolve_scenario
+
+SNOWBALL = "ST-Ericsson A9500 (Snowball)"
 
 
 class TestResolution:
@@ -61,8 +63,19 @@ class TestValidation:
     def test_magicfilter_shape_must_be_three_ints(self):
         with pytest.raises(InvalidJobRequest, match="nx, ny, nz"):
             resolve_scenario("magicfilter").build(
-                {"machine": "snowball", "shape": [32, 32], "unroll": 2}
+                {"machine": SNOWBALL, "shape": [32, 32], "unroll": 2}
             )
+
+    @pytest.mark.parametrize("name, params", [
+        ("cluster-elapsed", {"app": "hpl", "cores": 4}),
+        ("cluster-energy", {"app": "hpl", "cores": 4}),
+        ("magicfilter", {"machine": "snowball", "unroll": 2}),
+        ("page-alloc", {"machine": "nope"}),
+        ("trace-analysis", {"app": "linpack"}),
+    ])
+    def test_unknown_machine_and_app_names_are_rejected(self, name, params):
+        with pytest.raises(InvalidJobRequest, match="must be one of"):
+            resolve_scenario(name).build(params)
 
     def test_param_order_does_not_change_the_key(self):
         scenario = resolve_scenario("cluster-elapsed")
@@ -91,7 +104,7 @@ class TestEngineKeyParity:
         )
 
     def test_cluster_elapsed(self):
-        # The exact key shape run_cluster_times builds for figure 3.
+        # The exact key shape run_replicated_times builds for figure 3.
         self.parity(
             "cluster-elapsed",
             {"app": "linpack", "cores": 8},
@@ -103,13 +116,94 @@ class TestEngineKeyParity:
             },
         )
 
+    def test_cluster_energy(self):
+        self.parity(
+            "cluster-energy",
+            {"app": "bigdft", "cores": 8, "app_args": {"scf_iterations": 4}},
+            {
+                "experiment": "cluster-energy",
+                "app": "bigdft",
+                "app_args": {"scf_iterations": 4},
+                "num_nodes": 96,
+            },
+        )
+
+    def test_magicfilter(self):
+        self.parity(
+            "magicfilter",
+            {"machine": "Intel Xeon X5550", "unroll": 6},
+            {
+                "experiment": "magicfilter",
+                "machine": "Intel Xeon X5550",
+                "shape": [32, 32, 32],
+            },
+        )
+
     def test_page_alloc(self):
         self.parity(
             "page-alloc",
-            {"machine": "snowball", "fragmentation": 0.25},
+            {"machine": SNOWBALL, "fragmentation": 0.25},
             {
                 "experiment": "page-alloc",
-                "machine": "snowball",
+                "machine": SNOWBALL,
                 "array_bytes": 8 << 20,
             },
         )
+
+
+def _builder_cases(state_dir):
+    """Record name -> (batch builder run on one point, the equivalent
+    service submission)."""
+    return {
+        "cluster-elapsed": (
+            lambda engine: sweeps.run_replicated_times(
+                engine, "linpack", counts=[2], num_nodes=2, seeds=[7]
+            ),
+            {"app": "linpack", "cores": 2, "num_nodes": 2},
+        ),
+        "cluster-energy": (
+            lambda engine: sweeps.run_replicated_energy(
+                engine, "linpack", counts=[2], num_nodes=2, seeds=[7]
+            ),
+            {"app": "linpack", "cores": 2, "num_nodes": 2},
+        ),
+        "magicfilter": (
+            lambda engine: sweeps.run_magicfilter_sweep(
+                engine, "Intel Xeon X5550", unrolls=[4], shape=(8, 8, 8)
+            ),
+            {"machine": "Intel Xeon X5550", "shape": [8, 8, 8], "unroll": 4},
+        ),
+        "page-alloc": (
+            lambda engine: sweeps.run_page_alloc_sweep(
+                engine, machine=SNOWBALL, fragmentations=[0.25], seeds=[3],
+                array_bytes=16 << 10,
+            ),
+            {
+                "machine": SNOWBALL, "fragmentation": 0.25, "seed": 3,
+                "array_bytes": 16 << 10,
+            },
+        ),
+        "chaos-squares": (
+            lambda engine: sweeps.run_chaos_sweep(
+                engine, xs=[3], state_dir=state_dir
+            ),
+            {"x": 3, "state_dir": state_dir},
+        ),
+    }
+
+
+class TestBuilderKeyParity:
+    """The batch builder and the service derive each shared record's
+    key the same way: the point a builder computes is the cache entry
+    the equivalent submission addresses."""
+
+    @pytest.mark.parametrize("name", [
+        "cluster-elapsed", "cluster-energy", "magicfilter", "page-alloc",
+        "chaos-squares",
+    ])
+    def test_builder_point_key_is_the_submission_key(self, name, tmp_path):
+        build, params = _builder_cases(str(tmp_path))[name]
+        engine = ExperimentEngine(cache=None)
+        build(engine)
+        (record,) = engine.manifests[-1].points
+        assert record.key == job_content_key(resolve_scenario(name), params)[2]

@@ -281,6 +281,34 @@ class TestCircuitBreaker:
         assert probe.state is JobState.DONE
         assert states["chaos"] == "closed"
 
+    def test_unknown_names_are_rejected_before_any_fork(self, tmp_path):
+        """A bad machine name is the client's error, not the class's: it
+        is refused at submission, so it neither forks a worker nor
+        counts toward opening the ``kernels`` breaker."""
+        async def scenario():
+            service = make_service(tmp_path, breaker_threshold=3)
+            await service.start()
+            try:
+                for machine in ("nope", "snowball", "Xeon"):
+                    with pytest.raises(InvalidJobRequest, match="machine"):
+                        await service.submit(
+                            "magicfilter", {"machine": machine, "unroll": 4}
+                        )
+                jobs_after_rejections = service.stats()["jobs"]
+                valid, _ = await service.submit("magicfilter", {
+                    "machine": "Intel Xeon X5550", "unroll": 4,
+                    "shape": [8, 8, 8],
+                })
+                await asyncio.wait_for(valid.wait_terminal(), timeout=60)
+                return jobs_after_rejections, valid
+            finally:
+                await service.shutdown(drain_s=1.0)
+
+        jobs_after_rejections, valid = run(scenario())
+        assert jobs_after_rejections == 0
+        assert valid.state is JobState.DONE
+        assert valid.attempts == 1
+
     def test_failed_job_records_its_error_and_transients(self, tmp_path):
         async def scenario():
             service = make_service(
