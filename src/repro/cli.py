@@ -1305,9 +1305,6 @@ def _flush_interrupted(args, journal) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    from repro import metrics as metrics_mod
-    from repro.engine import ExperimentEngine, ResultCache, RunJournal
-
     # parse_intermixed_args lets flags appear between the positionals
     # ("diff-metrics --significance A.json B.json" and
     # "diff-metrics A.json B.json --significance" both work).
@@ -1324,6 +1321,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: --ci must be in (0, 1), got {args.ci}",
               file=sys.stderr)
         return 2
+    # Imported after parsing, so `--help` and a usage error load
+    # nothing else.
+    from repro import metrics as metrics_mod
+
     args.summaries = {}
     wants_metrics = (
         args.metrics_out is not None or args.metrics_format is not None
@@ -1344,6 +1345,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error in {args.artefact}: {error}", file=sys.stderr)
                 code = 1
         else:
+            from repro.engine import ExperimentEngine, ResultCache, RunJournal
+
             cache = None if args.no_cache else ResultCache(args.cache_dir)
             run_dir = args.resume if args.resume is not None else args.run_dir
             try:

@@ -225,7 +225,7 @@ async def run_attempt(
     :class:`~repro.errors.WorkerCrash`; timeouts and crashes tick
     ``<scope>.timeouts`` and ``<scope>.worker_crashes``.
     """
-    import asyncio  # deferred: `repro --help` imports this module
+    import asyncio  # deferred: a run that forks nothing never loads it
 
     budget = timeout_s
     if deadline is not None:
@@ -555,7 +555,7 @@ class ExperimentEngine:
         ``gather``; ``asyncio.run`` then cancels the sibling tasks, and
         each cancelled attempt kills its worker.
         """
-        import asyncio  # deferred: `repro --help` imports this module
+        import asyncio  # deferred: a run that forks nothing never loads it
 
         async def point(index: int, slots: asyncio.Semaphore) -> None:
             attempt = 0

@@ -20,25 +20,35 @@ sweep-key fields — and both sides build every sweep key from it, so a
 no worker: each caller names its worker where it runs, so a wrapper
 installed on a ``*_point`` attribute after import (``e2ebench/
 tracer.py``) is what runs.  A single-seed run is the replicated run
-with one seed.  Nothing heavy is imported at module level: the service
-loads this module in its parent process, and workers import their
-models when they run.
+with one seed.  The workers' models are imported at module level: the
+service and every CLI engine load this module in the parent process
+before the first fork, so every forked attempt inherits them and
+imports nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
+from repro.apps import BigDFT, Linpack, Specfem3D
 from repro.arch import EXYNOS5_DUAL, SNOWBALL_A9500, TEGRA2_NODE, XEON_X5550
 from repro.arch.cpu import MachineModel
+from repro.cluster import MpiJob, tibidabo
+from repro.core.artifacts import measurements_from_json, measurements_to_json
+from repro.energy.scale import measure_cluster_energy
+from repro.engine.chaos import chaos_point
 from repro.engine.engine import (
     ExperimentEngine, ReplicatedRun, SweepRun, SweepSpec, Worker,
 )
 from repro.errors import EngineError
-
-if TYPE_CHECKING:
-    from repro.kernels.counters import CounterSet
+from repro.faults import named_plan
+from repro.faults.checkpoint import CheckpointConfig, run_with_checkpoints
+from repro.kernels import CounterSet, MagicFilterBenchmark, MemBench
+from repro.kernels.magicfilter import UNROLL_RANGE
+from repro.kernels.membench import MemBenchConfig
+from repro.osmodel import OSModel
+from repro.tracing import TraceRecorder, analyze_collectives, resilience_summary
 
 #: Machines addressable by name in sweep params.
 MACHINES: dict[str, MachineModel] = {
@@ -62,8 +72,6 @@ def machine_by_name(name: str) -> MachineModel:
 
 def build_app(name: str, app_args: Mapping[str, Any] | None = None):
     """Instantiate a scalable app model from its registry name."""
-    from repro.apps import BigDFT, Linpack, Specfem3D
-
     factories = {"linpack": Linpack, "specfem3d": Specfem3D, "bigdft": BigDFT}
     try:
         factory = factories[name]
@@ -172,8 +180,6 @@ CHAOS_SQUARES = Experiment("chaos-squares", {
 
 def magicfilter_point(params: Mapping[str, Any]) -> dict[str, Any]:
     """Counters of one magicfilter unroll variant on one machine."""
-    from repro.kernels import MagicFilterBenchmark
-
     bench = MagicFilterBenchmark(
         machine_by_name(params["machine"]),
         problem_shape=tuple(params["shape"]),
@@ -184,8 +190,6 @@ def magicfilter_point(params: Mapping[str, Any]) -> dict[str, Any]:
 
 def cluster_time_point(params: Mapping[str, Any]) -> dict[str, Any]:
     """Elapsed seconds of one cluster job at one core count."""
-    from repro.cluster import tibidabo
-
     cluster = tibidabo(num_nodes=params["num_nodes"], seed=params["seed"])
     app = build_app(params["app"], params.get("app_args"))
     return {"elapsed_s": app.run_cluster(cluster, params["cores"])}
@@ -193,10 +197,6 @@ def cluster_time_point(params: Mapping[str, Any]) -> dict[str, Any]:
 
 def fault_scaling_point(params: Mapping[str, Any]) -> dict[str, Any]:
     """Clean-vs-faulty time-to-solution at one core count."""
-    from repro.cluster import tibidabo
-    from repro.faults import named_plan
-    from repro.tracing import TraceRecorder, resilience_summary
-
     cluster = tibidabo(num_nodes=params["num_nodes"], seed=params["seed"])
     app = build_app(params["app"], params.get("app_args"))
     cores = params["cores"]
@@ -230,10 +230,6 @@ def fault_scaling_point(params: Mapping[str, Any]) -> dict[str, Any]:
 
 def checkpoint_interval_point(params: Mapping[str, Any]) -> dict[str, Any]:
     """Time-to-solution under faults at one checkpoint interval."""
-    from repro.cluster import tibidabo
-    from repro.faults import named_plan
-    from repro.faults.checkpoint import CheckpointConfig, run_with_checkpoints
-
     cluster = tibidabo(num_nodes=params["num_nodes"], seed=params["seed"])
     app = build_app(params["app"], params.get("app_args"))
     cores = params["cores"]
@@ -259,10 +255,6 @@ def checkpoint_interval_point(params: Mapping[str, Any]) -> dict[str, Any]:
 
 def page_alloc_point(params: Mapping[str, Any]) -> dict[str, Any]:
     """Ideal bandwidth after one simulated boot (the X1 protocol)."""
-    from repro.kernels import MemBench
-    from repro.kernels.membench import MemBenchConfig
-    from repro.osmodel import OSModel
-
     machine = machine_by_name(params["machine"])
     os_model = OSModel.boot(
         machine, fragmentation=params["fragmentation"], seed=params["seed"]
@@ -274,9 +266,6 @@ def page_alloc_point(params: Mapping[str, Any]) -> dict[str, Any]:
 
 def fig4_point(params: Mapping[str, Any]) -> dict[str, Any]:
     """One Figure 4 job: its alltoallv delays on one switch variant."""
-    from repro.cluster import MpiJob, tibidabo
-    from repro.tracing import TraceRecorder, analyze_collectives
-
     cluster = tibidabo(
         num_nodes=params["num_nodes"], seed=params["seed"],
         upgraded_switches=params["upgraded"],
@@ -298,9 +287,6 @@ def fig4_point(params: Mapping[str, Any]) -> dict[str, Any]:
 
 def cluster_energy_point(params: Mapping[str, Any]) -> dict[str, Any]:
     """Energy-to-solution of one cluster job at one core count."""
-    from repro.cluster import tibidabo
-    from repro.energy.scale import measure_cluster_energy
-
     cluster = tibidabo(num_nodes=params["num_nodes"], seed=params["seed"])
     app = build_app(params["app"], params.get("app_args"))
     run = measure_cluster_energy(app, cluster, params["cores"])
@@ -328,9 +314,6 @@ def run_magicfilter_sweep(
 
     ``unrolls`` defaults to the paper's ``UNROLL_RANGE``.
     """
-    from repro.kernels.counters import CounterSet
-    from repro.kernels.magicfilter import UNROLL_RANGE
-
     run = MAGICFILTER.run(
         engine, magicfilter_point,
         [
@@ -381,12 +364,8 @@ def run_variant_grid(
     scheduler), so points cannot run independently: the whole grid is
     one cache unit, executed serially on a miss.
     """
-    from repro.core.artifacts import measurements_from_json, measurements_to_json
 
     def compute() -> dict[str, Any]:
-        from repro.kernels import MemBench
-        from repro.osmodel import OSModel
-
         model = machine_by_name(machine)
         os_model = OSModel.boot(model, seed=seed)
         bench = MemBench(model, os_model, seed=seed)
@@ -519,8 +498,6 @@ def run_chaos_sweep(
     so runs that share a fault plan and state directory are comparable
     point-for-point with each other.
     """
-    from repro.engine.chaos import chaos_point
-
     run = CHAOS_SQUARES.run(
         engine, chaos_point,
         [

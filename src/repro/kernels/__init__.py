@@ -8,7 +8,7 @@
 * :mod:`repro.kernels.membench` — the §V-A memory microbenchmark
   (Figure 5 and the §V-A-1 page-allocation study);
 * :mod:`repro.kernels.magicfilter` — BigDFT's 3-D magicfilter
-  convolution, both executable (numpy) and modelled (Figure 7);
+  convolution, both executable (pure Python) and modelled (Figure 7);
 * :mod:`repro.kernels.counters` — PAPI-style hardware counters.
 """
 

@@ -41,9 +41,9 @@ substitution).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from repro.arch.cpu import MachineModel
 from repro.arch.isa import Precision
@@ -58,16 +58,20 @@ MAGICFILTER_LENGTH = 16
 UNROLL_RANGE = tuple(range(1, 13))
 
 
-def _default_taps() -> np.ndarray:
+def _default_taps() -> tuple[float, ...]:
     """Synthetic normalized 16-tap low-pass filter (documented stand-in
-    for the BigDFT magic-filter coefficients)."""
-    n = np.arange(MAGICFILTER_LENGTH, dtype=np.float64)
-    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (MAGICFILTER_LENGTH - 1))
-    center = (MAGICFILTER_LENGTH - 1) / 2.0
-    x = (n - center) / 3.0
-    sinc = np.sinc(x)
-    taps = window * sinc
-    return taps / taps.sum()
+    for the BigDFT magic-filter coefficients): a Hamming-windowed
+    sinc."""
+    last = MAGICFILTER_LENGTH - 1
+    center = last / 2.0
+    taps = []
+    for n in range(MAGICFILTER_LENGTH):
+        window = 0.54 - 0.46 * math.cos(2.0 * math.pi * n / last)
+        # The centre falls between two taps, so the sinc never sees 0.
+        x = math.pi * ((n - center) / 3.0)
+        taps.append(window * (math.sin(x) / x))
+    total = math.fsum(taps)
+    return tuple(tap / total for tap in taps)
 
 
 MAGICFILTER_TAPS = _default_taps()
@@ -78,78 +82,98 @@ MAGICFILTER_TAPS = _default_taps()
 # ---------------------------------------------------------------------------
 
 
-def magicfilter_1d(data: np.ndarray, taps: np.ndarray | None = None, *, axis: int = 0) -> np.ndarray:
-    """Periodic 16-tap convolution along one axis (vectorized).
+def _line(values: Iterable[float], what: str) -> list[float]:
+    """*values* as a non-empty list of floats, or a typed error."""
+    try:
+        line = [float(v) for v in values]
+    except TypeError:
+        raise ConfigurationError(
+            f"{what} must be a 1-D sequence of numbers"
+        ) from None
+    if not line:
+        raise ConfigurationError(f"{what} must be non-empty")
+    return line
+
+
+def magicfilter_1d(
+    data: Sequence[float], taps: Sequence[float] | None = None
+) -> list[float]:
+    """Periodic 16-tap convolution of one line.
 
     Output element ``i`` is ``sum_k taps[k] * data[(i + k - L//2) % n]``
-    along *axis* — the periodic boundary BigDFT's wavelet basis uses.
+    — the periodic boundary BigDFT's wavelet basis uses.  Tap-outer:
+    each tap adds one shifted copy of the whole line.
     """
-    if taps is None:
-        taps = MAGICFILTER_TAPS
-    taps = np.asarray(taps, dtype=np.float64)
-    if taps.ndim != 1 or taps.size == 0:
-        raise ConfigurationError("taps must be a non-empty 1-D array")
-    data = np.asarray(data, dtype=np.float64)
-    if data.shape[axis] < 1:
-        raise ConfigurationError("data axis must be non-empty")
-    offset = taps.size // 2
-    result = np.zeros_like(data)
+    taps = _line(MAGICFILTER_TAPS if taps is None else taps, "taps")
+    data = _line(data, "data")
+    n = len(data)
+    offset = len(taps) // 2
+    result = [0.0] * n
     for k, coefficient in enumerate(taps):
-        result += coefficient * np.roll(data, offset - k, axis=axis)
+        shift = (k - offset) % n
+        shifted = data[shift:] + data[:shift]
+        result = [r + coefficient * d for r, d in zip(result, shifted)]
     return result
 
 
 def magicfilter_1d_unrolled(
-    data: np.ndarray, taps: np.ndarray | None = None, *, unroll: int = 1
-) -> np.ndarray:
+    data: Sequence[float],
+    taps: Sequence[float] | None = None,
+    *,
+    unroll: int = 1,
+) -> list[float]:
     """The generator's unrolled 1-D variant (reference semantics).
 
     Processes ``unroll`` outputs per outer iteration, exactly like the
     paper's generated C/Fortran variants; all unroll degrees compute
     the same values (the tests assert this against
-    :func:`magicfilter_1d`).  Pure-Python — use on small arrays.
+    :func:`magicfilter_1d`).
     """
     if unroll < 1:
         raise ConfigurationError(f"unroll must be >= 1, got {unroll}")
-    if taps is None:
-        taps = MAGICFILTER_TAPS
-    taps = np.asarray(taps, dtype=np.float64)
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 1:
-        raise ConfigurationError("unrolled reference kernel is 1-D only")
-    n = data.size
-    length = taps.size
-    offset = length // 2
-    out = np.empty_like(data)
-    i = 0
-    while i < n:
+    taps = _line(MAGICFILTER_TAPS if taps is None else taps, "taps")
+    data = _line(data, "data")
+    n = len(data)
+    offset = len(taps) // 2
+    out: list[float] = []
+    for i in range(0, n, unroll):
         block = min(unroll, n - i)
         # One unrolled body: `block` accumulators advance together.
         accumulators = [0.0] * block
-        for k in range(length):
-            coefficient = taps[k]
+        for k, coefficient in enumerate(taps):
             for u in range(block):
                 accumulators[u] += coefficient * data[(i + u + k - offset) % n]
-        for u in range(block):
-            out[i + u] = accumulators[u]
-        i += block
+        out.extend(accumulators)
     return out
 
 
 def apply_magicfilter_3d(
-    volume: np.ndarray, taps: np.ndarray | None = None
-) -> np.ndarray:
+    volume: Sequence[Sequence[Sequence[float]]],
+    taps: Sequence[float] | None = None,
+) -> list[list[list[float]]]:
     """The full 3-D magicfilter: three successive 1-D sweeps.
 
     This is the decomposition the paper describes — the separable 3-D
-    convolution computed as one 1-D pass per axis.
+    convolution computed as one 1-D pass per axis.  *volume* is nested
+    lists indexed ``[x][y][z]``, and so is the result.
     """
-    volume = np.asarray(volume, dtype=np.float64)
-    if volume.ndim != 3:
-        raise ConfigurationError(f"expected a 3-D volume, got ndim={volume.ndim}")
+    shape = []
+    probe = volume
+    while isinstance(probe, (list, tuple)):
+        shape.append(len(probe))
+        probe = probe[0] if probe else None
+    if len(shape) != 3 or 0 in shape:
+        raise ConfigurationError(
+            f"expected a non-empty 3-D volume, got shape {shape}"
+        )
     result = volume
-    for axis in range(3):
-        result = magicfilter_1d(result, taps, axis=axis)
+    for _ in range(3):
+        # Rotate the outermost axis innermost (out[y][z][x] = in[x][y][z])
+        # and filter along it; three turns restore the [x][y][z] order.
+        result = [
+            [magicfilter_1d(line, taps) for line in zip(*plane, strict=True)]
+            for plane in zip(*result, strict=True)
+        ]
     return result
 
 

@@ -8,8 +8,10 @@ fig3`` is a warm cache hit for ``repro submit``, and vice versa.  Each
 experiment both doors run is one :class:`~repro.engine.sweeps.Experiment`
 record — its parameters, defaults, allowed names and sweep-key fields —
 so a submission is validated and keyed from the same declaration the
-batch sweep is built from, and an unknown ``machine`` or ``app`` name
-is rejected before any worker forks.
+batch sweep is built from.  An unknown ``machine`` or ``app`` name, or
+a value outside the range the models accept (a non-positive shape,
+cores the cluster cannot place, fragmentation outside [0, 1]), is
+rejected before any worker forks.
 
 Every scenario carries a ``scenario_class`` — the circuit-breaker
 granularity.  A class that keeps crashing workers is shed as a unit
@@ -19,16 +21,21 @@ while other classes keep flowing.
 from __future__ import annotations
 
 import copy
+import json
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from repro.apps import BigDFT, Specfem3D
+from repro.arch import TEGRA2_NODE
+from repro.cluster import MpiJob, tibidabo
 from repro.engine import sweeps
 from repro.engine.chaos import chaos_point
 from repro.engine.engine import SCHEMA_VERSION
 from repro.engine.hashing import content_key
 from repro.engine.sweeps import REQUIRED, Experiment, Param
 from repro.errors import InvalidJobRequest
+from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
 from repro.version import __version__
 
 
@@ -146,14 +153,31 @@ def _check_sleepy(point: dict[str, Any]) -> None:
 
 def _check_shape(point: dict[str, Any]) -> None:
     shape = point["shape"]
-    if len(shape) != 3 or not all(isinstance(n, int) for n in shape):
+    if len(shape) != 3 or not all(
+        isinstance(n, int) and n > 0 for n in shape
+    ):
         raise InvalidJobRequest(
-            f"scenario 'magicfilter' shape must be [nx, ny, nz], "
-            f"got {shape!r}"
+            f"scenario 'magicfilter' shape must be [nx, ny, nz] of "
+            f"positive ints, got {shape!r}"
         )
 
 
-def _float_fragmentation(point: dict[str, Any]) -> None:
+def _check_cores(point: dict[str, Any]) -> None:
+    # Block placement on Tibidabo: every rank needs a core of its own.
+    capacity = point["num_nodes"] * TEGRA2_NODE.num_cores
+    if not 1 <= point["cores"] <= capacity:
+        raise InvalidJobRequest(
+            f"cluster scenario cores must be in [1, {capacity}] on "
+            f"{point['num_nodes']} nodes, got {point['cores']}"
+        )
+
+
+def _check_fragmentation(point: dict[str, Any]) -> None:
+    if not 0 <= point["fragmentation"] <= 1:
+        raise InvalidJobRequest(
+            f"scenario 'page-alloc' fragmentation must be in [0, 1], "
+            f"got {point['fragmentation']}"
+        )
     # The batch sweep passes floats; an integral submission must land
     # on the same cache entry.
     point["fragmentation"] = float(point["fragmentation"])
@@ -177,12 +201,6 @@ def trace_analysis_point(params: Mapping[str, Any]) -> dict[str, Any]:
     ``GET /jobs/<id>/trace`` tails).  The returned value is the final
     exact analysis summary.
     """
-    import json
-
-    from repro.apps import BigDFT, Specfem3D
-    from repro.cluster import MpiJob, tibidabo
-    from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
-
     app = BigDFT() if params["app"] == "bigdft" else Specfem3D()
     num_ranks = params["num_ranks"]
     seed = params["seed"]
@@ -263,11 +281,11 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario("chaos-squares", "chaos", sweeps.CHAOS_SQUARES, chaos_point),
         Scenario(
             "cluster-elapsed", "cluster",
-            sweeps.CLUSTER_ELAPSED, sweeps.cluster_time_point,
+            sweeps.CLUSTER_ELAPSED, sweeps.cluster_time_point, _check_cores,
         ),
         Scenario(
             "cluster-energy", "cluster",
-            sweeps.CLUSTER_ENERGY, sweeps.cluster_energy_point,
+            sweeps.CLUSTER_ENERGY, sweeps.cluster_energy_point, _check_cores,
         ),
         Scenario(
             "magicfilter", "kernels",
@@ -275,7 +293,7 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "page-alloc", "memsim",
-            sweeps.PAGE_ALLOC, sweeps.page_alloc_point, _float_fragmentation,
+            sweeps.PAGE_ALLOC, sweeps.page_alloc_point, _check_fragmentation,
         ),
         Scenario(
             "trace-analysis", "tracing",

@@ -1,6 +1,8 @@
 """Tests for repro.kernels.magicfilter (numerics + Figure 7 model)."""
 
-import numpy as np
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,66 +19,112 @@ from repro.kernels.magicfilter import (
 )
 
 
+def normal(rng, n):
+    return [rng.gauss(0.0, 1.0) for _ in range(n)]
+
+
+def roll(line, shift):
+    """``line`` rotated right by *shift* places (``numpy.roll``)."""
+    return line[-shift:] + line[:-shift]
+
+
+def flat(values):
+    if isinstance(values, list):
+        return [x for v in values for x in flat(v)]
+    return [values]
+
+
+def assert_allclose(actual, desired, rtol, atol=0.0):
+    """Elementwise ``|actual - desired| <= atol + rtol * |desired|`` over
+    equally shaped nested lists (``numpy.testing.assert_allclose``)."""
+    actual, desired = flat(actual), flat(desired)
+    assert len(actual) == len(desired)
+    for a, d in zip(actual, desired):
+        assert abs(a - d) <= atol + rtol * abs(d), (a, d)
+
+
+def filter_axis(volume, axis):
+    """One 1-D pass along *axis* of a nested ``[x][y][z]`` volume, by
+    explicit indexing."""
+    shape = (len(volume), len(volume[0]), len(volume[0][0]))
+    out = [[list(row) for row in plane] for plane in volume]
+    rest = [range(n) for a, n in enumerate(shape) if a != axis]
+    for u, v in itertools.product(*rest):
+        points = []
+        for t in range(shape[axis]):
+            index = [u, v]
+            index.insert(axis, t)
+            points.append(index)
+        line = magicfilter_1d([volume[i][j][k] for i, j, k in points])
+        for (i, j, k), value in zip(points, line):
+            out[i][j][k] = value
+    return out
+
+
 class TestTaps:
     def test_sixteen_taps(self):
-        assert MAGICFILTER_TAPS.size == MAGICFILTER_LENGTH == 16
+        assert len(MAGICFILTER_TAPS) == MAGICFILTER_LENGTH == 16
 
     def test_normalized(self):
-        assert MAGICFILTER_TAPS.sum() == pytest.approx(1.0)
+        assert sum(MAGICFILTER_TAPS) == pytest.approx(1.0)
 
 
 class TestNumericKernel:
     def test_constant_field_is_preserved(self):
         """A normalized filter leaves a constant potential unchanged."""
-        data = np.full(40, 3.25)
+        data = [3.25] * 40
         out = magicfilter_1d(data)
-        np.testing.assert_allclose(out, data, rtol=1e-12)
+        assert_allclose(out, data, rtol=1e-12)
 
     def test_linearity(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=32)
-        b = rng.normal(size=32)
-        lhs = magicfilter_1d(2.0 * a + b)
-        rhs = 2.0 * magicfilter_1d(a) + magicfilter_1d(b)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+        rng = random.Random(1)
+        a = normal(rng, 32)
+        b = normal(rng, 32)
+        lhs = magicfilter_1d([2.0 * x + y for x, y in zip(a, b)])
+        rhs = [
+            2.0 * x + y
+            for x, y in zip(magicfilter_1d(a), magicfilter_1d(b))
+        ]
+        assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_shift_equivariance_under_periodicity(self):
-        rng = np.random.default_rng(2)
-        data = rng.normal(size=48)
-        shifted = np.roll(data, 5)
-        np.testing.assert_allclose(
-            magicfilter_1d(shifted), np.roll(magicfilter_1d(data), 5), rtol=1e-12
+        data = normal(random.Random(2), 48)
+        shifted = roll(data, 5)
+        assert_allclose(
+            magicfilter_1d(shifted), roll(magicfilter_1d(data), 5), rtol=1e-12
         )
 
     def test_explicit_convolution_definition(self):
-        rng = np.random.default_rng(3)
-        data = rng.normal(size=24)
+        data = normal(random.Random(3), 24)
         taps = MAGICFILTER_TAPS
         out = magicfilter_1d(data)
-        n = data.size
-        offset = taps.size // 2
+        n = len(data)
+        offset = len(taps) // 2
         for i in (0, 7, 23):
             expected = sum(
-                taps[k] * data[(i + k - offset) % n] for k in range(taps.size)
+                taps[k] * data[(i + k - offset) % n] for k in range(len(taps))
             )
             assert out[i] == pytest.approx(expected)
 
     def test_3d_separability_axis_order_independent(self):
-        rng = np.random.default_rng(4)
-        volume = rng.normal(size=(6, 7, 8))
+        """The 3-D filter is one 1-D pass along each axis, in any order."""
+        rng = random.Random(4)
+        volume = [[normal(rng, 8) for _ in range(7)] for _ in range(6)]
         once = apply_magicfilter_3d(volume)
-        manual = magicfilter_1d(
-            magicfilter_1d(magicfilter_1d(volume, axis=2), axis=1), axis=0
-        )
-        np.testing.assert_allclose(once, manual, rtol=1e-12, atol=1e-14)
+        manual = filter_axis(filter_axis(filter_axis(volume, 2), 1), 0)
+        assert_allclose(once, manual, rtol=1e-12, atol=1e-14)
 
     def test_3d_requires_3d_input(self):
         with pytest.raises(ConfigurationError):
-            apply_magicfilter_3d(np.zeros((4, 4)))
+            apply_magicfilter_3d([[0.0] * 4 for _ in range(4)])
+
+    def test_3d_rejects_an_empty_axis(self):
+        with pytest.raises(ConfigurationError):
+            apply_magicfilter_3d([[[]]])
 
     def test_empty_taps_rejected(self):
         with pytest.raises(ConfigurationError):
-            magicfilter_1d(np.zeros(8), np.array([]))
+            magicfilter_1d([0.0] * 8, [])
 
 
 class TestUnrolledVariants:
@@ -84,15 +132,14 @@ class TestUnrolledVariants:
     def test_every_unroll_degree_computes_identical_results(self, unroll):
         """The paper's generator contract: all 12 variants are
         semantically identical."""
-        rng = np.random.default_rng(unroll)
-        data = rng.normal(size=37)
+        data = normal(random.Random(unroll), 37)
         reference = magicfilter_1d(data)
         unrolled = magicfilter_1d_unrolled(data, unroll=unroll)
-        np.testing.assert_allclose(unrolled, reference, rtol=1e-12)
+        assert_allclose(unrolled, reference, rtol=1e-12)
 
     def test_remainder_loop_handles_non_multiple_sizes(self):
-        data = np.arange(10, dtype=float)
-        np.testing.assert_allclose(
+        data = [float(i) for i in range(10)]
+        assert_allclose(
             magicfilter_1d_unrolled(data, unroll=8),
             magicfilter_1d(data),
             rtol=1e-12,
@@ -100,14 +147,13 @@ class TestUnrolledVariants:
 
     def test_invalid_unroll_rejected(self):
         with pytest.raises(ConfigurationError):
-            magicfilter_1d_unrolled(np.zeros(8), unroll=0)
+            magicfilter_1d_unrolled([0.0] * 8, unroll=0)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(17, 40), st.integers(1, 12))
     def test_property_unrolled_equals_reference(self, n, unroll):
-        rng = np.random.default_rng(n * 13 + unroll)
-        data = rng.normal(size=n)
-        np.testing.assert_allclose(
+        data = normal(random.Random(n * 13 + unroll), n)
+        assert_allclose(
             magicfilter_1d_unrolled(data, unroll=unroll),
             magicfilter_1d(data),
             rtol=1e-10,

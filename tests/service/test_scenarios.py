@@ -1,9 +1,11 @@
 """Scenario registry: validation and cache-key parity with the engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine import ExperimentEngine, SweepSpec, content_key, sweeps
-from repro.errors import InvalidJobRequest
+from repro.errors import ConfigurationError, InvalidJobRequest
 from repro.service import SCENARIOS, job_content_key, resolve_scenario
 
 SNOWBALL = "ST-Ericsson A9500 (Snowball)"
@@ -81,6 +83,54 @@ class TestValidation:
         scenario = resolve_scenario("cluster-elapsed")
         a = job_content_key(scenario, {"app": "linpack", "cores": 4})
         b = job_content_key(scenario, {"cores": 4, "app": "linpack"})
+        assert a[2] == b[2]
+
+
+class TestRangeChecks:
+    """A submission is refused exactly when its worker would raise
+    ConfigurationError, so a range error is a 400 at submission and
+    never a failed job."""
+
+    @pytest.mark.parametrize("name, params, valid", [
+        ("magicfilter", {"machine": SNOWBALL, "unroll": 2, "shape": [1, 1, 1]}, True),
+        ("magicfilter", {"machine": SNOWBALL, "unroll": 2, "shape": [0, 0, 0]}, False),
+        ("magicfilter", {"machine": SNOWBALL, "unroll": 2, "shape": [8, -1, 8]}, False),
+        ("cluster-elapsed", {"app": "linpack", "cores": 4, "num_nodes": 2}, True),
+        ("cluster-elapsed", {"app": "linpack", "cores": 5, "num_nodes": 2}, False),
+        ("cluster-elapsed", {"app": "linpack", "cores": 0}, False),
+        ("cluster-energy", {"app": "linpack", "cores": 1, "num_nodes": 1}, True),
+        ("cluster-energy", {"app": "linpack", "cores": 0}, False),
+        ("cluster-energy", {"app": "linpack", "cores": 1, "num_nodes": 0}, False),
+        ("page-alloc", {"machine": SNOWBALL, "fragmentation": 1, "array_bytes": 1 << 16}, True),
+        ("page-alloc", {"machine": SNOWBALL, "fragmentation": 1.5, "array_bytes": 1 << 16}, False),
+        ("page-alloc", {"machine": SNOWBALL, "fragmentation": -0.25, "array_bytes": 1 << 16}, False),
+    ], ids=[
+        "unit-shape", "zero-shape", "negative-shape",
+        "full-cluster", "cores-past-capacity", "elapsed-no-cores",
+        "one-core", "energy-no-cores", "no-nodes",
+        "full-fragmentation", "fragmentation-high", "fragmentation-low",
+    ])
+    def test_rejected_exactly_when_the_worker_would_fail(
+        self, name, params, valid
+    ):
+        scenario = resolve_scenario(name)
+        _, unchecked = dataclasses.replace(scenario, check=None).build(params)
+        if valid:
+            scenario.build(params)
+            scenario.worker(unchecked)
+        else:
+            with pytest.raises(InvalidJobRequest, match="must be"):
+                scenario.build(params)
+            with pytest.raises(ConfigurationError):
+                scenario.worker(unchecked)
+
+    def test_integral_fragmentation_keys_like_the_float(self):
+        scenario = resolve_scenario("page-alloc")
+        a = job_content_key(scenario, {"machine": SNOWBALL, "fragmentation": 1})
+        b = job_content_key(
+            scenario, {"machine": SNOWBALL, "fragmentation": 1.0}
+        )
+        assert a[1]["fragmentation"] == 1.0
         assert a[2] == b[2]
 
 

@@ -309,6 +309,63 @@ class TestCircuitBreaker:
         assert valid.state is JobState.DONE
         assert valid.attempts == 1
 
+    def test_out_of_range_values_are_rejected_before_any_fork(
+        self, tmp_path, monkeypatch
+    ):
+        """Values the models refuse are the client's error too: each is
+        refused at submission, creates no job and forks no worker, so
+        none counts against its class's breaker."""
+        import repro.service.core as core
+
+        run_attempt = core.run_attempt
+        forks = []
+
+        async def counting_run_attempt(*args, **kwargs):
+            forks.append(args[1])
+            return await run_attempt(*args, **kwargs)
+
+        monkeypatch.setattr(core, "run_attempt", counting_run_attempt)
+        bad = [
+            ("magicfilter", {
+                "machine": "Intel Xeon X5550", "unroll": 4, "shape": [0, 0, 0],
+            }),
+            ("cluster-elapsed", {"app": "linpack", "cores": 0}),
+            ("cluster-energy", {"app": "linpack", "cores": 0}),
+            ("page-alloc", {
+                "machine": "Intel Xeon X5550", "fragmentation": 1.5,
+            }),
+        ]
+
+        async def scenario():
+            service = make_service(tmp_path, breaker_threshold=1)
+            await service.start()
+            try:
+                for name, params in bad:
+                    with pytest.raises(InvalidJobRequest):
+                        await service.submit(name, params)
+                jobs_after_rejections = service.stats()["jobs"]
+                forks_after_rejections = len(forks)
+                valid, _ = await service.submit("magicfilter", {
+                    "machine": "Intel Xeon X5550", "unroll": 4,
+                    "shape": [8, 8, 8],
+                })
+                await asyncio.wait_for(valid.wait_terminal(), timeout=60)
+                breakers = service.stats()["breakers"]
+                return (
+                    jobs_after_rejections, forks_after_rejections, valid,
+                    breakers,
+                )
+            finally:
+                await service.shutdown(drain_s=1.0)
+
+        jobs, forked, valid, breakers = run(scenario())
+        assert jobs == 0
+        assert forked == 0
+        assert valid.state is JobState.DONE
+        assert valid.attempts == 1
+        assert len(forks) == 1
+        assert set(breakers.values()) <= {"closed"}
+
     def test_failed_job_records_its_error_and_transients(self, tmp_path):
         async def scenario():
             service = make_service(

@@ -1,6 +1,10 @@
 """Tests for the ``python -m repro`` CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,29 @@ class TestParser:
         assert args.seed == 7
         assert not args.quick
         assert args.plan == "montblanc"
+
+    def test_help_loads_no_engine(self):
+        """`--help` parses and exits before anything heavy is imported."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+        probe = (
+            "import json, sys\n"
+            "from repro.cli import main\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert "usage:" in result.stdout
+        loaded = set(json.loads(result.stderr))
+        assert not loaded & {"repro.engine", "repro.faults", "repro.cluster"}
 
 
 class TestCommands:
