@@ -3,7 +3,7 @@
 A :class:`MachineModel` is the static hardware description every
 simulator in this library consumes: the analytic single-node
 performance models (Table II), the cache simulator (Figures 5/6), the
-codegen/counter models (Figure 7) and the cluster simulator (Figures
+magicfilter counter model (Figure 7) and the cluster simulator (Figures
 3/4) all read their hardware parameters from here.
 """
 

@@ -54,7 +54,7 @@ class GeneticSearch(SearchStrategy):
     def minimize(self, objective: Objective, space: ParameterSpace) -> SearchResult:
         """Evolve a population of points toward the minimum."""
         rng = random.Random(self.seed)
-        evaluator = self._evaluator(objective, space)
+        evaluator = _Evaluator(objective, space)
 
         individuals = [space.random_point(rng) for _ in range(self.population)]
         for _ in range(self.generations):

@@ -49,62 +49,20 @@ class SearchStrategy:
 
     name = "search"
 
-    #: Optional on-disk memo (a :class:`repro.engine.ResultCache`) plus
-    #: the invariants identifying this search's objective; installed by
-    #: :meth:`attach_cache` (e.g. from an AutoTuner wired to the
-    #: experiment engine).
-    _result_cache = None
-    _cache_key: Mapping[str, Any] | None = None
-
-    def attach_cache(self, cache, key: Mapping[str, Any]) -> None:
-        """Memoize objective values in *cache* under invariants *key*.
-
-        *cache* follows the ``repro.engine.ResultCache`` protocol
-        (``get``/``put`` of JSON payloads by content key); *key* must
-        hold everything the objective's value depends on besides the
-        point itself (machine, problem shape, seed, ...).
-        """
-        self._result_cache = cache
-        self._cache_key = dict(key)
-
-    def _evaluator(self, objective: Objective, space: ParameterSpace) -> "_Evaluator":
-        return _Evaluator(
-            objective, space,
-            result_cache=self._result_cache, cache_key=self._cache_key,
-        )
-
     def minimize(self, objective: Objective, space: ParameterSpace) -> SearchResult:
         """Return the best point found."""
         raise NotImplementedError
 
 
 class _Evaluator:
-    """Memoizing objective wrapper shared by the strategies.
+    """Memoizing objective wrapper shared by the strategies."""
 
-    Two memo layers: an in-process dict (always), and optionally the
-    experiment engine's content-addressed on-disk cache, so repeated
-    tuning runs across processes skip recomputation too.
-    """
-
-    def __init__(
-        self,
-        objective: Objective,
-        space: ParameterSpace,
-        *,
-        result_cache=None,
-        cache_key: Mapping[str, Any] | None = None,
-    ) -> None:
+    def __init__(self, objective: Objective, space: ParameterSpace) -> None:
         self.objective = objective
         self.space = space
         self.cache: dict[tuple, float] = {}
         self.history: list[tuple[Point, float]] = []
         self.calls = 0
-        self.objective_calls = 0
-        self._result_cache = result_cache
-        self._cache_key = dict(cache_key) if cache_key is not None else None
-
-    def _disk_key(self, point: Point) -> dict[str, Any]:
-        return {"search": self._cache_key or {}, "point": dict(point)}
 
     def __call__(self, point: Point) -> float:
         self.space.validate(point)
@@ -112,16 +70,7 @@ class _Evaluator:
         key = tuple(sorted((k, repr(v)) for k, v in point.items()))
         if key in self.cache:
             return self.cache[key]
-        value = None
-        if self._result_cache is not None:
-            payload = self._result_cache.get(self._disk_key(point))
-            if payload is not None:
-                value = float(payload["value"])
-        if value is None:
-            value = float(self.objective(point))
-            self.objective_calls += 1
-            if self._result_cache is not None:
-                self._result_cache.put(self._disk_key(point), {"value": value})
+        value = float(self.objective(point))
         self.cache[key] = value
         self.history.append((dict(point), value))
         return value
@@ -134,11 +83,11 @@ class _Evaluator:
         if not self.history:
             raise SearchError("search evaluated no points")
         # One flush per search: real objective work vs. requests served
-        # by the in-process or on-disk memo.
+        # by the memo.
         metrics = current_registry()
         metrics.inc("autotune.searches", 1)
-        metrics.inc("autotune.evaluations", self.objective_calls)
-        metrics.inc("autotune.memo_hits", self.calls - self.objective_calls)
+        metrics.inc("autotune.evaluations", self.evaluations)
+        metrics.inc("autotune.memo_hits", self.calls - self.evaluations)
         best_point, best_value = min(self.history, key=lambda item: item[1])
         return SearchResult(
             best_point=dict(best_point),
@@ -157,7 +106,7 @@ class ExhaustiveSearch(SearchStrategy):
 
     def minimize(self, objective: Objective, space: ParameterSpace) -> SearchResult:
         """Visit the whole space."""
-        evaluator = self._evaluator(objective, space)
+        evaluator = _Evaluator(objective, space)
         for point in space:
             evaluator(point)
         return evaluator.result()
@@ -177,7 +126,7 @@ class RandomSearch(SearchStrategy):
     def minimize(self, objective: Objective, space: ParameterSpace) -> SearchResult:
         """Sample *budget* random points (with replacement)."""
         rng = random.Random(self.seed)
-        evaluator = self._evaluator(objective, space)
+        evaluator = _Evaluator(objective, space)
         for _ in range(self.budget):
             evaluator(space.random_point(rng))
         return evaluator.result()
@@ -201,7 +150,7 @@ class HillClimbSearch(SearchStrategy):
     def minimize(self, objective: Objective, space: ParameterSpace) -> SearchResult:
         """Descend from *restarts* random starting points."""
         rng = random.Random(self.seed)
-        evaluator = self._evaluator(objective, space)
+        evaluator = _Evaluator(objective, space)
         for _ in range(self.restarts):
             current = space.random_point(rng)
             current_value = evaluator(current)

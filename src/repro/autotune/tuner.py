@@ -43,27 +43,13 @@ class TuningReport:
 
 @dataclass
 class AutoTuner:
-    """Search-driven kernel tuner bound to one parameter space.
-
-    With ``result_cache`` set (a :class:`repro.engine.ResultCache`),
-    objective values are memoized on disk keyed by platform + instance
-    + point, so a repeated tuning run — even in a fresh process —
-    performs zero objective evaluations.
-    """
+    """Search-driven kernel tuner bound to one parameter space."""
 
     space: ParameterSpace
     strategy: SearchStrategy = field(default_factory=ExhaustiveSearch)
-    result_cache: Any = None
     _instance_cache: dict[Hashable, TuningReport] = field(
         default_factory=dict, repr=False
     )
-
-    def _attach_cache(self, platform: str, instance: Hashable) -> None:
-        if self.result_cache is not None:
-            self.strategy.attach_cache(
-                self.result_cache,
-                {"tuner": platform, "instance": repr(instance)},
-            )
 
     def tune_static(
         self,
@@ -71,7 +57,6 @@ class AutoTuner:
         objective: Callable[[Mapping[str, Any]], float],
     ) -> TuningReport:
         """Platform-specific (build-time) tuning: one search, one result."""
-        self._attach_cache(platform, None)
         result = self.strategy.minimize(objective, self.space)
         return TuningReport(
             level="static", platform=platform, instance=None, result=result
@@ -94,7 +79,6 @@ class AutoTuner:
         if cached is not None:
             return cached
         objective = objective_factory(instance)
-        self._attach_cache(platform, instance)
         result = self.strategy.minimize(objective, self.space)
         report = TuningReport(
             level="instance", platform=platform, instance=instance, result=result

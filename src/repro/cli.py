@@ -52,14 +52,13 @@ report (markdown + JSON), the Perfetto-loadable Chrome trace, and the
 deterministic metrics export into ``--out``; ``diff-metrics A.json
 B.json --threshold 5%`` compares two metrics exports and exits 1 on
 drift beyond the threshold (the CI regression gate against
-``tests/golden/``), or with ``--significance`` compares two
-replicate-summary documents and trips only on statistically
-significant drift; ``compare`` is the human-facing significance
-report; ``reproduce-all --out DIR`` regenerates every pinned artefact
-(table2, fig3, fig4, fig6, fig7, x1, x4, x5, x9, trace-report) into a
-bundle directory — per-artefact byte-exact stdout, deterministic
-metrics export, replicate summaries — and writes ``MANIFEST.json``
-with a sha256 digest per file plus environment capture; a warm rerun
+``tests/golden/``); ``compare`` pairs two replicate-summary documents
+and exits 1 only on statistically significant drift; ``reproduce-all
+--out DIR`` regenerates every pinned artefact (table2, fig3, fig4,
+fig6, fig7, x1, x4, x5, x9, trace-report) into a bundle directory —
+per-artefact byte-exact stdout, deterministic metrics export,
+replicate summaries — and writes ``MANIFEST.json`` with a sha256
+digest per file plus environment capture; a warm rerun
 is byte-identical and recomputes nothing; ``cache
 {verify,stats,clear}`` manages the result cache — ``verify``
 integrity-scans every shard, quarantines corrupt entries under
@@ -534,8 +533,8 @@ def _record_summary(args, artefact, series, points, *, x_label, y_label) -> None
 
     *points* is ``[(x, ReplicateSummary), ...]``; the document layout
     is what :mod:`repro.obs.significance` pairs by (artefact, series,
-    x), so ``repro compare`` and ``diff-metrics --significance`` can
-    consume any two ``--summary-out`` files.
+    x), so ``repro compare`` can consume any two ``--summary-out``
+    files.
     """
     entry = args.summaries.setdefault(artefact, {"series": {}})
     entry["series"][series] = {
@@ -721,19 +720,6 @@ def _cmd_diff_metrics(args) -> int:
             "diff-metrics needs exactly two metrics JSON paths, got "
             f"{len(args.paths)}"
         )
-    if args.significance:
-        # Noise-aware gate: the paths are replicate-summary documents
-        # (--summary-out) and drift only trips when the replicate
-        # distributions differ significantly, not when a mean wiggles
-        # within run-to-run noise.
-        from repro.obs import compare_summary_files
-
-        report = compare_summary_files(
-            args.paths[0], args.paths[1],
-            alpha=args.alpha, seed=args.seed,
-        )
-        print(report.format(), end="")
-        return 0 if report.ok else 1
     diff = diff_metrics_files(
         args.paths[0], args.paths[1],
         threshold=parse_threshold(args.threshold),
@@ -1137,16 +1123,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--summary-out", default=None, metavar="PATH",
                         help="write the replicate-summary JSON document "
                              "(per-point mean/CI/CV + raw values) to "
-                             "PATH; input format of 'compare' and "
-                             "'diff-metrics --significance'")
+                             "PATH; input format of 'compare'")
     parser.add_argument("--alpha", type=float, default=0.05,
-                        help="significance level for 'compare' and "
-                             "'diff-metrics --significance' "
+                        help="significance level for 'compare' "
                              "(default 0.05)")
-    parser.add_argument("--significance", action="store_true",
-                        help="diff-metrics: treat the two paths as "
-                             "replicate-summary documents and flag only "
-                             "statistically significant drift")
     parser.add_argument("--only", default=None, metavar="LIST",
                         help="reproduce-all: comma-separated subset of "
                              "the pinned artefacts to regenerate")
@@ -1306,8 +1286,8 @@ def _flush_interrupted(args, journal) -> None:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     # parse_intermixed_args lets flags appear between the positionals
-    # ("diff-metrics --significance A.json B.json" and
-    # "diff-metrics A.json B.json --significance" both work).
+    # ("diff-metrics --threshold 5% A.json B.json" and
+    # "diff-metrics A.json B.json --threshold 5%" both work).
     args = build_parser().parse_intermixed_args(argv)
     if args.run_dir is not None and args.resume is not None:
         print("error: --run-dir and --resume are mutually exclusive "

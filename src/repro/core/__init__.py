@@ -7,52 +7,41 @@ measurement loops unreproducible.  This package provides the pieces the
 rest of the library builds on:
 
 * :mod:`repro.core.measurement` — sample containers,
-* :mod:`repro.core.stats` — summary statistics, confidence intervals,
-  bimodal-mode detection and least-squares fits,
-* :mod:`repro.core.experiment` — randomized factorial experiment plans,
-* :mod:`repro.core.sweep` — parameter sweeps,
+* :mod:`repro.core.stats` — summary statistics, bootstrap confidence
+  intervals, bimodal-mode detection and least-squares fits,
+* :mod:`repro.core.experiment` — randomized factorial experiment plans
+  (the §V-A protocol :class:`repro.kernels.MemBench` runs),
+* :mod:`repro.core.artifacts` — measurement sets to and from JSON,
 * :mod:`repro.core.report` — ASCII tables and series for regenerating
   the paper's artefacts.
+
+Sweeps themselves run through :class:`repro.engine.ExperimentEngine`.
 """
 
-from repro.core.artifacts import (
-    curve_from_csv,
-    curve_to_csv,
-    measurements_from_json,
-    measurements_to_csv,
-    measurements_to_json,
-)
-from repro.core.experiment import Experiment, ExperimentPlan, Factor, Trial
+from repro.core.artifacts import measurements_from_json, measurements_to_json
+from repro.core.experiment import ExperimentPlan, Factor, Trial
 from repro.core.measurement import MeasurementSet, Sample
 from repro.core.stats import (
     SummaryStats,
-    confidence_interval,
     detect_modes,
     exponential_fit,
     linear_fit,
     summarize,
 )
-from repro.core.sweep import ParameterSweep
 from repro.core.report import Table, render_series, render_table
 
 __all__ = [
-    "Experiment",
     "ExperimentPlan",
     "Factor",
     "MeasurementSet",
-    "ParameterSweep",
     "Sample",
     "SummaryStats",
     "Table",
     "Trial",
-    "confidence_interval",
-    "curve_from_csv",
-    "curve_to_csv",
     "detect_modes",
     "exponential_fit",
     "linear_fit",
     "measurements_from_json",
-    "measurements_to_csv",
     "measurements_to_json",
     "render_series",
     "render_table",

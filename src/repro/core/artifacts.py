@@ -1,46 +1,15 @@
-"""Artifact export: measurement sets and curves to CSV / JSON.
+"""Artifact export: measurement sets to and from JSON.
 
-The benchmark harness renders artefacts as text; downstream users who
-want to re-plot the paper's figures need machine-readable data.  These
-helpers write the library's measurement containers in both formats
-without any plotting dependency.
+:func:`repro.engine.sweeps.run_variant_grid` caches its measurement
+sets through this round trip.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from typing import Any, Sequence
 
 from repro.core.measurement import MeasurementSet
 from repro.errors import ConfigurationError
-
-
-def measurements_to_csv(results: MeasurementSet) -> str:
-    """Render a measurement set as CSV.
-
-    Columns: ``sequence, metric, value`` plus one column per factor
-    (union of all factors, blank where missing).
-    """
-    if len(results) == 0:
-        raise ConfigurationError("cannot export an empty measurement set")
-    factor_names: list[str] = []
-    for sample in results:
-        for name in sample.factors:
-            if name not in factor_names:
-                factor_names.append(name)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["sequence", "metric", "value", *factor_names])
-    for sample in results:
-        writer.writerow([
-            sample.sequence,
-            sample.metric,
-            repr(sample.value),
-            *[sample.factors.get(name, "") for name in factor_names],
-        ])
-    return buffer.getvalue()
 
 
 def measurements_to_json(results: MeasurementSet) -> str:
@@ -75,30 +44,3 @@ def measurements_from_json(text: str) -> MeasurementSet:
         except (KeyError, TypeError, ValueError) as error:
             raise ConfigurationError(f"malformed sample {entry!r}") from error
     return results
-
-
-def curve_to_csv(
-    points: Sequence[tuple[Any, float]], *, x_label: str = "x", y_label: str = "y"
-) -> str:
-    """Render an ``(x, y)`` curve (a figure series) as CSV."""
-    if not points:
-        raise ConfigurationError("cannot export an empty curve")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([x_label, y_label])
-    for x, y in points:
-        writer.writerow([x, repr(float(y))])
-    return buffer.getvalue()
-
-
-def curve_from_csv(text: str) -> list[tuple[str, float]]:
-    """Parse :func:`curve_to_csv` output; x comes back as a string."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 2:
-        raise ConfigurationError("curve CSV needs a header and data rows")
-    points = []
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise ConfigurationError(f"malformed curve row {row!r}")
-        points.append((row[0], float(row[1])))
-    return points

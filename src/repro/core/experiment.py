@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterator, Mapping, Sequence
 
-from repro.core.measurement import MeasurementSet
 from repro.errors import ConfigurationError
 
 
@@ -109,29 +108,3 @@ class ExperimentPlan:
 
     def __iter__(self) -> Iterator[Trial]:
         return iter(self.trials())
-
-
-@dataclass
-class Experiment:
-    """Bind an :class:`ExperimentPlan` to a measurement function.
-
-    ``measure`` receives a trial's factor mapping and returns either a
-    single float (recorded under ``metric``) or a mapping from metric
-    name to value.
-    """
-
-    plan: ExperimentPlan
-    measure: Callable[[Mapping[str, Any]], float | Mapping[str, float]]
-    metric: str = "value"
-    results: MeasurementSet = field(default_factory=MeasurementSet)
-
-    def run(self) -> MeasurementSet:
-        """Execute all trials in plan order and collect the samples."""
-        for trial in self.plan:
-            outcome = self.measure(trial.factors)
-            if isinstance(outcome, Mapping):
-                for name, value in outcome.items():
-                    self.results.record(name, float(value), **dict(trial.factors))
-            else:
-                self.results.record(self.metric, float(outcome), **dict(trial.factors))
-        return self.results

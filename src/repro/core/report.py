@@ -97,21 +97,3 @@ def render_series(
             bar = "#" * max(0, round(width * abs(y) / max_y))
         lines.append(f"{str(x):>12}  {y:>14.4g}  {bar}")
     return "\n".join(lines)
-
-
-def render_grouped_series(
-    title: str,
-    series: dict[Any, Sequence[tuple[Any, float]]],
-    *,
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render several labelled series (one per group) under one title."""
-    blocks = [title, "=" * len(title)]
-    for label, points in series.items():
-        blocks.append(
-            render_series(
-                f"[{label}]", points, x_label=x_label, y_label=y_label
-            )
-        )
-    return "\n\n".join(blocks)

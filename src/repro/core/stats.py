@@ -86,53 +86,6 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     )
 
 
-def confidence_interval(
-    values: Sequence[float], confidence: float = 0.95
-) -> tuple[float, float]:
-    """Normal-approximation confidence interval for the mean.
-
-    Uses the z quantile (1.96 for 95%); adequate for the dozens of
-    replicates the experiment plans produce.
-    """
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
-    stats = summarize(values)
-    z = _normal_quantile(0.5 + confidence / 2.0)
-    half_width = z * stats.std / math.sqrt(stats.count)
-    return (stats.mean - half_width, stats.mean + half_width)
-
-
-def _normal_quantile(p: float) -> float:
-    """Acklam's rational approximation to the standard normal quantile."""
-    if not 0.0 < p < 1.0:
-        raise ConfigurationError(f"quantile probability must be in (0, 1), got {p}")
-    # Coefficients for the central region.
-    a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-        )
-    if p > p_high:
-        q = math.sqrt(-2 * math.log(1 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1
-    )
-
-
 @dataclass(frozen=True)
 class Mode:
     """One detected mode of a 1-D sample."""
@@ -510,8 +463,8 @@ class ReplicateSummary:
     median), spread (std, cv), the seeded-bootstrap confidence
     interval, and the §V-A-1 bimodality flag from
     :func:`detect_modes`.  ``values`` keeps the raw replicates in seed
-    order so downstream significance tests (``repro compare``,
-    ``diff-metrics --significance``) never need the original runs.
+    order so downstream significance tests (``repro compare``) never
+    need the original runs.
     """
 
     count: int
@@ -619,7 +572,7 @@ class SampleComparison:
 
     ``significant`` requires *both* the rank test and the permutation
     test to reject at ``alpha`` — a deliberately conservative AND, so
-    a CI gate built on it (``diff-metrics --significance``) only trips
+    a CI gate built on it (``repro compare``) only trips
     on drift that two independent distribution-free tests agree on.
     """
 

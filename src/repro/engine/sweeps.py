@@ -56,8 +56,9 @@ MACHINES: dict[str, MachineModel] = {
     for machine in (XEON_X5550, SNOWBALL_A9500, TEGRA2_NODE, EXYNOS5_DUAL)
 }
 
-#: Cluster-capable apps addressable by name in sweep params.
-APP_NAMES = ("linpack", "specfem3d", "bigdft")
+#: Cluster-capable app models addressable by name in sweep params;
+#: a point's ``app_args`` are keyword arguments of the model.
+APPS = {"linpack": Linpack, "specfem3d": Specfem3D, "bigdft": BigDFT}
 
 
 def machine_by_name(name: str) -> MachineModel:
@@ -72,12 +73,11 @@ def machine_by_name(name: str) -> MachineModel:
 
 def build_app(name: str, app_args: Mapping[str, Any] | None = None):
     """Instantiate a scalable app model from its registry name."""
-    factories = {"linpack": Linpack, "specfem3d": Specfem3D, "bigdft": BigDFT}
     try:
-        factory = factories[name]
+        factory = APPS[name]
     except KeyError:
         raise EngineError(
-            f"unknown app {name!r}; known: {sorted(factories)}"
+            f"unknown app {name!r}; known: {sorted(APPS)}"
         ) from None
     return factory(**dict(app_args or {}))
 
@@ -144,7 +144,7 @@ class Experiment:
 
 
 _CLUSTER_PARAMS = {
-    "app": Param((str,), choices=APP_NAMES),
+    "app": Param((str,), choices=tuple(APPS)),
     "app_args": Param((dict,), {}),
     "num_nodes": Param((int,), 96),
     "seed": Param((int,), 7),

@@ -6,10 +6,9 @@ artefact; :mod:`repro.obs.diff` compares two runs' metrics exports and
 flags drift beyond a threshold (the CI regression gate);
 :mod:`repro.obs.significance` pairs two replicate-summary documents
 and tests each point for a statistically significant difference (the
-noise-aware gate behind ``diff-metrics --significance`` and ``repro
-compare``); :mod:`repro.obs.bundle` writes and verifies the
-``reproduce-all`` bundle manifest (sha256 per file + environment
-capture).
+noise-aware gate behind ``repro compare``); :mod:`repro.obs.bundle`
+writes and verifies the ``reproduce-all`` bundle manifest (sha256 per
+file + environment capture).
 """
 
 from repro.obs.bundle import (

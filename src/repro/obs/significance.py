@@ -9,13 +9,11 @@ replicate series differ *significantly* — Mann-Whitney AND a seeded
 permutation test must both reject at ``alpha``
 (:func:`repro.core.stats.compare_replicates`).
 
-Two front-ends consume it:
-
-* ``repro compare A.json B.json`` — the human-facing report stating
-  which configurations differ and by how much;
-* ``repro diff-metrics --significance A.json B.json`` — the CI gate
-  variant: unlike the threshold gate, a within-noise drift (mean moved
-  but the replicate distributions overlap) does NOT trip it.
+``repro compare A.json B.json`` consumes it: the report states which
+configurations differ and by how much, and exits 1 when any point
+does.  Unlike the ``diff-metrics`` threshold gate, a within-noise
+drift (mean moved but the replicate distributions overlap) does NOT
+trip it.
 """
 
 from __future__ import annotations

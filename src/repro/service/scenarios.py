@@ -10,8 +10,9 @@ record — its parameters, defaults, allowed names and sweep-key fields —
 so a submission is validated and keyed from the same declaration the
 batch sweep is built from.  An unknown ``machine`` or ``app`` name, or
 a value outside the range the models accept (a non-positive shape,
-cores the cluster cannot place, fragmentation outside [0, 1]), is
-rejected before any worker forks.
+cores the cluster cannot place, an ``app_args`` key the app model does
+not take, fragmentation outside [0, 1], an array smaller than one
+element), is rejected before any worker forks.
 
 Every scenario carries a ``scenario_class`` — the circuit-breaker
 granularity.  A class that keeps crashing workers is shed as a unit
@@ -21,9 +22,9 @@ while other classes keep flowing.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.apps import BigDFT, Specfem3D
@@ -112,7 +113,7 @@ def _validated(
     return out
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Scenario:
     """One named job type the service accepts.
 
@@ -162,7 +163,7 @@ def _check_shape(point: dict[str, Any]) -> None:
         )
 
 
-def _check_cores(point: dict[str, Any]) -> None:
+def _check_cluster(point: dict[str, Any]) -> None:
     # Block placement on Tibidabo: every rank needs a core of its own.
     capacity = point["num_nodes"] * TEGRA2_NODE.num_cores
     if not 1 <= point["cores"] <= capacity:
@@ -170,13 +171,31 @@ def _check_cores(point: dict[str, Any]) -> None:
             f"cluster scenario cores must be in [1, {capacity}] on "
             f"{point['num_nodes']} nodes, got {point['cores']}"
         )
+    accepted = sorted(
+        field.name
+        for field in dataclasses.fields(sweeps.APPS[point["app"]])
+        if field.init
+    )
+    unknown = sorted(set(point["app_args"]) - set(accepted))
+    if unknown:
+        raise InvalidJobRequest(
+            f"cluster scenario app_args keys must be among "
+            f"{', '.join(accepted)} for app {point['app']!r}, got "
+            f"{', '.join(repr(key) for key in unknown)}"
+        )
 
 
-def _check_fragmentation(point: dict[str, Any]) -> None:
+def _check_page_alloc(point: dict[str, Any]) -> None:
     if not 0 <= point["fragmentation"] <= 1:
         raise InvalidJobRequest(
             f"scenario 'page-alloc' fragmentation must be in [0, 1], "
             f"got {point['fragmentation']}"
+        )
+    # The worker measures 32-bit elements (MemBenchConfig's default).
+    if point["array_bytes"] < 4:
+        raise InvalidJobRequest(
+            f"scenario 'page-alloc' array_bytes must be >= 4 (one 32-bit "
+            f"element), got {point['array_bytes']}"
         )
     # The batch sweep passes floats; an integral submission must land
     # on the same cache entry.
@@ -281,11 +300,11 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario("chaos-squares", "chaos", sweeps.CHAOS_SQUARES, chaos_point),
         Scenario(
             "cluster-elapsed", "cluster",
-            sweeps.CLUSTER_ELAPSED, sweeps.cluster_time_point, _check_cores,
+            sweeps.CLUSTER_ELAPSED, sweeps.cluster_time_point, _check_cluster,
         ),
         Scenario(
             "cluster-energy", "cluster",
-            sweeps.CLUSTER_ENERGY, sweeps.cluster_energy_point, _check_cores,
+            sweeps.CLUSTER_ENERGY, sweeps.cluster_energy_point, _check_cluster,
         ),
         Scenario(
             "magicfilter", "kernels",
@@ -293,7 +312,7 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "page-alloc", "memsim",
-            sweeps.PAGE_ALLOC, sweeps.page_alloc_point, _check_fragmentation,
+            sweeps.PAGE_ALLOC, sweeps.page_alloc_point, _check_page_alloc,
         ),
         Scenario(
             "trace-analysis", "tracing",

@@ -47,7 +47,7 @@ from repro.tracing.graph import (
     critical_path,
 )
 from repro.tracing.paraver import export_pcf, export_prv, export_row, parse_prv
-from repro.tracing.recorder import NullTracer, TraceRecorder
+from repro.tracing.recorder import TraceRecorder
 from repro.tracing.stream import (
     StreamConfig,
     StreamResult,
@@ -71,7 +71,6 @@ __all__ = [
     "EfficiencyReport",
     "FaultRecord",
     "HappensBeforeGraph",
-    "NullTracer",
     "PathSegment",
     "ResilienceReport",
     "StateEvent",

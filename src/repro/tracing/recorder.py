@@ -6,12 +6,6 @@ message records which :mod:`repro.tracing.paraver` can export,
 :mod:`repro.tracing.chrome` can render for Perfetto, and
 :mod:`repro.tracing.analysis` / :mod:`repro.tracing.graph` /
 :mod:`repro.tracing.waitstates` can mine.
-
-:class:`NullTracer` is the cheap no-op stand-in with *full API parity*:
-every recording method discards its input and every query answers as an
-empty trace would, so code written against :class:`TraceRecorder` runs
-unchanged (``tests/tracing/test_parity.py`` introspects both classes to
-keep them from drifting).
 """
 
 from __future__ import annotations
@@ -22,100 +16,13 @@ from repro.errors import TraceError
 from repro.tracing.events import CommEvent, FaultRecord, StateEvent
 
 
-class NullTracer:
-    """A tracer that records nothing (baseline / overhead tests).
-
-    API-compatible with :class:`TraceRecorder`: recording methods are
-    no-ops and queries behave as on an empty trace.
-    """
-
-    @property
-    def states(self) -> list[StateEvent]:
-        """Always empty."""
-        return []
-
-    @property
-    def comms(self) -> list[CommEvent]:
-        """Always empty."""
-        return []
-
-    @property
-    def faults(self) -> list[FaultRecord]:
-        """Always empty."""
-        return []
-
-    def state(
-        self,
-        rank: int,
-        label: str,
-        t0: float,
-        t1: float,
-        *,
-        kind: str = "state",
-        cause: int = -1,
-    ) -> None:
-        """Discard a state interval."""
-
-    def comm(self, message: Any) -> None:
-        """Discard a message record."""
-
-    def fault(self, kind: str, time_s: float, target: str, **detail: Any) -> None:
-        """Discard a fault record."""
-
-    @property
-    def sink(self) -> Any:
-        """A null tracer never forwards anywhere."""
-        return None
-
-    @property
-    def num_ranks(self) -> int:
-        """An empty trace has no ranks."""
-        return 0
-
-    @property
-    def end_time(self) -> float:
-        """An empty trace ends at time zero."""
-        return 0.0
-
-    def states_of(self, rank: int, label: str | None = None) -> list[StateEvent]:
-        """Always empty."""
-        return []
-
-    def comms_labelled(self, label: str) -> list[CommEvent]:
-        """Always empty."""
-        return []
-
-    def faults_of(self, kind: str) -> list[FaultRecord]:
-        """Always empty."""
-        return []
-
-    def time_in_state(self, rank: int, label: str) -> float:
-        """Always zero."""
-        return 0.0
-
-    def check_sanity(self) -> None:
-        """An empty trace is always sane."""
-
-
 class TraceRecorder:
-    """Accumulates the full event history of one MPI job.
+    """Accumulates the full event history of one MPI job."""
 
-    An optional *sink* (anything with the tracer interface — notably
-    :class:`repro.tracing.stream.TraceStreamAnalyzer`) receives every
-    recording call as it happens, so a run can be analyzed
-    incrementally while still materializing the full trace.
-    """
-
-    def __init__(self, sink: Any = None) -> None:
+    def __init__(self) -> None:
         self.states: list[StateEvent] = []
         self.comms: list[CommEvent] = []
         self.faults: list[FaultRecord] = []
-        self._sink = sink
-
-    @property
-    def sink(self) -> Any:
-        """The tracer every recording call is forwarded to (or None)."""
-        return self._sink
 
     # -- MpiJob-facing interface -------------------------------------------
 
@@ -134,8 +41,6 @@ class TraceRecorder:
         self.states.append(
             StateEvent(rank=rank, label=label, t0=t0, t1=t1, kind=kind, cause=cause)
         )
-        if self._sink is not None:
-            self._sink.state(rank, label, t0, t1, kind=kind, cause=cause)
 
     def comm(self, message: Any) -> None:
         """Record one message (anything with the Message fields)."""
@@ -151,8 +56,6 @@ class TraceRecorder:
                 seq=getattr(message, "seq", -1),
             )
         )
-        if self._sink is not None:
-            self._sink.comm(message)
 
     def fault(self, kind: str, time_s: float, target: str, **detail: Any) -> None:
         """Record one fault-layer event (injection/detection/recovery).
@@ -167,8 +70,6 @@ class TraceRecorder:
         self.faults.append(
             FaultRecord(kind=kind, time_s=time_s, target=target, detail=items)
         )
-        if self._sink is not None:
-            self._sink.fault(kind, time_s, target, **detail)
 
     # -- queries -----------------------------------------------------------
 

@@ -5,9 +5,8 @@ The batch pipeline (:mod:`repro.tracing.graph` +
 answers anything — fine for 36 ranks, not for thousand-rank ×
 fault-injected runs.  This module analyzes the trace *while it is being
 produced*: :class:`TraceStreamAnalyzer` implements the tracer interface
-(``state`` / ``comm`` / ``fault``), so a simulation can drive it
-directly, or a :class:`~repro.tracing.recorder.TraceRecorder` can tee
-into it via its ``sink``.
+(``state`` / ``comm`` / ``fault``), so a simulation drives it
+directly in place of a :class:`~repro.tracing.recorder.TraceRecorder`.
 
 Memory model
 ------------
@@ -714,10 +713,9 @@ class _StreamingView(TimelineView):
 class TraceStreamAnalyzer:
     """Incremental trace analysis behind the tracer interface.
 
-    Drive it directly (``MpiJob(..., tracer=analyzer)``), or tee a
-    recorder into it (``TraceRecorder(sink=analyzer)``); then call
-    :meth:`finalize` for the exact analysis and :meth:`close` to drop
-    the spill log.
+    Drive it as the tracer (``MpiJob(..., tracer=analyzer)``); then
+    call :meth:`finalize` for the exact analysis and :meth:`close` to
+    drop the spill log.
     """
 
     def __init__(

@@ -1,15 +1,9 @@
-"""Tests for repro.core.artifacts (CSV / JSON export)."""
+"""Tests for repro.core.artifacts (JSON export)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.artifacts import (
-    curve_from_csv,
-    curve_to_csv,
-    measurements_from_json,
-    measurements_to_csv,
-    measurements_to_json,
-)
+from repro.core.artifacts import measurements_from_json, measurements_to_json
 from repro.core.measurement import MeasurementSet
 from repro.errors import ConfigurationError
 
@@ -20,23 +14,6 @@ def _sample_set() -> MeasurementSet:
     results.record("bandwidth", 0.9e9, array_bytes=2048, stride=1)
     results.record("latency", 42.0, array_bytes=1024)
     return results
-
-
-class TestCsvExport:
-    def test_header_includes_all_factors(self):
-        text = measurements_to_csv(_sample_set())
-        header = text.splitlines()[0]
-        assert header == "sequence,metric,value,array_bytes,stride"
-
-    def test_rows_match_samples(self):
-        lines = measurements_to_csv(_sample_set()).splitlines()
-        assert len(lines) == 4
-        assert lines[1].startswith("0,bandwidth,")
-        assert lines[3].endswith(",1024,")  # latency sample has no stride
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ConfigurationError):
-            measurements_to_csv(MeasurementSet())
 
 
 class TestJsonRoundtrip:
@@ -71,26 +48,3 @@ class TestJsonRoundtrip:
             original.record(metric, value, size=factor)
         back = measurements_from_json(measurements_to_json(original))
         assert [s.value for s in back] == [s.value for s in original]
-
-
-class TestCurveCsv:
-    def test_roundtrip(self):
-        points = [(1, 1.0), (2, 2.5), (100, 82.5)]
-        back = curve_from_csv(curve_to_csv(points, x_label="cores",
-                                           y_label="speedup"))
-        assert [float(x) for x, _ in back] == [1.0, 2.0, 100.0]
-        assert [y for _, y in back] == [1.0, 2.5, 82.5]
-
-    def test_labels_in_header(self):
-        text = curve_to_csv([(1, 2.0)], x_label="cores", y_label="speedup")
-        assert text.splitlines()[0] == "cores,speedup"
-
-    def test_empty_curve_rejected(self):
-        with pytest.raises(ConfigurationError):
-            curve_to_csv([])
-
-    def test_malformed_rows_rejected(self):
-        with pytest.raises(ConfigurationError):
-            curve_from_csv("x,y\n")
-        with pytest.raises(ConfigurationError):
-            curve_from_csv("x,y\n1,2,3\n")

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.experiment import Experiment, ExperimentPlan, Factor
+from repro.core.experiment import ExperimentPlan, Factor
 from repro.errors import ConfigurationError
 
 
@@ -93,26 +93,3 @@ class TestExperimentPlan:
         for trial in plan:
             counts[trial.factors["a"]] = counts.get(trial.factors["a"], 0) + 1
         assert counts == {level: reps for level in range(n_levels)}
-
-
-class TestExperiment:
-    def test_scalar_measure_recorded_under_metric(self):
-        plan = ExperimentPlan([Factor("n", [1, 2])], replicates=2, seed=0)
-        exp = Experiment(plan=plan, measure=lambda f: f["n"] * 10.0, metric="score")
-        results = exp.run()
-        assert sorted(results.values("score")) == [10.0, 10.0, 20.0, 20.0]
-
-    def test_mapping_measure_records_all_metrics(self):
-        plan = ExperimentPlan([Factor("n", [3])])
-        exp = Experiment(
-            plan=plan,
-            measure=lambda f: {"cycles": 100.0, "accesses": 7.0},
-        )
-        results = exp.run()
-        assert results.values("cycles") == [100.0]
-        assert results.values("accesses") == [7.0]
-
-    def test_factors_attached_to_samples(self):
-        plan = ExperimentPlan([Factor("n", [5])])
-        results = Experiment(plan=plan, measure=lambda f: 1.0).run()
-        assert results[0].factor("n") == 5

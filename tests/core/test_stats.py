@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from repro.core.stats import (
     bootstrap_ci,
     compare_replicates,
-    confidence_interval,
     detect_modes,
     exponential_fit,
     geometric_mean,
@@ -60,22 +59,6 @@ class TestSummarize:
     def test_min_le_median_le_max(self, values):
         stats = summarize(values)
         assert stats.minimum <= stats.median <= stats.maximum
-
-
-class TestConfidenceInterval:
-    def test_interval_contains_mean(self):
-        lo, hi = confidence_interval([10.0, 11.0, 9.0, 10.5, 9.5])
-        assert lo < 10.0 < hi
-
-    def test_wider_confidence_wider_interval(self):
-        data = [10.0, 12.0, 8.0, 11.0, 9.0]
-        lo95, hi95 = confidence_interval(data, 0.95)
-        lo99, hi99 = confidence_interval(data, 0.99)
-        assert hi99 - lo99 > hi95 - lo95
-
-    def test_invalid_confidence_rejected(self):
-        with pytest.raises(ConfigurationError):
-            confidence_interval([1.0, 2.0], confidence=1.5)
 
 
 class TestDetectModes:
@@ -216,8 +199,8 @@ class TestEdgeCaseContract:
     is an explicit, pinned contract — not an accident of the math."""
 
     def test_n0_always_raises(self):
-        for fn in (summarize, confidence_interval, geometric_mean,
-                   bootstrap_ci, summarize_replicates):
+        for fn in (summarize, geometric_mean, bootstrap_ci,
+                   summarize_replicates):
             with pytest.raises(ConfigurationError):
                 fn([])
 
@@ -227,9 +210,6 @@ class TestEdgeCaseContract:
         assert stats.mean == stats.median == stats.minimum == stats.maximum == 42.0
         assert stats.std == 0.0 and stats.cv == 0.0
 
-    def test_n1_confidence_interval_collapses_to_the_value(self):
-        assert confidence_interval([42.0]) == (42.0, 42.0)
-
     def test_n1_bootstrap_ci_collapses_to_the_value(self):
         assert bootstrap_ci([42.0], resamples=99) == (42.0, 42.0)
 
@@ -238,7 +218,6 @@ class TestEdgeCaseContract:
 
     def test_constant_series_yield_degenerate_intervals(self):
         data = [3.5] * 7
-        assert confidence_interval(data) == (3.5, 3.5)
         assert bootstrap_ci(data, resamples=99) == (3.5, 3.5)
         summary = summarize_replicates(data, resamples=99)
         assert summary.ci_low == summary.ci_high == 3.5

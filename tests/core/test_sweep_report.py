@@ -1,46 +1,9 @@
-"""Tests for repro.core.sweep and repro.core.report."""
+"""Tests for repro.core.report."""
 
 import pytest
 
-from repro.core.report import Table, render_grouped_series, render_series, render_table
-from repro.core.sweep import ParameterSweep
+from repro.core.report import Table, render_series, render_table
 from repro.errors import ConfigurationError
-
-
-class TestParameterSweep:
-    def test_sweep_runs_all_levels(self):
-        sweep = ParameterSweep({"n": [1, 2, 4]}, replicates=2, seed=3)
-        results = sweep.run(lambda f: float(f["n"]), metric="v")
-        assert len(results) == 6
-        assert sorted(set(results.values("v"))) == [1.0, 2.0, 4.0]
-
-    def test_empty_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParameterSweep({})
-
-    def test_curve_aggregates_replicates_with_mean(self):
-        sweep = ParameterSweep({"n": [1, 2]}, replicates=3, seed=1)
-        calls = {"count": 0}
-
-        def measure(f):
-            calls["count"] += 1
-            return f["n"] + (calls["count"] % 3) * 0.0  # deterministic
-        results = sweep.run(measure)
-        curve = ParameterSweep.curve(results, "n")
-        assert curve == [(1, 1.0), (2, 2.0)]
-
-    def test_curve_custom_aggregate(self):
-        sweep = ParameterSweep({"n": [1]}, replicates=3, seed=1)
-        values = iter([1.0, 5.0, 3.0])
-        results = sweep.run(lambda f: next(values))
-        curve = ParameterSweep.curve(results, "n", aggregate=max)
-        assert curve == [(1, 5.0)]
-
-    def test_curve_sorted_by_x(self):
-        sweep = ParameterSweep({"n": [4, 1, 2]}, seed=9)
-        results = sweep.run(lambda f: float(f["n"]))
-        xs = [x for x, _ in ParameterSweep.curve(results, "n")]
-        assert xs == sorted(xs)
 
 
 class TestRenderTable:
@@ -87,9 +50,3 @@ class TestRenderSeries:
     def test_narrow_width_rejected(self):
         with pytest.raises(ConfigurationError):
             render_series("S", [(1, 1.0)], width=2)
-
-    def test_grouped_series_contains_all_groups(self):
-        text = render_grouped_series(
-            "G", {"a": [(1, 1.0)], "b": [(1, 2.0)]}
-        )
-        assert "[a]" in text and "[b]" in text

@@ -182,49 +182,3 @@ class TestManifests:
         warm = ExperimentEngine(cache=cache).run(_spec(n=2))
         assert all(p.wall_seconds == 0.0 for p in warm.manifest.points)
         assert warm.manifest.busy_seconds == 0.0
-
-
-class TestSearchDiskCache:
-    def test_second_search_skips_the_objective(self, tmp_path):
-        from repro.autotune import ExhaustiveSearch
-        from repro.autotune.space import ParameterSpace
-
-        cache = ResultCache(tmp_path / "cache")
-        space = ParameterSpace({"x": range(5)})
-        calls = {"n": 0}
-
-        def objective(point):
-            calls["n"] += 1
-            return float((point["x"] - 2) ** 2)
-
-        first = ExhaustiveSearch()
-        first.attach_cache(cache, {"objective": "parabola"})
-        result_a = first.minimize(objective, space)
-        assert calls["n"] == 5
-
-        second = ExhaustiveSearch()
-        second.attach_cache(cache, {"objective": "parabola"})
-        result_b = second.minimize(objective, space)
-        assert calls["n"] == 5                     # zero new objective calls
-        assert result_b.best_point == result_a.best_point
-        assert result_b.best_value == result_a.best_value
-        # disk hits still count as evaluations seen by this search
-        assert result_b.evaluations == 5
-
-    def test_different_search_key_does_not_share_values(self, tmp_path):
-        from repro.autotune import ExhaustiveSearch
-        from repro.autotune.space import ParameterSpace
-
-        cache = ResultCache(tmp_path / "cache")
-        space = ParameterSpace({"x": range(3)})
-        calls = {"n": 0}
-
-        def objective(point):
-            calls["n"] += 1
-            return float(point["x"])
-
-        for key in ({"seed": 1}, {"seed": 2}):
-            strategy = ExhaustiveSearch()
-            strategy.attach_cache(cache, key)
-            strategy.minimize(objective, space)
-        assert calls["n"] == 6

@@ -1,14 +1,8 @@
-"""Tests for repro.kernels.counters and repro.kernels.codegen."""
+"""Tests for repro.kernels.counters."""
 
 import pytest
 
-from repro.arch.machines import SNOWBALL_A9500, TEGRA2_NODE, XEON_X5550
 from repro.errors import ConfigurationError
-from repro.kernels.codegen import (
-    LoopKernel,
-    allocate_registers,
-    schedule_loop,
-)
 from repro.kernels.counters import SUPPORTED_EVENTS, CounterSet
 
 
@@ -54,71 +48,3 @@ class TestCounterSet:
         for event in SUPPORTED_EVENTS:
             counters.record(event, 1.0)
         assert len(counters.collected()) == len(SUPPORTED_EVENTS)
-
-
-def _kernel(**overrides) -> LoopKernel:
-    defaults = dict(
-        name="conv",
-        loads_per_element=16.0,
-        stores_per_element=1.0,
-        chain_ops_per_element=32.0,
-        independent_ops_per_element=0.0,
-        element_bits=64,
-        live_per_unroll=2.0,
-        invariant_registers=8,
-        address_registers=3,
-        loop_overhead_instructions=4.0,
-    )
-    defaults.update(overrides)
-    return LoopKernel(**defaults)
-
-
-class TestAllocateRegisters:
-    def test_small_unroll_fits_tegra2(self):
-        pressure = allocate_registers(TEGRA2_NODE.core, _kernel(), 2)
-        assert not pressure.spills
-        assert pressure.invariants_resident
-
-    def test_deep_unroll_spills_tegra2(self):
-        pressure = allocate_registers(TEGRA2_NODE.core, _kernel(), 12)
-        assert pressure.spills
-
-    def test_nehalem_larger_capacity(self):
-        tegra = allocate_registers(TEGRA2_NODE.core, _kernel(), 8)
-        xeon = allocate_registers(XEON_X5550.core, _kernel(), 8)
-        assert xeon.capacity > tegra.capacity
-        assert xeon.spilled_values <= tegra.spilled_values
-
-    def test_invalid_unroll_rejected(self):
-        with pytest.raises(ConfigurationError):
-            allocate_registers(TEGRA2_NODE.core, _kernel(), 0)
-
-
-class TestScheduleLoop:
-    def test_unrolling_amortizes_overhead(self):
-        u1 = schedule_loop(XEON_X5550.core, _kernel(), 1)
-        u4 = schedule_loop(XEON_X5550.core, _kernel(), 4)
-        assert u4.cycles_per_element < u1.cycles_per_element
-
-    def test_spills_add_accesses(self):
-        shallow = schedule_loop(TEGRA2_NODE.core, _kernel(), 4)
-        deep = schedule_loop(TEGRA2_NODE.core, _kernel(), 12)
-        assert deep.cache_accesses_per_element > 0
-        assert deep.pressure.spilled_values > shallow.pressure.spilled_values
-
-    def test_slow_fpu_pays_more_per_chain_op(self):
-        xeon = schedule_loop(XEON_X5550.core, _kernel(), 6)
-        tegra = schedule_loop(TEGRA2_NODE.core, _kernel(), 6)
-        assert tegra.cycles_per_element > xeon.cycles_per_element
-
-    def test_negative_kernel_parameter_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _kernel(loads_per_element=-1.0)
-
-    def test_snowball_dp_uses_vfp_not_neon(self):
-        """Scheduling a double-precision chain on the A9500 must not
-        claim NEON throughput (NEON is SP-only)."""
-        scheduled = schedule_loop(SNOWBALL_A9500.core, _kernel(), 4)
-        # At 0.5 flops/cycle, 32 chain flops cost >= 64 cycles even
-        # with perfect latency hiding.
-        assert scheduled.cycles_per_element >= 32.0 / 0.5 * 0.9

@@ -1,9 +1,9 @@
-"""Significance-aware drift gate (ISSUE satellite).
+"""Significance-aware drift gate.
 
-The point of ``diff-metrics --significance``: a mean that wiggles
-within run-to-run noise must NOT trip the CI gate (the plain
-threshold gate would), while a genuine shift — replicate
-distributions that barely overlap — must.
+The point of ``repro compare``: a mean that wiggles within run-to-run
+noise must NOT trip the CI gate (the plain ``diff-metrics`` threshold
+gate would), while a genuine shift — replicate distributions that
+barely overlap — must.
 """
 
 import json
@@ -116,13 +116,13 @@ class TestCliGate:
     def test_within_noise_drift_passes_the_gate(self, tmp_path, capsys):
         a = self.write(tmp_path, "a.json", summary_doc(BASE))
         b = self.write(tmp_path, "b.json", summary_doc(NOISY))
-        assert main(["diff-metrics", "--significance", a, b]) == 0
+        assert main(["compare", a, b]) == 0
         assert "no significant differences" in capsys.readouterr().out
 
     def test_real_drift_trips_the_gate(self, tmp_path, capsys):
         a = self.write(tmp_path, "a.json", summary_doc(BASE))
         b = self.write(tmp_path, "b.json", summary_doc(SHIFTED))
-        assert main(["diff-metrics", "--significance", a, b]) == 1
+        assert main(["compare", a, b]) == 1
         assert "significant difference" in capsys.readouterr().out
 
     def test_compare_command_reports_the_same_verdicts(

@@ -87,41 +87,51 @@ class TestValidation:
 
 
 class TestRangeChecks:
-    """A submission is refused exactly when its worker would raise
-    ConfigurationError, so a range error is a 400 at submission and
-    never a failed job."""
+    """A submission is refused exactly when its worker would raise, so a
+    range error is a 400 at submission and never a failed job."""
 
-    @pytest.mark.parametrize("name, params, valid", [
-        ("magicfilter", {"machine": SNOWBALL, "unroll": 2, "shape": [1, 1, 1]}, True),
-        ("magicfilter", {"machine": SNOWBALL, "unroll": 2, "shape": [0, 0, 0]}, False),
-        ("magicfilter", {"machine": SNOWBALL, "unroll": 2, "shape": [8, -1, 8]}, False),
-        ("cluster-elapsed", {"app": "linpack", "cores": 4, "num_nodes": 2}, True),
-        ("cluster-elapsed", {"app": "linpack", "cores": 5, "num_nodes": 2}, False),
-        ("cluster-elapsed", {"app": "linpack", "cores": 0}, False),
-        ("cluster-energy", {"app": "linpack", "cores": 1, "num_nodes": 1}, True),
-        ("cluster-energy", {"app": "linpack", "cores": 0}, False),
-        ("cluster-energy", {"app": "linpack", "cores": 1, "num_nodes": 0}, False),
-        ("page-alloc", {"machine": SNOWBALL, "fragmentation": 1, "array_bytes": 1 << 16}, True),
-        ("page-alloc", {"machine": SNOWBALL, "fragmentation": 1.5, "array_bytes": 1 << 16}, False),
-        ("page-alloc", {"machine": SNOWBALL, "fragmentation": -0.25, "array_bytes": 1 << 16}, False),
+    @pytest.mark.parametrize("name, params, worker_error", [
+        ("magicfilter", {"machine": SNOWBALL, "unroll": 2, "shape": [1, 1, 1]}, None),
+        ("magicfilter", {"machine": SNOWBALL, "unroll": 2, "shape": [0, 0, 0]}, ConfigurationError),
+        ("magicfilter", {"machine": SNOWBALL, "unroll": 2, "shape": [8, -1, 8]}, ConfigurationError),
+        ("cluster-elapsed", {"app": "linpack", "cores": 4, "num_nodes": 2}, None),
+        ("cluster-elapsed", {"app": "linpack", "cores": 5, "num_nodes": 2}, ConfigurationError),
+        ("cluster-elapsed", {"app": "linpack", "cores": 0}, ConfigurationError),
+        ("cluster-energy", {"app": "linpack", "cores": 1, "num_nodes": 1}, None),
+        ("cluster-energy", {"app": "linpack", "cores": 0}, ConfigurationError),
+        ("cluster-energy", {"app": "linpack", "cores": 1, "num_nodes": 0}, ConfigurationError),
+        # The app_args each app takes in x4.
+        ("cluster-elapsed", {"app": "specfem3d", "app_args": {"timesteps": 10}, "cores": 4, "num_nodes": 2}, None),
+        ("cluster-energy", {"app": "bigdft", "app_args": {"scf_iterations": 4}, "cores": 4, "num_nodes": 2}, None),
+        ("cluster-elapsed", {"app": "linpack", "app_args": {"bogus": 1}, "cores": 4, "num_nodes": 4}, TypeError),
+        ("cluster-energy", {"app": "bigdft", "app_args": {"timesteps": 10}, "cores": 4, "num_nodes": 4}, TypeError),
+        ("page-alloc", {"machine": SNOWBALL, "fragmentation": 1, "array_bytes": 1 << 16}, None),
+        ("page-alloc", {"machine": SNOWBALL, "fragmentation": 1.5, "array_bytes": 1 << 16}, ConfigurationError),
+        ("page-alloc", {"machine": SNOWBALL, "fragmentation": -0.25, "array_bytes": 1 << 16}, ConfigurationError),
+        ("page-alloc", {"machine": SNOWBALL, "array_bytes": 4}, None),
+        ("page-alloc", {"machine": SNOWBALL, "array_bytes": 3}, ConfigurationError),
+        ("page-alloc", {"machine": SNOWBALL, "array_bytes": 0}, ConfigurationError),
     ], ids=[
         "unit-shape", "zero-shape", "negative-shape",
         "full-cluster", "cores-past-capacity", "elapsed-no-cores",
         "one-core", "energy-no-cores", "no-nodes",
+        "specfem-timesteps", "bigdft-scf-iterations",
+        "unknown-app-arg", "another-apps-arg",
         "full-fragmentation", "fragmentation-high", "fragmentation-low",
+        "one-element-array", "sub-element-array", "empty-array",
     ])
     def test_rejected_exactly_when_the_worker_would_fail(
-        self, name, params, valid
+        self, name, params, worker_error
     ):
         scenario = resolve_scenario(name)
         _, unchecked = dataclasses.replace(scenario, check=None).build(params)
-        if valid:
+        if worker_error is None:
             scenario.build(params)
             scenario.worker(unchecked)
         else:
             with pytest.raises(InvalidJobRequest, match="must be"):
                 scenario.build(params)
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(worker_error):
                 scenario.worker(unchecked)
 
     def test_integral_fragmentation_keys_like_the_float(self):

@@ -27,12 +27,17 @@ from repro.tracing.stream import (
 
 
 def _tee(config=None, *, num_ranks=6, rounds=30, seed=11, registry=None):
-    """Feed one synthetic trace to batch and stream simultaneously."""
+    """Feed one seeded synthetic trace to a recorder and to the analyzer.
+
+    The trace is a pure function of its seed, so the two runs see the
+    same events in the same order.
+    """
+    recorder = TraceRecorder()
     analyzer = TraceStreamAnalyzer(config, registry=registry)
-    recorder = TraceRecorder(sink=analyzer)
-    build_synthetic_trace(
-        recorder, num_ranks=num_ranks, rounds=rounds, seed=seed
-    )
+    for tracer in (recorder, analyzer):
+        build_synthetic_trace(
+            tracer, num_ranks=num_ranks, rounds=rounds, seed=seed
+        )
     return recorder, analyzer
 
 

@@ -7,7 +7,7 @@ from repro.errors import TraceError
 from repro.tracing.analysis import analyze_collectives
 from repro.tracing.events import CommEvent, StateEvent
 from repro.tracing.paraver import export_pcf, export_prv, export_row, parse_prv
-from repro.tracing.recorder import NullTracer, TraceRecorder
+from repro.tracing.recorder import TraceRecorder
 
 
 class TestEvents:
@@ -50,11 +50,6 @@ def _traced_job(num_ranks=8, nodes=8, seed=1):
 
 
 class TestRecorder:
-    def test_null_tracer_accepts_everything(self):
-        tracer = NullTracer()
-        tracer.state(0, "x", 0.0, 1.0)
-        tracer.comm(object())
-
     def test_records_states_and_comms(self):
         recorder = _traced_job()
         assert recorder.num_ranks == 8
