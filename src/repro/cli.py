@@ -596,12 +596,21 @@ def _trace_report(args) -> list[Path]:
     from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
 
     stream = getattr(args, "stream", False)
+    frontier = getattr(args, "frontier", None)
     if stream and getattr(args, "chrome_out", None):
         raise ReproError(
             "--chrome-out needs the materialized trace and cannot be "
             "combined with --stream (the bounded frontier never holds "
             "the whole timeline); drop one of the flags"
         )
+    if frontier is not None and not stream:
+        raise ReproError(
+            "--frontier bounds the streaming analyzer and has no effect "
+            "without --stream (the batch report holds the whole trace); "
+            "add --stream or drop --frontier"
+        )
+    if frontier is not None and frontier < 1:
+        raise ReproError(f"--frontier must be at least 1, got {frontier}")
     # The job runs under its own registry (MpiJob captures the ambient
     # registry at construction), then folds into the process-wide one
     # so --metrics-out still sees this run.
@@ -610,9 +619,8 @@ def _trace_report(args) -> list[Path]:
     try:
         if stream:
             analyzer = TraceStreamAnalyzer(
-                StreamConfig(
-                    frontier_limit=getattr(args, "frontier", None) or 8192,
-                ),
+                StreamConfig() if frontier is None
+                else StreamConfig(frontier_limit=frontier),
                 registry=registry,
             )
         return _run_trace_report(args, registry, analyzer)
@@ -770,6 +778,7 @@ def _bundle_trace_report(args, artefact_dir: Path) -> str:
         # skips it unless a path asks for it).
         local.chrome_out = str(artefact_dir / "trace.chrome.json")
         local.stream = False
+        local.frontier = None
         buffer = io.StringIO()
         with redirect_stdout(buffer):
             written = _trace_report(local)
@@ -1178,8 +1187,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "incompatible with --stream)")
     parser.add_argument("--frontier", type=int, default=None, metavar="N",
                         help="trace-report --stream: in-memory event "
-                             "frontier limit before spilling to disk "
-                             "(default 8192)")
+                             "frontier limit before spilling to disk, at "
+                             "least 1 (default 8192); the live count can "
+                             "exceed it by up to one buffered segment of "
+                             "1024 receive waits")
     parser.add_argument("--threshold", default="5%",
                         help="diff-metrics drift threshold, e.g. 5%% or "
                              "0.05 (default 5%%)")

@@ -87,10 +87,15 @@ class CommEvent:
         MpiRank tags collective messages ``(kind, seq, round)``; the
         first two components identify the instance across ranks.
         """
-        tag = self.tag
-        if isinstance(tag, tuple) and len(tag) >= 2 and isinstance(tag[0], str):
-            return (tag[0], tag[1])
-        return None
+        return collective_instance(self.tag)
+
+
+def collective_instance(tag: Hashable) -> tuple | None:
+    """The collective instance ``(kind, seq)`` a message *tag* names,
+    or None (see :attr:`CommEvent.collective_instance`)."""
+    if isinstance(tag, tuple) and len(tag) >= 2 and isinstance(tag[0], str):
+        return (tag[0], tag[1])
+    return None
 
 
 @dataclass(frozen=True)

@@ -11,21 +11,26 @@ directly in place of a :class:`~repro.tracing.recorder.TraceRecorder`.
 Memory model
 ------------
 
-Full event records live in a bounded **frontier**: per-rank state
-series plus one global message series, each a sorted array in the same
-total order the batch store uses — ``(t1, t0, record position)`` for
-states, ``(seq, record position)`` for messages.  When the live count
-exceeds ``frontier_limit``, the oldest events of the largest series
-are retired to an append-only **spill log** in segments of
-``segment_events``.  Each segment is one frame of typed columns
-(packed float64/int64 arrays, a per-frame string table, JSON only for
-message tags) behind a sha256 digest of the exact bytes written; a
-small LRU cache decodes retired segments back on demand.  Receive
-waits additionally ride an append-only wait log so the final
-classification replays them in exact record order.  What never spills
-is scalar state only: per-label latency arrays (for the baseline
-medians), per-rank useful-compute sums, collective entry/exit extrema,
-and the distinct-message-id set.
+Events live in a bounded **frontier** as plain row tuples, one per
+event: per-rank state series plus one global message series, each a
+sorted array in the same total order the batch store uses.  A row's
+leading fields are its sort key — ``(t1, t0, record position)`` for
+states, ``(seq, record position)`` for messages — so rows sort and
+bisect as their keys.  The public :class:`StateEvent` /
+:class:`CommEvent` is built only when a cursor or a message lookup
+reads it.  When the live count exceeds ``frontier_limit``, the oldest
+rows of the largest series are retired to an append-only **spill
+log** in segments of ``segment_events``.  Each segment is one frame of
+typed columns (packed float64/int64 arrays, a per-frame string table,
+JSON only for message tags) behind a sha256 digest of the exact bytes
+written; a small LRU cache decodes retired segments back on demand.
+Receive waits additionally ride an append-only wait log so the final
+classification replays them in exact record order.  A ``seq`` index
+finds each stamped message in one step: it maps the stamp to the
+last-recorded message's row while that row is in memory, and to its
+segment's number once it spilled.  What never spills is that index and
+scalar state: per-label latency arrays (for the baseline medians),
+per-rank useful-compute sums and collective entry/exit extrema.
 
 Because both stores present events in the identical total order and
 the arithmetic lives in :mod:`repro.tracing.attribution`, the final
@@ -44,11 +49,10 @@ import statistics
 import struct
 import tempfile
 from array import array
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial
-from operator import attrgetter, itemgetter
+from itertools import chain, starmap
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -62,7 +66,12 @@ from repro.tracing.attribution import (
     WaitClassifier,
     extract_critical_path,
 )
-from repro.tracing.events import CommEvent, StateEvent
+from repro.tracing.events import (
+    STATE_KINDS,
+    CommEvent,
+    StateEvent,
+    collective_instance,
+)
 from repro.tracing.waitstates import (
     DEFAULT_CONTENTION_FACTOR,
     EfficiencyReport,
@@ -126,15 +135,21 @@ _HEADER = struct.Struct("<HBqI")
 _STRINGS = struct.Struct("<I")
 _COLUMN = struct.Struct("<cI")
 _TYPED = {b"d": float, b"q": int, b"s": str}
+_JSON_SCALARS = (str, int, float, bool, type(None))
+_JSON_SCALAR_TYPES = frozenset(_JSON_SCALARS)
 
 
 def _encode_tag(tag: Any) -> Any:
     """Frame a JSON-column value: tuples become lists, scalars of the
     JSON types pass through by exact type (no subclass coercion)."""
-    if tag is None or type(tag) in (str, int, float, bool):
+    if type(tag) in _JSON_SCALARS:
         return tag
     if type(tag) is tuple:
-        return [_encode_tag(item) for item in tag]
+        # Scalars inline: a flat tag costs one call, not one per item.
+        return [
+            item if type(item) in _JSON_SCALARS else _encode_tag(item)
+            for item in tag
+        ]
     raise TraceError(
         f"cannot spill {tag!r} of type {type(tag).__name__}; streaming "
         "analysis needs JSON-framable message tags and event fields "
@@ -143,9 +158,38 @@ def _encode_tag(tag: Any) -> Any:
 
 
 def _decode_tag(tag: Any) -> Any:
-    if isinstance(tag, list):
-        return tuple(_decode_tag(item) for item in tag)
+    if type(tag) is list:
+        return tuple([
+            _decode_tag(item) if type(item) is list else item
+            for item in tag
+        ])
     return tag
+
+
+def _framable(values: Sequence) -> bool:
+    """Whether :func:`_encode_tag` accepts every value, checked one
+    nesting level at a time with no call per value."""
+    while True:
+        types = {*map(type, values)}
+        if tuple not in types:
+            return types <= _JSON_SCALAR_TYPES
+        if not types - {tuple} <= _JSON_SCALAR_TYPES:
+            return False
+        if types != {tuple}:
+            values = [value for value in values if type(value) is tuple]
+        values = [*chain.from_iterable(values)]
+
+
+def _decode_json_column(values: list) -> list:
+    """A decoded JSON column with its arrays back as tuples."""
+    types = {*map(type, values)}
+    if list not in types:
+        return values
+    if types == {list} and list not in {
+        *map(type, chain.from_iterable(values))
+    }:
+        return [*map(tuple, values)]  # flat tags: the common case
+    return [_decode_tag(value) for value in values]
 
 
 def _encode_column(codec: bytes, values: Sequence, strings: dict) -> bytes:
@@ -162,9 +206,11 @@ def _encode_column(codec: bytes, values: Sequence, strings: dict) -> bytes:
         else:
             payload = packed.tobytes()
             return _COLUMN.pack(codec, len(payload)) + payload
-    payload = json.dumps(
-        [_encode_tag(value) for value in values], separators=(",", ":")
-    ).encode("utf-8")
+    if not _framable(values):
+        for value in values:
+            _encode_tag(value)  # raises, naming the first unframable value
+    # JSON writes a tuple as the array _encode_tag would make of it.
+    payload = json.dumps(values, separators=(",", ":")).encode("utf-8")
     return _COLUMN.pack(b"j", len(payload)) + payload
 
 
@@ -252,7 +298,7 @@ def decode_frame(data: bytes, *, kind: str, rank: int) -> list[list]:
             payload = body[at:at + length]
             at += length
             if codec == b"j":
-                column = [_decode_tag(v) for v in json.loads(bytes(payload))]
+                column = _decode_json_column(json.loads(bytes(payload)))
             elif codec == b"s":
                 column = list(map(strings.__getitem__, _unpack("q", payload)))
             else:
@@ -323,31 +369,28 @@ class SpillLog:
 
 @dataclass
 class _SegRef:
-    """One retired segment: where it lives and what key range it holds."""
+    """One retired segment: where it lives and how many rows it holds."""
 
     offset: int
     length: int
     count: int
-    min_key: tuple
-    max_key: tuple
 
 
 class _Segment:
-    """A decoded spill segment: its sort keys, and its events built
-    from their rows on first access (a cursor or lookup touches few)."""
+    """A decoded spill segment: its rows, and the events built from
+    them on first access (a cursor or lookup touches few)."""
 
-    __slots__ = ("keys", "_rows", "_events", "_make")
+    __slots__ = ("rows", "_events", "_build")
 
-    def __init__(self, keys: list[tuple], rows: list[tuple], make) -> None:
-        self.keys = keys
-        self._rows = rows
+    def __init__(self, rows: list[tuple], build: Callable) -> None:
+        self.rows = rows
         self._events: list = [None] * len(rows)
-        self._make = make
+        self._build = build
 
     def event(self, index: int):
         event = self._events[index]
         if event is None:
-            event = self._events[index] = self._make(*self._rows[index])
+            event = self._events[index] = self._build(self.rows[index])
         return event
 
 
@@ -357,24 +400,24 @@ class _SegmentCache:
     def __init__(self, log: SpillLog, capacity: int) -> None:
         self._log = log
         self._capacity = capacity
-        self._entries: OrderedDict[tuple, _Segment] = OrderedDict()
+        self._entries: OrderedDict[int, _Segment] = OrderedDict()
 
     def get(self, series: "_EventSeries", ref: _SegRef) -> _Segment:
-        key = (id(series), ref.offset)
-        entry = self._entries.get(key)
+        # Frames of every series share one log, so an offset names one.
+        entry = self._entries.get(ref.offset)
         if entry is not None:
-            self._entries.move_to_end(key)
+            self._entries.move_to_end(ref.offset)
             return entry
         columns = self._log.read(
             ref.offset, ref.length, kind=series.kind, rank=series.rank
         )
         entry = series.decode(columns)
-        if len(entry.keys) != ref.count:
+        if len(entry.rows) != ref.count:
             raise TraceError(
                 f"spill segment at offset {ref.offset} decoded to "
-                f"{len(entry.keys)} events, expected {ref.count}"
+                f"{len(entry.rows)} events, expected {ref.count}"
             )
-        self._entries[key] = entry
+        self._entries[ref.offset] = entry
         if len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
         return entry
@@ -405,25 +448,24 @@ class _SeriesCursor:
 
     def _select(self) -> None:
         series = self._series
-        source = None
-        best_key = None
+        # Frontier rows sort above every retired row, so the cursor
+        # leaves the frontier before it enters the segments; only
+        # stragglers interleave with either.
         if self._f >= 0:
-            source, best_key = "f", series.keys[self._f]
+            source, best = "f", series.rows[self._f]
+        elif self._w >= 0:
+            source, best = "g", self._seg.rows[self._w]
+        else:
+            source = best = None
         if self._s >= 0:
-            key = series.straggler_keys[self._s]
-            if best_key is None or key > best_key:
-                source, best_key = "s", key
-        if self._g >= 0 and self._w >= 0:
-            key = self._seg.keys[self._w]
-            if best_key is None or key > best_key:
-                source, best_key = "g", key
+            row = series.stragglers[self._s]
+            if best is None or row > best:
+                source, best = "s", row
         self._source = source
-        if source == "f":
-            self.state = series.events[self._f]
-        elif source == "s":
-            self.state = series.straggler_events[self._s]
-        elif source == "g":
+        if source == "g":
             self.state = self._seg.event(self._w)
+        elif source is not None:
+            self.state = series.build(best)
         else:
             self.state = None
 
@@ -438,7 +480,7 @@ class _SeriesCursor:
                 self._g -= 1
                 if self._g >= 0:
                     self._load_segment()
-                    self._w = len(self._seg.keys) - 1
+                    self._w = len(self._seg.rows) - 1
         self._select()
 
 
@@ -447,9 +489,12 @@ class _EventSeries:
     straggler overflow for keys below the spill watermark, and the
     ascending retired segments on disk.
 
-    The total order across all three tiers is exactly the batch
-    store's sort order, which is what makes cursors over a spilled
-    stream behave identically to cursors over the materialized one.
+    Every tier holds row tuples whose leading fields are the sort key
+    and whose key ends in a record position unique to the series, so
+    comparing two rows never looks past the key.  The total order
+    across all three tiers is exactly the batch store's sort order,
+    which is what makes cursors over a spilled stream behave
+    identically to cursors over the materialized one.
     """
 
     kind = "events"
@@ -457,146 +502,138 @@ class _EventSeries:
     def __init__(self, rank: int, cache: _SegmentCache) -> None:
         self.rank = rank
         self.cache = cache
-        self.keys: list[tuple] = []
-        self.events: list = []
-        self.straggler_keys: list[tuple] = []
-        self.straggler_events: list = []
+        self.rows: list[tuple] = []
+        self.stragglers: list[tuple] = []
         self.segments: list[_SegRef] = []
         self._segment_min_keys: list[tuple] = []
         self.watermark: tuple | None = None
         self.next_pos = 0
 
-    def encode(self, keys: list[tuple], events: list) -> list[list]:
-        """The frame columns of a segment (see :data:`_LAYOUTS`)."""
+    def encode(self, rows: list[tuple]) -> list[Sequence]:
+        """The frame columns of a segment of *rows* (see :data:`_LAYOUTS`)."""
         raise NotImplementedError
 
     def decode(self, columns: list[list]) -> _Segment:
         """A segment back from its frame columns."""
         raise NotImplementedError
 
-    def add(self, key: tuple, event) -> None:
-        if self.watermark is not None and key < self.watermark:
+    def build(self, row: tuple):
+        """The public event record a row stands for."""
+        raise NotImplementedError
+
+    def add(self, row: tuple) -> None:
+        if self.watermark is not None and row < self.watermark:
             # Arrived after its key range was already retired: keep it
             # in memory forever (stragglers are rare by construction —
             # recorders emit per-rank times almost in order).
-            index = bisect_right(self.straggler_keys, key)
-            self.straggler_keys.insert(index, key)
-            self.straggler_events.insert(index, event)
-            return
-        if self.keys and key < self.keys[-1]:
-            index = bisect_right(self.keys, key)
-            self.keys.insert(index, key)
-            self.events.insert(index, event)
+            insort(self.stragglers, row)
+        elif self.rows and row < self.rows[-1]:
+            insort(self.rows, row)
         else:
-            self.keys.append(key)
-            self.events.append(event)
+            self.rows.append(row)
 
     def spillable(self) -> int:
-        return len(self.keys)
-
-    @property
-    def live(self) -> int:
-        return len(self.keys) + len(self.straggler_keys)
+        return len(self.rows)
 
     def spill(self, log: SpillLog, count: int) -> int:
-        """Retire the oldest *count* frontier events to *log*."""
-        count = min(count, len(self.keys))
+        """Retire the oldest *count* frontier rows to *log*."""
+        count = min(count, len(self.rows))
         if count <= 0:
             return 0
-        offset, length = log.append(
-            self.kind, self.rank,
-            self.encode(self.keys[:count], self.events[:count]),
-        )
-        ref = _SegRef(offset, length, count, self.keys[0], self.keys[count - 1])
-        self.segments.append(ref)
-        self._segment_min_keys.append(ref.min_key)
-        self.watermark = ref.max_key
-        del self.keys[:count]
-        del self.events[:count]
+        retired = self.rows[:count]
+        offset, length = log.append(self.kind, self.rank, self.encode(retired))
+        self.segments.append(_SegRef(offset, length, count))
+        self._segment_min_keys.append(retired[0])
+        self.watermark = retired[-1]
+        del self.rows[:count]
+        self.retired(retired)
         return count
+
+    def retired(self, rows: list[tuple]) -> None:
+        """Called once *rows* live only in the newest segment."""
 
     def cursor_at(self, probe: tuple) -> _SeriesCursor:
         """Backward cursor at the last event with key ``<= probe``."""
-        f = bisect_right(self.keys, probe) - 1
-        s = bisect_right(self.straggler_keys, probe) - 1
+        f = bisect_right(self.rows, probe) - 1
+        s = bisect_right(self.stragglers, probe) - 1
         g = bisect_right(self._segment_min_keys, probe) - 1
         w = -1
         if g >= 0:
             segment = self.cache.get(self, self.segments[g])
-            w = bisect_right(segment.keys, probe) - 1
+            w = bisect_right(segment.rows, probe) - 1
         return _SeriesCursor(self, f, s, g, w)
 
 
-def _columns(fields: attrgetter, events: list) -> list[list]:
-    """Transpose (non-empty) *events* into one column per field."""
-    return [list(column) for column in zip(*map(fields, events))]
-
-
-_STATE_FIELDS = attrgetter("label", "t0", "t1", "kind", "cause")
-_WAIT_FIELDS = attrgetter("rank", "label", "t0", "t1", "kind", "cause")
-_COMM_FIELDS = attrgetter(
-    "src", "dst", "tag", "nbytes", "send_time", "arrival_time", "label", "seq"
-)
-
-
 class _StateSeries(_EventSeries):
-    """Per-rank state intervals keyed ``(t1, t0, record position)``."""
+    """Per-rank state intervals, one row
+    ``(t1, t0, record position, label, kind, cause)`` each."""
 
     kind = "states"
 
-    def encode(self, keys: list[tuple], events: list) -> list[list]:
-        positions = list(map(itemgetter(2), keys))
-        return [positions] + _columns(_STATE_FIELDS, events)
+    def encode(self, rows: list[tuple]) -> list[Sequence]:
+        t1s, t0s, positions, labels, kinds, causes = zip(*rows)
+        return [positions, labels, t0s, t1s, kinds, causes]
 
     def decode(self, columns: list[list]) -> _Segment:
-        pos, labels, t0s, t1s, kinds, causes = columns
+        positions, labels, t0s, t1s, kinds, causes = columns
         return _Segment(
-            list(zip(t1s, t0s, pos)),
-            list(zip(labels, t0s, t1s, kinds, causes)),
-            partial(StateEvent, self.rank),
+            list(zip(t1s, t0s, positions, labels, kinds, causes)), self.build
         )
+
+    def build(self, row: tuple) -> StateEvent:
+        t1, t0, _, label, kind, cause = row
+        return StateEvent(self.rank, label, t0, t1, kind, cause)
 
 
 class _CommSeries(_EventSeries):
-    """All stamped messages, keyed ``(seq, record position)`` so
-    duplicate stamps resolve to the last-recorded message — the batch
-    dict's overwrite semantics."""
+    """All stamped messages, one row
+    ``(seq, record position, src, dst, tag, nbytes, send, arrival,
+    label)`` each, plus the ``seq`` index that finds the last-recorded
+    message of a stamp — the batch dict's overwrite semantics."""
 
     kind = "comms"
 
-    def encode(self, keys: list[tuple], events: list) -> list[list]:
-        positions = list(map(itemgetter(1), keys))
-        return [positions] + _columns(_COMM_FIELDS, events)
+    def __init__(self, rank: int, cache: _SegmentCache) -> None:
+        super().__init__(rank, cache)
+        #: seq -> the last-recorded message's row while it is in
+        #: memory (frontier or straggler), or the number of the
+        #: segment it spilled to.
+        self.index: dict[int, tuple | int] = {}
+
+    def encode(self, rows: list[tuple]) -> list[Sequence]:
+        seqs, positions, *fields = zip(*rows)
+        return [positions, *fields, seqs]
 
     def decode(self, columns: list[list]) -> _Segment:
-        positions, *fields = columns
-        seqs = fields[-1]
-        return _Segment(
-            list(zip(seqs, positions)), list(zip(*fields)), CommEvent
-        )
+        positions, *fields, seqs = columns
+        return _Segment(list(zip(seqs, positions, *fields)), self.build)
+
+    def build(self, row: tuple) -> CommEvent:
+        seq, _, src, dst, tag, nbytes, send, arrival, label = row
+        return CommEvent(src, dst, tag, nbytes, send, arrival, label, seq)
+
+    def add(self, row: tuple) -> None:
+        super().add(row)
+        self.index[row[0]] = row
+
+    def retired(self, rows: list[tuple]) -> None:
+        segment = len(self.segments) - 1
+        index = self.index
+        for row in rows:
+            if index.get(row[0]) is row:
+                index[row[0]] = segment
 
     def lookup(self, seq: int) -> CommEvent | None:
         """The last-recorded message stamped *seq*, wherever it lives."""
-        probe = (seq, _INF)
-        best_key: tuple | None = None
-        best: CommEvent | None = None
-        index = bisect_right(self.keys, probe) - 1
-        if index >= 0 and self.keys[index][0] == seq:
-            best_key, best = self.keys[index], self.events[index]
-        index = bisect_right(self.straggler_keys, probe) - 1
-        if index >= 0 and self.straggler_keys[index][0] == seq:
-            key = self.straggler_keys[index]
-            if best_key is None or key > best_key:
-                best_key, best = key, self.straggler_events[index]
-        seg = bisect_right(self._segment_min_keys, probe) - 1
-        if seg >= 0:
-            segment = self.cache.get(self, self.segments[seg])
-            index = bisect_right(segment.keys, probe) - 1
-            if index >= 0 and segment.keys[index][0] == seq:
-                key = segment.keys[index]
-                if best_key is None or key > best_key:
-                    best_key, best = key, segment.event(index)
-        return best
+        where = self.index.get(seq)
+        if where is None:
+            return None
+        if type(where) is tuple:
+            return self.build(where)
+        segment = self.cache.get(self, self.segments[where])
+        # The segment holds the stamp's last-recorded message, which
+        # sorts after any earlier message with the same stamp.
+        return segment.event(bisect_right(segment.rows, (seq, _INF)) - 1)
 
 
 @dataclass(frozen=True)
@@ -683,6 +720,8 @@ class _StreamingView(TimelineView):
 
     def __init__(self, analyzer: "TraceStreamAnalyzer") -> None:
         self._a = analyzer
+        self._seq: int | None = None
+        self._message: CommEvent | None = None
 
     def anchor(self, rank: int, t: float, eps: float):
         series = self._a._states.get(rank)
@@ -691,9 +730,12 @@ class _StreamingView(TimelineView):
         return series.cursor_at((t + eps, _INF, _INF))
 
     def message(self, seq: int) -> CommEvent | None:
-        if seq < 0:
-            return None
-        return self._a._comms.lookup(seq)
+        # The classifier asks again for the message the finalize loop
+        # just checked: keep the last answer rather than rebuild it.
+        if seq != self._seq:
+            self._seq = seq
+            self._message = self._a._comms.lookup(seq) if seq >= 0 else None
+        return self._message
 
     def job_end_time(self) -> float:
         return max(self._a._rank_end.values())
@@ -707,7 +749,7 @@ class _StreamingView(TimelineView):
         )
 
     def walk_budget(self) -> int:
-        return 4 * (self._a._node_count + len(self._a._seqs)) + 16
+        return 4 * (self._a._states_n + len(self._a._comms.index)) + 16
 
 
 class TraceStreamAnalyzer:
@@ -737,16 +779,15 @@ class TraceStreamAnalyzer:
         self._cache = _SegmentCache(self._log, _CACHE_SEGMENTS)
         self._states: dict[int, _StateSeries] = {}
         self._comms = _CommSeries(-1, self._cache)
-        self._comm_gpos = 0
-        self._seqs: set[int] = set()
         self._latencies: dict[str, array] = {}
         self._instances: dict[tuple, dict[str, dict[int, float]]] = {}
         self._useful: list[float] = []
         self._rank_end: dict[int, float] = {}
         self._num_ranks = 0
-        self._node_count = 0
         self._end_time = 0.0
-        self._wait_tail: list[StateEvent] = []
+        #: Rows ``(rank, label, t0, t1, kind, cause)`` of the receive
+        #: waits not yet flushed to the wait log.
+        self._wait_tail: list[tuple] = []
         self._wait_segments: list[tuple[int, int, int]] = []
         self._events = 0
         self._states_n = 0
@@ -757,7 +798,10 @@ class TraceStreamAnalyzer:
         self._flushed_events = 0
         self._flushed_bytes = 0
         self._flushed_segments = 0
-        self._next_summary = self.config.summary_every or 0
+        limit = self.config.frontier_limit
+        self._limit = _INF if limit is None else limit
+        self._tracking_live = self.config.summary_every > 0
+        self._next_summary = self.config.summary_every or _INF
         self._live_buckets: dict[tuple[str, str], list] = {}
         self._live_classified = 0
         self._live_pending = 0
@@ -782,15 +826,16 @@ class TraceStreamAnalyzer:
     ) -> None:
         """Ingest one state interval."""
         self._check_open()
-        event = StateEvent(rank, label, t0, t1, kind=kind, cause=cause)
+        if t1 < t0 or kind not in STATE_KINDS:
+            # The record's own validation raises the TraceError.
+            StateEvent(rank, label, t0, t1, kind=kind, cause=cause)
         series = self._states.get(rank)
         if series is None:
             series = self._states[rank] = _StateSeries(rank, self._cache)
         pos = series.next_pos
         series.next_pos = pos + 1
-        series.add((t1, t0, pos), event)
+        series.add((t1, t0, pos, label, kind, cause))
         self._live += 1
-        self._node_count += 1
         self._states_n += 1
         if rank >= self._num_ranks:
             self._num_ranks = rank + 1
@@ -802,53 +847,58 @@ class TraceStreamAnalyzer:
         if kind == "compute":
             while len(self._useful) <= rank:
                 self._useful.append(0.0)
-            self._useful[rank] += event.duration
-        if kind == "wait" and cause >= 0:
-            self._note_wait(event)
+            self._useful[rank] += t1 - t0
+        elif kind == "wait" and cause >= 0:
+            self._note_wait((rank, label, t0, t1, kind, cause))
         self._after_ingest()
 
     def comm(self, message) -> None:
         """Ingest one message record (reads the same attributes the
         batch recorder does)."""
         self._check_open()
-        event = CommEvent(
-            src=message.src,
-            dst=message.dst,
-            tag=message.tag,
-            nbytes=message.nbytes,
-            send_time=message.send_time,
-            arrival_time=message.arrival_time,
-            label=message.label,
-            seq=getattr(message, "seq", -1),
-        )
+        src = message.src
+        dst = message.dst
+        tag = message.tag
+        nbytes = message.nbytes
+        send = message.send_time
+        arrival = message.arrival_time
+        label = message.label
+        seq = getattr(message, "seq", -1)
+        if arrival < send or nbytes < 0:
+            # The record's own validation raises the TraceError.
+            CommEvent(src, dst, tag, nbytes, send, arrival, label, seq)
         self._comms_n += 1
-        latencies = self._latencies.get(event.label)
+        latency = arrival - send
+        latencies = self._latencies.get(label)
         if latencies is None:
-            latencies = self._latencies[event.label] = array("d")
-        latencies.append(event.latency)
-        top = max(event.src, event.dst)
+            latencies = self._latencies[label] = array("d")
+        latencies.append(latency)
+        top = max(src, dst)
         if top >= self._num_ranks:
             self._num_ranks = top + 1
-        if event.arrival_time > self._end_time:
-            self._end_time = event.arrival_time
-        instance = event.collective_instance
+        if arrival > self._end_time:
+            self._end_time = arrival
+        instance = collective_instance(tag)
         if instance is not None:
             record = self._instances.setdefault(
                 instance, {"entry": {}, "exit": {}}
             )
-            entry = record["entry"].get(event.src)
-            if entry is None or event.send_time < entry:
-                record["entry"][event.src] = event.send_time
-            exit_ = record["exit"].get(event.dst)
-            if exit_ is None or event.arrival_time > exit_:
-                record["exit"][event.dst] = event.arrival_time
-        if event.seq >= 0:
-            self._seqs.add(event.seq)
-            self._comms.add((event.seq, self._comm_gpos), event)
-            self._comm_gpos += 1
+            entry = record["entry"].get(src)
+            if entry is None or send < entry:
+                record["entry"][src] = send
+            exit_ = record["exit"].get(dst)
+            if exit_ is None or arrival > exit_:
+                record["exit"][dst] = arrival
+        if seq >= 0:
+            comms = self._comms
+            comms.add(
+                (seq, comms.next_pos, src, dst, tag, nbytes, send, arrival,
+                 label)
+            )
+            comms.next_pos += 1
             self._live += 1
-        if self._tracking_live():
-            self._note_live_latency(event.label, event.latency)
+        if self._tracking_live:
+            self._note_live_latency(label, latency)
         self._after_ingest()
 
     def fault(self, kind: str, time_s: float, target: str, **detail) -> None:
@@ -866,18 +916,18 @@ class TraceStreamAnalyzer:
         if self._result is not None:
             raise TraceError("stream analyzer already finalized")
 
-    def _note_wait(self, event: StateEvent) -> None:
-        self._wait_tail.append(event)
+    def _note_wait(self, row: tuple) -> None:
+        self._wait_tail.append(row)
         self._live += 1
         if len(self._wait_tail) >= self.config.segment_events:
             self._flush_waits()
-        if self._tracking_live():
-            self._provisional_classify(event)
+        if self._tracking_live:
+            self._provisional_classify(StateEvent(*row))
 
     def _flush_waits(self) -> None:
         if not self._wait_tail:
             return
-        columns = _columns(_WAIT_FIELDS, self._wait_tail)
+        columns = list(zip(*self._wait_tail))
         offset, length = self._log.append("waits", -1, columns)
         self._wait_segments.append((offset, length, len(self._wait_tail)))
         self._live -= len(self._wait_tail)
@@ -893,27 +943,23 @@ class TraceStreamAnalyzer:
                     f"{len(columns[0])} waits, expected {count}"
                 )
             yield from map(StateEvent, *columns)
-        yield from self._wait_tail
+        yield from starmap(StateEvent, self._wait_tail)
 
     def _after_ingest(self) -> None:
         self._events += 1
         if self._live > self._high_water:
             self._high_water = self._live
-        limit = self.config.frontier_limit
-        if limit is not None and self._live > limit:
-            self._evict(limit)
+        if self._live > self._limit:
+            self._evict()
         if self._events - self._flushed_events >= _METRICS_EVERY:
             self._flush_metrics()
-        if (
-            self.config.summary_every
-            and self._events >= self._next_summary
-        ):
+        if self._events >= self._next_summary:
             self._next_summary = self._events + self.config.summary_every
             if self.config.on_summary is not None:
                 self.config.on_summary(self.live_summary())
 
-    def _evict(self, limit: int) -> None:
-        while self._live > limit:
+    def _evict(self) -> None:
+        while self._live > self._limit:
             candidates = [
                 series
                 for series in list(self._states.values()) + [self._comms]
@@ -931,9 +977,6 @@ class TraceStreamAnalyzer:
             self._live -= spilled
 
     # -- live summaries (provisional) ---------------------------------------
-
-    def _tracking_live(self) -> bool:
-        return self.config.summary_every > 0
 
     def _note_live_latency(self, label: str, latency: float) -> None:
         seen = self._live_counts.get(label, 0) + 1
@@ -1073,7 +1116,7 @@ class TraceStreamAnalyzer:
             states_ingested=self._states_n,
             comms_ingested=self._comms_n,
             faults_ingested=self._faults_n,
-            distinct_messages=len(self._seqs),
+            distinct_messages=len(self._comms.index),
             frontier_live=self._live,
             frontier_high_water=self._high_water,
             spill_bytes=self._log.bytes_written,
@@ -1089,7 +1132,7 @@ class TraceStreamAnalyzer:
             return self._result
         if self._closed:
             raise TraceError("stream analyzer is closed")
-        if self._node_count == 0:
+        if self._states_n == 0:
             raise TraceError("cannot analyze an empty trace stream")
         baselines = baselines_from_latencies(self._latencies)
         view = _StreamingView(self)

@@ -126,6 +126,32 @@ class TestStreamMode:
         assert code == 1
         assert "cannot be" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("frontier", ["0", "-5"])
+    def test_frontier_below_one_is_a_clean_error(
+        self, frontier, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        code = main([
+            "trace-report", "--stream", "--frontier", frontier,
+            "--out", str(out),
+        ])
+        _, err = capsys.readouterr()
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error in trace-report: --frontier ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_frontier_without_stream_is_a_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["trace-report", "--frontier", "64", "--out", str(out)])
+        _, err = capsys.readouterr()
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error in trace-report: --frontier ")
+        assert "--stream" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "mode", [[], ["--stream"]], ids=["batch", "stream"]
     )

@@ -86,17 +86,40 @@ def fields(event):
     return exact(vars(event).values())
 
 
+def state_row(event, pos):
+    """The row a state series holds for *event* at record position *pos*."""
+    return (event.t1, event.t0, pos, event.label, event.kind, event.cause)
+
+
+def comm_row(event, gpos):
+    """The row the message series holds for *event* at position *gpos*."""
+    return (
+        event.seq, gpos, event.src, event.dst, event.tag, event.nbytes,
+        event.send_time, event.arrival_time, event.label,
+    )
+
+
+def wait_row(event):
+    """The row the wait log holds for *event*."""
+    return (
+        event.rank, event.label, event.t0, event.t1, event.kind, event.cause
+    )
+
+
 def spill_and_reload(series, keyed_events, tmp_path):
+    """Spill the events as one segment, read it back; returns the
+    decoded rows' keys and the events built from the decoded rows."""
     log = SpillLog(tmp_path / "s.spill")
+    row_of = comm_row if isinstance(series, _CommSeries) else state_row
     try:
         for key, event in keyed_events:
-            series.keys.append(key)
-            series.events.append(event)
+            series.rows.append(row_of(event, key[-1]))
         series.cache = _SegmentCache(log, 2)
         assert series.spill(log, len(keyed_events)) == len(keyed_events)
         segment = series.cache.get(series, series.segments[0])
-        return segment.keys, [
-            segment.event(i) for i in range(len(segment.keys))
+        width = len(keyed_events[0][0])
+        return [row[:width] for row in segment.rows], [
+            segment.event(i) for i in range(len(segment.rows))
         ]
     finally:
         log.close()
@@ -132,7 +155,7 @@ def test_message_segments_round_trip_exactly(events, tmp_path_factory):
 def test_wait_segments_round_trip_exactly(waits, tmp_path_factory):
     config = StreamConfig(spill_dir=tmp_path_factory.mktemp("waits"))
     with TraceStreamAnalyzer(config) as analyzer:
-        analyzer._wait_tail = list(waits)
+        analyzer._wait_tail = [wait_row(e) for e in waits]
         analyzer._flush_waits()
         assert analyzer._wait_tail == []
         replayed = list(analyzer._iter_waits())
@@ -150,14 +173,14 @@ def frames(draw):
     ))
     if kind == "comms":
         series = _CommSeries(rank, None)
-        keys = [(e.seq, i) for i, e in enumerate(events)]
+        rows = [comm_row(e, i) for i, e in enumerate(events)]
     else:
         series = _StateSeries(rank, None)
-        keys = [(e.t1, e.t0, i) for i, e in enumerate(events)]
+        rows = [state_row(e, i) for i, e in enumerate(events)]
     if kind == "waits":
-        columns = [[e.rank for e in events]] + series.encode(keys, events)[1:]
+        columns = [[e.rank for e in events]] + series.encode(rows)[1:]
     else:
-        columns = series.encode(keys, events)
+        columns = series.encode(rows)
     return encode_frame(kind, rank, columns), kind, rank
 
 

@@ -3,8 +3,9 @@
 Hypothesis generates random fig4-shaped traces — per-rank monotone
 timelines, cross-rank messages, waits in arrival order, all timestamps
 multiples of 1/8 so float arithmetic is exact, or plain ``int`` time
-units for some traces — and the tests assert the streaming analyzer's
-contract:
+units for some traces, and in some traces stamps recorded twice and
+message records that arrive late — and the tests assert the streaming
+analyzer's contract:
 
 * for any trace, streaming produces *exactly* the batch report
   (same JSON document, byte for byte);
@@ -12,6 +13,8 @@ contract:
   spill log — never changes the answer, only the memory profile;
 * a trace the batch pipeline rejects is rejected by the stream too.
 """
+
+import dataclasses
 
 import pytest
 
@@ -30,12 +33,24 @@ Q = 0.125  # all times are multiples of this; float addition is exact
 
 @st.composite
 def trace_ops(draw):
-    """One random trace as a replayable list of tracer calls."""
+    """One random trace as a replayable list of tracer calls.
+
+    In a *reordered* trace some stamps are recorded a second time, with
+    a different size (and a different label and a send time no later
+    than the first record's, so which of the two the analysis resolves
+    shows in the report), and some message records are held back to
+    the end of the trace, after later-stamped messages.  The
+    last-recorded message of a stamp must then win wherever the stream
+    keeps it: in the frontier, among the stragglers or in a spilled
+    segment.
+    """
     num_ranks = draw(st.integers(2, 4))
     rounds = draw(st.integers(1, 4))
     unit = draw(st.sampled_from([Q, 1]))  # 1: integer timestamps
+    reordered = draw(st.booleans())
     now = [0 * unit] * num_ranks
     ops = []
+    held_back = []
     seq = 0
     for round_index in range(rounds):
         for rank in range(num_ranks):
@@ -62,7 +77,18 @@ def trace_ops(draw):
                     nbytes=1024, send_time=send,
                     arrival_time=send + latency, label="msg", seq=seq,
                 )
-                ops.append(("comm", message))
+                records = [message]
+                if reordered and draw(st.booleans()):
+                    earlier = draw(st.integers(0, 2)) * unit
+                    records.append(dataclasses.replace(
+                        message, nbytes=2048, label="resent",
+                        send_time=max(send - earlier, 0 * unit),
+                    ))
+                for record in records:
+                    if reordered and draw(st.booleans()):
+                        held_back.append(("comm", record))
+                    else:
+                        ops.append(("comm", record))
                 messages.append(message)
                 seq += 1
         inbound = {}
@@ -77,7 +103,7 @@ def trace_ops(draw):
                 t1 = max(t0, message.arrival_time)
                 ops.append(("state", dst, "msg", t0, t1, "wait", message.seq))
                 now[dst] = t1
-    return ops
+    return ops + held_back
 
 
 def feed(ops, tracer):

@@ -87,6 +87,31 @@ class TestByteIdentity:
             assert analyzer.finalize() is analyzer.finalize()
 
 
+class TestSeqIndex:
+    def test_lookup_finds_each_recorded_message(self):
+        recorder, analyzer = _tee(
+            StreamConfig(frontier_limit=64, segment_events=16)
+        )
+        with analyzer:
+            comms = analyzer._comms
+            found = {seq: comms.lookup(seq) for seq in comms.index}
+        assert found == {c.seq: c for c in recorder.comms}
+
+    def test_spilled_messages_leave_only_their_segment_number(self):
+        """The index keeps no spilled row alive: a stamp maps to its
+        row while the row is in memory, else to the row's segment."""
+        config = StreamConfig(frontier_limit=64, segment_events=16)
+        with _stream_only(config) as analyzer:
+            comms = analyzer._comms
+            in_memory = {id(row) for row in comms.rows + comms.stragglers}
+            where = list(comms.index.values())
+            spilled = [w for w in where if type(w) is int]
+            assert spilled
+            assert all(0 <= w < len(comms.segments) for w in spilled)
+            assert all(type(w) is int or id(w) in in_memory for w in where)
+            assert analyzer.stats.distinct_messages == len(where)
+
+
 class TestLifecycle:
     def test_empty_stream_is_rejected(self):
         with TraceStreamAnalyzer() as analyzer:
