@@ -1,15 +1,16 @@
 """Streaming trace-analysis benchmark: throughput, memory, identity.
 
 Produces (and gates against) the committed ``BENCH_trace.json``
-trajectory for :mod:`repro.tracing.stream`.  Both pipelines analyze
-the same synthetic fig4-shaped trace at 10x the Figure 4 event count,
-in the same process:
+trajectory for :mod:`repro.tracing.stream`.  The analyzer and the
+frozen batch pipeline in ``_legacy_trace.py`` (the happens-before
+graph the analyzer replaced) analyze the same synthetic fig4-shaped
+trace at 10x the Figure 4 event count, in the same process:
 
 * ``throughput`` — end-to-end events/sec of the streaming analyzer
-  (ingest + finalize) against the batch pipeline (record + analyze).
-  Streaming pays for bounded memory with wall clock; the committed
-  *ratio* is the machine-independent number CI gates, so the overhead
-  cannot silently grow.
+  (ingest + finalize, bounded frontier) against the batch pipeline
+  (record + analyze).  Streaming pays for bounded memory with wall
+  clock; the committed *ratio* is the machine-independent number CI
+  gates, so the overhead cannot silently grow.
 * ``bounded_memory`` — events ingested, frontier high-water mark and
   their share.  Fully deterministic: gated exactly.
 * ``byte_identity`` — the streamed report JSON must equal the batch
@@ -35,6 +36,8 @@ import sys
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
 SCHEMA = 1
 
 #: Workload sizes.  "full" is the committed-trajectory configuration —
@@ -51,7 +54,9 @@ SEED = 7
 
 def measure(scale: str) -> dict:
     """One tee-free measurement pass: stream, then batch, then compare."""
-    from repro.obs import build_run_report, build_stream_run_report
+    from _legacy_trace import build_run_report as legacy_build_run_report
+
+    from repro.obs import build_run_report
     from repro.tracing import TraceRecorder
     from repro.tracing.stream import (
         StreamConfig,
@@ -73,13 +78,13 @@ def measure(scale: str) -> dict:
         events = build_synthetic_trace(analyzer, **workload)
         result = analyzer.finalize()
         stream_wall = time.perf_counter() - start
-        stream_doc = build_stream_run_report(result, scenario="bench").to_json()
+        stream_doc = build_run_report(result, scenario="bench").to_json()
         stats = result.stats
 
     recorder = TraceRecorder()
     start = time.perf_counter()
     build_synthetic_trace(recorder, **workload)
-    batch_doc = build_run_report(recorder, scenario="bench").to_json()
+    batch_doc = legacy_build_run_report(recorder, scenario="bench").to_json()
     batch_wall = time.perf_counter() - start
 
     return {

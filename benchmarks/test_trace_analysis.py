@@ -1,9 +1,10 @@
 """Trace-analysis pipeline benchmark (ISSUE satellite).
 
-Times the full post-mortem stack on the Figure 4 trace — happens-before
-graph construction, critical-path extraction, wait-state
-classification, and Chrome export — separately from the simulation
-that produces the trace, and regenerates the run report artefact.  The
+Times the full post-mortem stack on the Figure 4 trace — replaying the
+recorded events into the trace store, critical-path extraction,
+wait-state classification, and Chrome export, as ``trace-report
+--chrome-out`` runs them — separately from the simulation that
+produces the trace, and regenerates the run report artefact.  The
 analysis must stay cheap relative to the simulation it explains.
 """
 
@@ -13,6 +14,7 @@ from repro.apps import BigDFT
 from repro.cluster import MpiJob, tibidabo
 from repro.obs import build_run_report
 from repro.tracing import TraceRecorder, export_chrome_trace
+from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
 
 
 def _simulate():
@@ -24,7 +26,10 @@ def _simulate():
 
 
 def _analyze(recorder):
-    report = build_run_report(recorder, scenario="fig4-bigdft-36ranks-seed7")
+    with TraceStreamAnalyzer(StreamConfig(frontier_limit=None)) as analyzer:
+        recorder.replay(analyzer)
+        result = analyzer.finalize()
+    report = build_run_report(result, scenario="fig4-bigdft-36ranks-seed7")
     chrome = export_chrome_trace(recorder)
     return report, chrome
 

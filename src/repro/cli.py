@@ -48,12 +48,13 @@ permutation test at ``--alpha``).
 
 Tool commands ride alongside the artefacts: ``trace-report`` re-runs
 the Figure 4 scenario under full tracing and writes the combined run
-report (markdown + JSON), the Perfetto-loadable Chrome trace, and the
-deterministic metrics export into ``--out``; ``diff-metrics A.json
-B.json --threshold 5%`` compares two metrics exports and exits 1 on
-drift beyond the threshold (the CI regression gate against
-``tests/golden/``); ``compare`` pairs two replicate-summary documents
-and exits 1 only on statistically significant drift; ``reproduce-all
+report (markdown + JSON) and the deterministic metrics export into
+``--out`` (and the Perfetto-loadable Chrome trace to ``--chrome-out``);
+``diff-metrics A.json B.json --threshold 5%`` compares two metrics
+exports and exits 1 on drift beyond the threshold (the CI regression
+gate against ``tests/golden/``); ``compare`` pairs two
+replicate-summary documents and exits 1 only on statistically
+significant drift; ``reproduce-all
 --out DIR`` regenerates every pinned artefact (table2, fig3, fig4,
 fig6, fig7, x1, x4, x5, x9, trace-report) into a bundle directory —
 per-artefact byte-exact stdout, deterministic metrics export,
@@ -611,31 +612,32 @@ def _trace_report(args) -> list[Path]:
         )
     if frontier is not None and frontier < 1:
         raise ReproError(f"--frontier must be at least 1, got {frontier}")
+    if not stream:
+        config = StreamConfig(frontier_limit=None)
+    elif frontier is None:
+        config = StreamConfig()
+    else:
+        config = StreamConfig(frontier_limit=frontier)
     # The job runs under its own registry (MpiJob captures the ambient
     # registry at construction), then folds into the process-wide one
     # so --metrics-out still sees this run.
     registry = MetricsRegistry()
     analyzer = None
     try:
-        if stream:
-            analyzer = TraceStreamAnalyzer(
-                StreamConfig() if frontier is None
-                else StreamConfig(frontier_limit=frontier),
-                registry=registry,
-            )
+        analyzer = TraceStreamAnalyzer(config, registry=registry)
         return _run_trace_report(args, registry, analyzer)
     except OSError as error:
         raise ReproError(str(error)) from error
     finally:
-        # Also on failure: an analyzer-owned spill directory must not
-        # outlive the command.
+        # Also on failure: the spill directory must not outlive the
+        # command.
         if analyzer is not None:
             analyzer.close()
 
 
 def _run_trace_report(args, registry, analyzer) -> list[Path]:
-    """Simulate the fig4 job under *registry*, analyze it (streamed
-    when *analyzer* is given) and write the report bundle."""
+    """Simulate the fig4 job under *registry*, analyze it with
+    *analyzer* and write the report bundle."""
     import json
 
     from repro import metrics as metrics_mod
@@ -643,39 +645,39 @@ def _run_trace_report(args, registry, analyzer) -> list[Path]:
     from repro.cluster import MpiJob, tibidabo
     from repro.engine.manifest import RunManifest
     from repro.metrics.registry import use_registry
-    from repro.obs import build_run_report, build_stream_run_report
+    from repro.obs import build_run_report
     from repro.tracing import TraceRecorder, write_chrome_trace
 
+    stream = getattr(args, "stream", False)
     chrome_out = getattr(args, "chrome_out", None)
     app = BigDFT() if args.app == "bigdft" else Specfem3D()
     num_ranks = TRACE_REPORT_RANKS
     scenario = f"fig4-{args.app}-{num_ranks}ranks-seed{args.seed}"
-    recorder = None
-    if analyzer is not None:
-        tracer = analyzer
-    else:
-        recorder = tracer = TraceRecorder()
+    recorder = TraceRecorder() if chrome_out else None
     with use_registry(registry):
         cluster = tibidabo(num_nodes=18, seed=args.seed)
         MpiJob(
             cluster, num_ranks, app.rank_program(cluster, num_ranks),
-            tracer=tracer,
+            tracer=analyzer if recorder is None else recorder,
         ).run()
+    if recorder is not None:
+        # The Chrome writer reads the whole event list: write it first,
+        # then replay the events into the analyzer and drop the list, so
+        # the Chrome document and the analyzer's rows are never held
+        # together and the list is gone before the analysis finalizes.
+        write_chrome_trace(chrome_out, recorder, registry=registry)
+        recorder.replay(analyzer)
+        recorder = None
 
     out_dir = Path(args.out or "trace-report-out")
-    if analyzer is not None:
-        result = analyzer.finalize()
-        report = build_stream_run_report(
-            result, scenario=scenario, registry=registry
-        )
-    else:
-        report = build_run_report(recorder, scenario=scenario, registry=registry)
+    result = analyzer.finalize()
+    report = build_run_report(result, scenario=scenario, registry=registry)
     ambient = metrics_mod.current_registry()
     if ambient.enabled:
         ambient.merge(registry.snapshot())
 
     written = report.save(out_dir)
-    if analyzer is not None:
+    if stream:
         stats = result.stats
         payload = {"stats": stats.to_dict()}
         written["stream_stats.json"] = out_dir / "stream_stats.json"
@@ -692,17 +694,12 @@ def _run_trace_report(args, registry, analyzer) -> list[Path]:
             file=sys.stderr,
         )
     elif chrome_out:
-        # Only build the Chrome export when a path asked for it — the
-        # construction materializes every event a second time.
-        chrome_path = Path(chrome_out)
-        chrome_path.parent.mkdir(parents=True, exist_ok=True)
-        written["trace.chrome.json"] = chrome_path
-        write_chrome_trace(chrome_path, recorder, registry=registry)
+        written["trace.chrome.json"] = Path(chrome_out)
     written["metrics.json"] = metrics_mod.write_metrics(
         registry, out_dir / "metrics.json", "json", deterministic=True
     )
     key = {"app": args.app, "seed": args.seed, "ranks": num_ranks}
-    if analyzer is not None:
+    if stream:
         key["stream"] = True
     manifest = RunManifest(
         sweep=f"trace-report/{args.app}",
@@ -1177,10 +1174,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace-report output directory "
                              "(default trace-report-out)")
     parser.add_argument("--stream", action="store_true",
-                        help="trace-report: analyze the trace incrementally "
-                             "with the bounded-memory streaming pipeline "
-                             "instead of materializing it (same report, "
-                             "byte for byte)")
+                        help="trace-report: bound the analyzer's in-memory "
+                             "frontier (see --frontier), spilling older "
+                             "events to disk, and write stream_stats.json "
+                             "(same report, byte for byte)")
     parser.add_argument("--chrome-out", default=None, metavar="PATH",
                         help="trace-report: also write a Chrome trace-event "
                              "export to PATH (skipped entirely when absent; "

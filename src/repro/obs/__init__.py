@@ -33,7 +33,6 @@ from repro.obs.report import (
     REPORT_SCHEMA_VERSION,
     RunReport,
     build_run_report,
-    build_stream_run_report,
 )
 from repro.obs.significance import (
     SUMMARY_SCHEMA,
@@ -56,7 +55,6 @@ __all__ = [
     "SignificanceReport",
     "SignificanceRow",
     "build_run_report",
-    "build_stream_run_report",
     "compare_summary_docs",
     "compare_summary_files",
     "diff_metrics",

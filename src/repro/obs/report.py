@@ -1,13 +1,13 @@
 """The combined run report: critical path + wait states + metrics.
 
-One traced job in, one artefact out: a :class:`RunReport` bundles the
-happens-before critical path (:mod:`repro.tracing.graph`), the
-wait-state root-cause analysis (:mod:`repro.tracing.waitstates`), the
-POP efficiencies, and — when a registry observed the run — the
-deterministic metrics snapshot.  It serializes to canonical JSON (what
-the golden files pin and ``repro diff-metrics`` consumes) and renders
-to markdown (what a human reads to see the Figure 4 diagnosis without
-opening a trace viewer).
+One traced job in, one artefact out: a :class:`RunReport` bundles what
+:class:`~repro.tracing.stream.TraceStreamAnalyzer` finalized — the
+critical path, the wait-state root causes
+(:mod:`repro.tracing.waitstates`) and the POP efficiencies — with,
+when a registry observed the run, the deterministic metrics snapshot.
+It serializes to canonical JSON (what the golden files pin and ``repro
+diff-metrics`` consumes) and renders to markdown (what a human reads to
+see the Figure 4 diagnosis without opening a trace viewer).
 """
 
 from __future__ import annotations
@@ -19,13 +19,9 @@ from typing import Any
 
 from repro.metrics.export import registry_to_dict
 from repro.metrics.registry import MetricsRegistry, NullRegistry
-from repro.tracing.graph import CriticalPath, HappensBeforeGraph
-from repro.tracing.recorder import TraceRecorder
-from repro.tracing.waitstates import (
-    DEFAULT_CONTENTION_FACTOR,
-    WaitStateReport,
-    classify_wait_states,
-)
+from repro.tracing.attribution import CriticalPath
+from repro.tracing.stream import StreamResult
+from repro.tracing.waitstates import WaitStateReport
 
 #: Bump when the report document layout changes shape.
 REPORT_SCHEMA_VERSION = 1
@@ -172,51 +168,18 @@ class RunReport:
 
 
 def build_run_report(
-    recorder: TraceRecorder,
-    *,
-    scenario: str,
-    registry: MetricsRegistry | NullRegistry | None = None,
-    contention_factor: float = DEFAULT_CONTENTION_FACTOR,
-) -> RunReport:
-    """Analyze *recorder* and assemble the combined report.
-
-    The happens-before graph is validated and the critical path's
-    coverage invariant checked before anything is reported.
-    """
-    graph = HappensBeforeGraph(recorder)
-    graph.validate()
-    path = graph.critical_path()
-    waits = classify_wait_states(recorder, contention_factor=contention_factor)
-    metrics = (
-        None
-        if registry is None
-        else registry_to_dict(registry, deterministic=True)
-    )
-    return RunReport(
-        scenario=scenario,
-        num_ranks=recorder.num_ranks,
-        runtime_seconds=recorder.end_time,
-        path=path,
-        waits=waits,
-        metrics=metrics,
-    )
-
-
-def build_stream_run_report(
-    result,
+    result: StreamResult,
     *,
     scenario: str,
     registry: MetricsRegistry | NullRegistry | None = None,
 ) -> RunReport:
-    """Assemble the combined report from a finalized
-    :class:`repro.tracing.stream.StreamResult`.
+    """Assemble the combined report from a finalized analysis.
 
-    The streaming analyzer runs the same attribution core against the
-    same event order as the batch pipeline, so for the same trace and
-    registry state this produces the identical document — byte for
-    byte (``trace.*`` metrics are volatile and excluded from the
-    deterministic export, so instrumented streaming runs still match
-    the batch goldens).
+    *result* is what :meth:`TraceStreamAnalyzer.finalize` returned: the
+    critical path has passed its coverage check and every wait its
+    cause-arrival check.  ``trace.*`` metrics are volatile and left out
+    of the deterministic snapshot, so the frontier limit the analysis
+    ran under never shows in the document.
     """
     metrics = (
         None

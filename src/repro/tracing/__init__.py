@@ -7,7 +7,7 @@ collectives are short, some are *delayed* (Figure 4).
 
 * :mod:`repro.tracing.events` — state and communication records;
 * :mod:`repro.tracing.recorder` — the Extrae-style recorder MpiJob
-  drives;
+  drives, which replays its events into any other tracer;
 * :mod:`repro.tracing.paraver` — Paraver ``.prv`` export and a parser
   for round-trip tests;
 * :mod:`repro.tracing.chrome` — Chrome trace-event export for
@@ -16,15 +16,15 @@ collectives are short, some are *delayed* (Figure 4).
   programmatic equivalent of the paper's green circles, plus the
   resilience summary (MTTF, detection latency, retry goodput loss,
   rework fraction) mined from :class:`FaultRecord` entries;
-* :mod:`repro.tracing.graph` — the cross-rank happens-before graph
-  and critical-path extraction with per-segment attribution;
+* :mod:`repro.tracing.stream` — the trace store: ingests the
+  events as the simulation produces them into a frontier that is
+  bounded or, with ``frontier_limit=None``, never evicts, and
+  finalizes the critical path and the wait states;
+* :mod:`repro.tracing.attribution` — the critical-path walk with
+  per-segment attribution and the wait classifier the store runs;
 * :mod:`repro.tracing.waitstates` — Scalasca-style wait-state
-  root-causing (the automated Figure 4 diagnosis) and POP
-  efficiency metrics;
-* :mod:`repro.tracing.attribution` — the shared attribution core
-  (critical-path walk + wait classifier) both stores run;
-* :mod:`repro.tracing.stream` — bounded-memory streaming ingestion
-  and incremental analysis, byte-identical to the batch pipeline.
+  report types (the automated Figure 4 diagnosis) and POP
+  efficiency metrics.
 """
 
 from repro.tracing.analysis import (
@@ -38,14 +38,8 @@ from repro.tracing.chrome import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.tracing.attribution import CriticalPath, PathSegment
 from repro.tracing.events import CommEvent, FaultRecord, StateEvent
-from repro.tracing.graph import (
-    CriticalPath,
-    HappensBeforeGraph,
-    PathSegment,
-    build_graph,
-    critical_path,
-)
 from repro.tracing.paraver import export_pcf, export_prv, export_row, parse_prv
 from repro.tracing.recorder import TraceRecorder
 from repro.tracing.stream import (
@@ -60,8 +54,6 @@ from repro.tracing.waitstates import (
     EfficiencyReport,
     WaitEntry,
     WaitStateReport,
-    classify_wait_states,
-    efficiency_report,
 )
 
 __all__ = [
@@ -70,7 +62,6 @@ __all__ = [
     "CriticalPath",
     "EfficiencyReport",
     "FaultRecord",
-    "HappensBeforeGraph",
     "PathSegment",
     "ResilienceReport",
     "StateEvent",
@@ -82,11 +73,7 @@ __all__ = [
     "WaitEntry",
     "WaitStateReport",
     "analyze_collectives",
-    "build_graph",
     "build_synthetic_trace",
-    "classify_wait_states",
-    "critical_path",
-    "efficiency_report",
     "export_chrome_trace",
     "export_pcf",
     "export_prv",

@@ -1,15 +1,13 @@
-"""The shared attribution core: one walk, one classifier, two stores.
+"""The attribution core: the critical-path walk and the wait classifier.
 
 The critical-path walk (:func:`extract_critical_path`) and the
 Scalasca-style per-wait root-causing (:class:`WaitClassifier`) are
-expressed against an abstract :class:`TimelineView`, so the batch
-happens-before graph (:mod:`repro.tracing.graph`, in-memory sorted
-arrays) and the streaming analyzer (:mod:`repro.tracing.stream`,
-bounded frontier + spilled segments) run the *same* attribution code.
-That sharing is what makes "streaming ≡ batch, byte-identical" a
-structural property instead of a test-enforced coincidence: both
-stores present states in the same total order — ``(t1, t0,
-per-rank record position)`` — and the arithmetic lives here, once.
+expressed against an abstract :class:`TimelineView`, not against a
+store.  The trace store (:mod:`repro.tracing.stream`, a frontier plus
+spilled segments) implements the view; the contract that keeps its
+answers independent of where its rows live is that each rank's states
+come back in ``(t1, t0)`` order, stable in record order, and that a
+stamp names the last-recorded message carrying it.
 
 A view answers four questions:
 
@@ -316,8 +314,7 @@ class WaitClassifier:
     """One wait-state classification pass against a timeline view.
 
     See :mod:`repro.tracing.waitstates` for the category semantics;
-    this class holds the per-wait arithmetic that batch and streaming
-    analysis share.
+    this class holds the per-wait arithmetic.
     """
 
     def __init__(

@@ -4,8 +4,10 @@ Pass a :class:`TraceRecorder` as ``tracer=`` to
 :class:`repro.cluster.mpi.MpiJob`; it accumulates state intervals and
 message records which :mod:`repro.tracing.paraver` can export,
 :mod:`repro.tracing.chrome` can render for Perfetto, and
-:mod:`repro.tracing.analysis` / :mod:`repro.tracing.graph` /
-:mod:`repro.tracing.waitstates` can mine.
+:mod:`repro.tracing.analysis` can mine.  :meth:`TraceRecorder.replay`
+feeds the recorded events to another tracer — the
+:class:`~repro.tracing.stream.TraceStreamAnalyzer` for the critical
+path and wait states.
 """
 
 from __future__ import annotations
@@ -70,6 +72,26 @@ class TraceRecorder:
         self.faults.append(
             FaultRecord(kind=kind, time_s=time_s, target=target, detail=items)
         )
+
+    def replay(self, tracer: Any) -> None:
+        """Drive *tracer* with every recorded event: the messages, then
+        the states, then the fault records, each kind in record order.
+
+        Messages go first, so a consumer resolves each wait's cause
+        the moment the wait arrives, as it does when ``MpiJob`` drives
+        it (a message is recorded at send time).
+        """
+        for comm in self.comms:
+            tracer.comm(comm)
+        for state in self.states:
+            tracer.state(
+                state.rank, state.label, state.t0, state.t1,
+                kind=state.kind, cause=state.cause,
+            )
+        for fault in self.faults:
+            tracer.fault(
+                fault.kind, fault.time_s, fault.target, **dict(fault.detail)
+            )
 
     # -- queries -----------------------------------------------------------
 

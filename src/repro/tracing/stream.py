@@ -1,24 +1,25 @@
-"""Streaming trace analytics: bounded-memory incremental analysis.
+"""The trace store: bounded-memory incremental analysis.
 
-The batch pipeline (:mod:`repro.tracing.graph` +
-:mod:`repro.tracing.waitstates`) materializes the whole trace before it
-answers anything — fine for 36 ranks, not for thousand-rank ×
-fault-injected runs.  This module analyzes the trace *while it is being
-produced*: :class:`TraceStreamAnalyzer` implements the tracer interface
-(``state`` / ``comm`` / ``fault``), so a simulation drives it
-directly in place of a :class:`~repro.tracing.recorder.TraceRecorder`.
+:class:`TraceStreamAnalyzer` analyzes a trace *while it is being
+produced*, so the diagnosis still fits in memory on thousand-rank ×
+fault-injected runs.  It implements the tracer interface (``state`` /
+``comm`` / ``fault``), so a simulation drives it directly in place of
+a :class:`~repro.tracing.recorder.TraceRecorder`; a run that also needs
+the recorder's event list (for the Chrome or Paraver writers) records
+first and replays it with :meth:`TraceRecorder.replay`.  With
+``frontier_limit=None`` nothing but the wait log ever leaves memory —
+that is how ``trace-report`` runs without ``--stream``.
 
 Memory model
 ------------
 
 Events live in a bounded **frontier** as plain row tuples, one per
 event: per-rank state series plus one global message series, each a
-sorted array in the same total order the batch store uses.  A row's
-leading fields are its sort key — ``(t1, t0, record position)`` for
-states, ``(seq, record position)`` for messages — so rows sort and
-bisect as their keys.  The public :class:`StateEvent` /
-:class:`CommEvent` is built only when a cursor or a message lookup
-reads it.  When the live count exceeds ``frontier_limit``, the oldest
+sorted array.  A row's leading fields are its sort key — ``(t1, t0,
+record position)`` for states, ``(seq, record position)`` for
+messages — so rows sort and bisect as their keys.  The public
+:class:`StateEvent` / :class:`CommEvent` is built only when a cursor
+or a message lookup reads it.  When the live count exceeds ``frontier_limit``, the oldest
 rows of the largest series are retired to an append-only **spill
 log** in segments of ``segment_events``.  Each segment is one frame of
 typed columns (packed float64/int64 arrays, a per-frame string table,
@@ -32,10 +33,11 @@ segment's number once it spilled.  What never spills is that index and
 scalar state: per-label latency arrays (for the baseline medians),
 per-rank useful-compute sums and collective entry/exit extrema.
 
-Because both stores present events in the identical total order and
-the arithmetic lives in :mod:`repro.tracing.attribution`, the final
-numbers are **byte-identical** to the batch analysis — the golden
-``fig4_trace_report.json`` reproduces exactly under ``--stream``.
+Cursors present each rank's states in ``(t1, t0)`` order, stable in
+record order, wherever the rows live, and the arithmetic lives in
+:mod:`repro.tracing.attribution`, so the frontier limit never changes
+the answer: the golden ``fig4_trace_report.json`` reproduces exactly
+with no limit and under ``--stream --frontier 64``.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from repro.tracing.events import (
     collective_instance,
 )
 from repro.tracing.waitstates import (
-    DEFAULT_CONTENTION_FACTOR,
+    CONTENTION_FACTOR,
     EfficiencyReport,
     WaitStateReport,
     baselines_from_latencies,
@@ -492,9 +494,9 @@ class _EventSeries:
     Every tier holds row tuples whose leading fields are the sort key
     and whose key ends in a record position unique to the series, so
     comparing two rows never looks past the key.  The total order
-    across all three tiers is exactly the batch store's sort order,
-    which is what makes cursors over a spilled stream behave
-    identically to cursors over the materialized one.
+    across all three tiers is that key order, which is what makes
+    cursors over a spilled stream behave identically to cursors over
+    one that never spilled.
     """
 
     kind = "events"
@@ -589,7 +591,8 @@ class _CommSeries(_EventSeries):
     """All stamped messages, one row
     ``(seq, record position, src, dst, tag, nbytes, send, arrival,
     label)`` each, plus the ``seq`` index that finds the last-recorded
-    message of a stamp — the batch dict's overwrite semantics."""
+    message of a stamp: a later record of a stamp overwrites an
+    earlier one."""
 
     kind = "comms"
 
@@ -641,15 +644,15 @@ class StreamConfig:
     """Knobs of one streaming analysis.
 
     ``frontier_limit`` bounds the live in-memory event count (``None``
-    never evicts); ``segment_events`` sizes retired segments;
-    ``summary_every`` (events) drives :func:`on_summary` with
-    provisional live summaries.
+    never evicts); ``segment_events`` sizes retired segments and wait
+    log frames; ``summary_every`` (events) drives :func:`on_summary`
+    with provisional live summaries.  The spill log lives in a fresh
+    ``trace-stream-*`` directory under :func:`tempfile.gettempdir`
+    (``TMPDIR``), removed by :meth:`TraceStreamAnalyzer.close`.
     """
 
     frontier_limit: int | None = 8192
     segment_events: int = 1024
-    spill_dir: str | Path | None = None
-    contention_factor: float = DEFAULT_CONTENTION_FACTOR
     summary_every: int = 0
     on_summary: Callable[[dict], None] | None = None
 
@@ -661,10 +664,6 @@ class StreamConfig:
         if self.segment_events < 1:
             raise TraceError(
                 f"segment_events must be >= 1, got {self.segment_events}"
-            )
-        if self.contention_factor <= 1.0:
-            raise TraceError(
-                f"contention_factor must exceed 1, got {self.contention_factor}"
             )
         if self.summary_every < 0:
             raise TraceError(
@@ -702,11 +701,9 @@ class StreamStats:
 
 @dataclass(frozen=True)
 class StreamResult:
-    """What :meth:`TraceStreamAnalyzer.finalize` learned.
-
-    ``path`` and ``waits`` are the same types the batch analysis
-    produces.
-    """
+    """What :meth:`TraceStreamAnalyzer.finalize` learned
+    (:func:`repro.obs.report.build_run_report` turns it into the run
+    report)."""
 
     path: CriticalPath
     waits: WaitStateReport
@@ -716,7 +713,8 @@ class StreamResult:
 
 
 class _StreamingView(TimelineView):
-    """The analyzer's frontier+spill store as a timeline view."""
+    """The analyzer's frontier+spill store as the timeline view the
+    walk and the classifier read."""
 
     def __init__(self, analyzer: "TraceStreamAnalyzer") -> None:
         self._a = analyzer
@@ -768,13 +766,7 @@ class TraceStreamAnalyzer:
     ) -> None:
         self.config = config or StreamConfig()
         self._registry = registry
-        if self.config.spill_dir is not None:
-            self._dir = Path(self.config.spill_dir)
-            self._dir.mkdir(parents=True, exist_ok=True)
-            self._own_dir = False
-        else:
-            self._dir = Path(tempfile.mkdtemp(prefix="trace-stream-"))
-            self._own_dir = True
+        self._dir = Path(tempfile.mkdtemp(prefix="trace-stream-"))
         self._log = SpillLog(self._dir / "trace.spill")
         self._cache = _SegmentCache(self._log, _CACHE_SEGMENTS)
         self._states: dict[int, _StateSeries] = {}
@@ -853,8 +845,8 @@ class TraceStreamAnalyzer:
         self._after_ingest()
 
     def comm(self, message) -> None:
-        """Ingest one message record (reads the same attributes the
-        batch recorder does)."""
+        """Ingest one message record (reads the same attributes
+        :meth:`TraceRecorder.comm` does)."""
         self._check_open()
         src = message.src
         dst = message.dst
@@ -1029,7 +1021,7 @@ class TraceStreamAnalyzer:
             span = event.t1 - t0
             if span > 0.0:
                 baseline = self._live_baseline(message.label)
-                if message.latency > self.config.contention_factor * baseline:
+                if message.latency > CONTENTION_FACTOR * baseline:
                     expected = message.send_time + baseline
                     normal = max(0.0, min(event.t1, expected) - t0)
                     normal = min(span, normal)
@@ -1136,9 +1128,7 @@ class TraceStreamAnalyzer:
             raise TraceError("cannot analyze an empty trace stream")
         baselines = baselines_from_latencies(self._latencies)
         view = _StreamingView(self)
-        classifier = WaitClassifier(
-            view, baselines, self.config.contention_factor
-        )
+        classifier = WaitClassifier(view, baselines, CONTENTION_FACTOR)
         buckets: dict[tuple[str, str], list] = {}
 
         def add(category: str, label: str, seconds: float) -> None:
@@ -1173,7 +1163,7 @@ class TraceStreamAnalyzer:
                 useful_seconds=tuple(useful),
             ),
             baseline_latency_s=dict(sorted(baselines.items())),
-            contention_factor=self.config.contention_factor,
+            contention_factor=CONTENTION_FACTOR,
         )
         self._flush_metrics()
         self._result = StreamResult(
@@ -1188,13 +1178,12 @@ class TraceStreamAnalyzer:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Close the spill log and drop an analyzer-owned spill dir."""
+        """Close the spill log and remove its directory."""
         if self._closed:
             return
         self._closed = True
         self._log.close()
-        if self._own_dir:
-            shutil.rmtree(self._dir, ignore_errors=True)
+        shutil.rmtree(self._dir, ignore_errors=True)
 
     def __enter__(self) -> "TraceStreamAnalyzer":
         return self

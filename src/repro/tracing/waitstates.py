@@ -27,7 +27,7 @@ the way Scalasca's wait-state and delay-cost analyses do:
 
 Blocked-before-send time is not taken at face value: a sender that
 posts late because *it* was stuck behind congested messages earlier is
-a victim, not a culprit.  :func:`classify_wait_states` therefore walks
+a victim, not a culprit.  The classifier therefore walks
 the sender's timeline backwards (skipping intrinsic compute/send work)
 and recursively blames the sender's own most recent blocked intervals
 — Scalasca's delay-cost propagation.  Only lateness that survives the
@@ -40,9 +40,10 @@ useful-compute time: load balance, communication efficiency, and
 parallel efficiency (their product).
 
 The per-wait arithmetic lives in
-:class:`repro.tracing.attribution.WaitClassifier`, shared with the
-streaming analyzer; this module holds the batch driver and the report
-types both modes assemble.
+:class:`repro.tracing.attribution.WaitClassifier`, and
+:class:`repro.tracing.stream.TraceStreamAnalyzer` drives it over every
+receive wait; this module holds the report types the analyzer
+assembles and the order-independent reductions it feeds them from.
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.core.stats import summarize
-from repro.errors import TraceError
-from repro.tracing.attribution import WaitClassifier
-from repro.tracing.graph import HappensBeforeGraph
-from repro.tracing.recorder import TraceRecorder
 
 #: Wait-state categories in display order.
 WAIT_CATEGORIES = (
@@ -73,7 +70,7 @@ BENIGN_CATEGORIES = frozenset({"transfer", "late-receiver"})
 
 #: A message whose end-to-end latency exceeds this multiple of its
 #: label's trace-wide median counts as congested.
-DEFAULT_CONTENTION_FACTOR = 3.0
+CONTENTION_FACTOR = 3.0
 
 _EPS = 1e-12
 
@@ -202,34 +199,13 @@ class WaitStateReport:
         )
 
 
-def efficiency_report(recorder: TraceRecorder) -> EfficiencyReport:
-    """POP efficiencies from *recorder*'s compute intervals."""
-    if not recorder.states:
-        raise TraceError("cannot compute efficiencies of an empty trace")
-    useful = [0.0] * recorder.num_ranks
-    for state in recorder.states:
-        if state.kind == "compute":
-            useful[state.rank] += state.duration
-    return EfficiencyReport(
-        runtime_seconds=recorder.end_time, useful_seconds=tuple(useful)
-    )
-
-
-def _baselines(recorder: TraceRecorder) -> dict[str, float]:
-    latencies: dict[str, list[float]] = {}
-    for comm in recorder.comms:
-        latencies.setdefault(comm.label, []).append(comm.latency)
-    return baselines_from_latencies(latencies)
-
-
 def baselines_from_latencies(
     latencies: Mapping[str, Iterable[float]]
 ) -> dict[str, float]:
     """Per-label baseline latency: the trace-wide median (floored at
     :data:`_EPS`), always a ``float``.  The median is order-independent
-    and the result type does not depend on whether the store kept the
-    latencies as ints or packed doubles, so batch and streaming
-    ingestion agree exactly."""
+    and the result type does not depend on whether the latencies were
+    kept as ints or packed doubles."""
     return {
         label: float(max(summarize(list(values)).median, _EPS))
         for label, values in latencies.items()
@@ -258,7 +234,7 @@ def collective_instance_spreads(
 
     *instances* maps ``(kind, seq)`` to ``{"entry": {rank: first send
     time}, "exit": {rank: last arrival}}`` — min/max accumulations, so
-    batch and streaming ingestion build the identical structure.
+    the structure does not depend on the order messages were recorded.
     """
     spreads: list[tuple[str, float]] = []
     previous_exit: Mapping[int, float] = {}
@@ -276,67 +252,3 @@ def collective_instance_spreads(
                 spreads.append((kind, spread))
         previous_exit = record["exit"]
     return spreads
-
-
-def _introduced_imbalance(
-    recorder: TraceRecorder,
-) -> list[tuple[str, float]]:
-    instances: dict[tuple, dict[str, dict[int, float]]] = {}
-    for comm in recorder.comms:
-        instance = comm.collective_instance
-        if instance is None:
-            continue
-        record = instances.setdefault(instance, {"entry": {}, "exit": {}})
-        entry = record["entry"].get(comm.src)
-        if entry is None or comm.send_time < entry:
-            record["entry"][comm.src] = comm.send_time
-        exit_ = record["exit"].get(comm.dst)
-        if exit_ is None or comm.arrival_time > exit_:
-            record["exit"][comm.dst] = comm.arrival_time
-    return collective_instance_spreads(instances)
-
-
-def classify_wait_states(
-    recorder: TraceRecorder,
-    *,
-    contention_factor: float = DEFAULT_CONTENTION_FACTOR,
-) -> WaitStateReport:
-    """Root-cause every receive wait in *recorder* (see module docs).
-
-    The baseline latency per operation label is the trace-wide median
-    — on a congested run most messages are still clean (the Figure 4
-    observation), so the median is the uncongested reference and
-    messages beyond ``contention_factor`` times it are congested.
-    """
-    if contention_factor <= 1.0:
-        raise TraceError(
-            f"contention_factor must exceed 1, got {contention_factor}"
-        )
-    if not recorder.states:
-        raise TraceError("cannot classify an empty trace")
-
-    view = HappensBeforeGraph(recorder)
-    classifier = WaitClassifier(view, _baselines(recorder), contention_factor)
-    buckets: dict[tuple[str, str], list] = {}
-
-    def add(category: str, label: str, seconds: float) -> None:
-        bucket = buckets.setdefault((category, label), [0.0, 0])
-        bucket[0] += seconds
-        bucket[1] += 1
-
-    for state in recorder.states:
-        if state.kind != "wait" or state.cause < 0:
-            continue
-        for category, seconds in classifier.classify(state).items():
-            if seconds > 0.0:
-                add(category, state.label, seconds)
-
-    for kind, spread in _introduced_imbalance(recorder):
-        add("collective-imbalance", kind, spread)
-
-    return WaitStateReport(
-        entries=wait_entries_from_buckets(buckets),
-        efficiencies=efficiency_report(recorder),
-        baseline_latency_s=dict(sorted(classifier.baselines.items())),
-        contention_factor=contention_factor,
-    )

@@ -19,7 +19,7 @@ from repro.apps import BigDFT
 from repro.cluster import MpiJob, tibidabo
 from repro.metrics import MetricsRegistry, to_json, use_registry
 from repro.obs import build_run_report, diff_metrics
-from repro.tracing.recorder import TraceRecorder
+from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 GOLDEN_REPORT = GOLDEN_DIR / "fig4_trace_report.json"
@@ -32,16 +32,19 @@ SEED = 7
 def fig4_analysis():
     """The pinned run: exactly what ``repro trace-report`` executes."""
     registry = MetricsRegistry()
-    recorder = TraceRecorder()
-    with use_registry(registry):
-        cluster = tibidabo(num_nodes=18, seed=SEED)
-        app = BigDFT()
-        MpiJob(
-            cluster, NUM_RANKS, app.rank_program(cluster, NUM_RANKS),
-            tracer=recorder,
-        ).run()
+    with TraceStreamAnalyzer(
+        StreamConfig(frontier_limit=None), registry=registry
+    ) as analyzer:
+        with use_registry(registry):
+            cluster = tibidabo(num_nodes=18, seed=SEED)
+            app = BigDFT()
+            MpiJob(
+                cluster, NUM_RANKS, app.rank_program(cluster, NUM_RANKS),
+                tracer=analyzer,
+            ).run()
+        result = analyzer.finalize()
     report = build_run_report(
-        recorder,
+        result,
         scenario=f"fig4-bigdft-{NUM_RANKS}ranks-seed{SEED}",
         registry=registry,
     )

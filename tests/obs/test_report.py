@@ -7,13 +7,15 @@ import pytest
 from repro.cluster import MpiJob, tibidabo
 from repro.metrics import MetricsRegistry, use_registry
 from repro.obs.report import REPORT_SCHEMA_VERSION, build_run_report
-from repro.tracing.recorder import TraceRecorder
+from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
 
 
 def _traced_run(num_ranks=4):
+    """The finalized analysis of a small traced job, and its registry."""
     registry = MetricsRegistry()
-    recorder = TraceRecorder()
-    with use_registry(registry):
+    with use_registry(registry), TraceStreamAnalyzer(
+        StreamConfig(frontier_limit=None)
+    ) as analyzer:
         cluster = tibidabo(num_nodes=2, seed=3)
 
         def program(rank):
@@ -21,15 +23,15 @@ def _traced_run(num_ranks=4):
             yield from rank.alltoallv([2048] * rank.size)
             yield from rank.barrier()
 
-        MpiJob(cluster, num_ranks, program, tracer=recorder).run()
-    return recorder, registry
+        MpiJob(cluster, num_ranks, program, tracer=analyzer).run()
+        return analyzer.finalize(), registry
 
 
 @pytest.fixture(scope="module")
 def report():
-    recorder, registry = _traced_run()
+    result, registry = _traced_run()
     return build_run_report(
-        recorder, scenario="unit-test-run", registry=registry
+        result, scenario="unit-test-run", registry=registry
     )
 
 
@@ -76,8 +78,8 @@ class TestToDict:
         assert "counters" in metrics
 
     def test_metrics_absent_without_registry(self):
-        recorder, _ = _traced_run()
-        bare = build_run_report(recorder, scenario="bare")
+        result, _ = _traced_run()
+        bare = build_run_report(result, scenario="bare")
         assert bare.to_dict()["metrics"] is None
 
 
@@ -93,10 +95,10 @@ class TestSerialization:
     def test_deterministic_across_reruns(self):
         texts = []
         for _ in range(2):
-            recorder, registry = _traced_run()
+            result, registry = _traced_run()
             texts.append(
                 build_run_report(
-                    recorder, scenario="repeat", registry=registry
+                    result, scenario="repeat", registry=registry
                 ).to_json()
             )
         assert texts[0] == texts[1]

@@ -23,7 +23,6 @@ from repro.errors import TraceError
 from repro.tracing.events import STATE_KINDS, CommEvent, StateEvent
 from repro.tracing.stream import (
     SpillLog,
-    StreamConfig,
     TraceStreamAnalyzer,
     _CommSeries,
     _SegmentCache,
@@ -152,9 +151,8 @@ def test_message_segments_round_trip_exactly(events, tmp_path_factory):
 
 @settings(max_examples=60, deadline=None)
 @given(waits=st.lists(states(), min_size=1, max_size=12))
-def test_wait_segments_round_trip_exactly(waits, tmp_path_factory):
-    config = StreamConfig(spill_dir=tmp_path_factory.mktemp("waits"))
-    with TraceStreamAnalyzer(config) as analyzer:
+def test_wait_segments_round_trip_exactly(waits):
+    with TraceStreamAnalyzer() as analyzer:
         analyzer._wait_tail = [wait_row(e) for e in waits]
         analyzer._flush_waits()
         assert analyzer._wait_tail == []

@@ -1,20 +1,29 @@
-"""Property-based equivalence of streaming and batch trace analysis.
+"""Closed-form oracles for the trace store.
 
 Hypothesis generates random fig4-shaped traces — per-rank monotone
 timelines, cross-rank messages, waits in arrival order, all timestamps
 multiples of 1/8 so float arithmetic is exact, or plain ``int`` time
 units for some traces, and in some traces stamps recorded twice and
-message records that arrive late — and the tests assert the streaming
-analyzer's contract:
+message and state records that arrive late — and checks the
+analyzer against values computed directly from the generated calls,
+at frontier limits 1, 3, 17 and None (from every row spilled to none):
 
-* for any trace, streaming produces *exactly* the batch report
-  (same JSON document, byte for byte);
-* the frontier limit — how aggressively events are evicted to the
-  spill log — never changes the answer, only the memory profile;
-* a trace the batch pipeline rejects is rejected by the stream too.
+* each rank's backward cursor from the end of time yields that rank's
+  states in stable ``(t1, t0)`` order, wherever the rows live;
+* a stamp resolves to the last-recorded message carrying it;
+* runtime, rank count, per-rank useful seconds and per-label baseline
+  latencies equal direct reductions of the calls;
+* a resolved blocked wait is billed exactly its duration across
+  ``transfer``, ``switch-contention`` and ``late-sender``, and a
+  resolved zero-length wait its buffered time as ``late-receiver``;
+* the frontier limit never changes the report;
+* a wait that ends before its cause arrives is rejected at every
+  limit.
 """
 
 import dataclasses
+import math
+import statistics
 
 import pytest
 
@@ -23,10 +32,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import TraceError
-from repro.obs import build_run_report, build_stream_run_report
-from repro.tracing import TraceRecorder
-from repro.tracing.events import CommEvent
-from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
+from repro.obs import build_run_report
+from repro.tracing.events import CommEvent, StateEvent
+from repro.tracing.stream import (
+    StreamConfig,
+    TraceStreamAnalyzer,
+    _StreamingView,
+)
 
 Q = 0.125  # all times are multiples of this; float addition is exact
 
@@ -38,11 +50,12 @@ def trace_ops(draw):
     In a *reordered* trace some stamps are recorded a second time, with
     a different size (and a different label and a send time no later
     than the first record's, so which of the two the analysis resolves
-    shows in the report), and some message records are held back to
-    the end of the trace, after later-stamped messages.  The
-    last-recorded message of a stamp must then win wherever the stream
-    keeps it: in the frontier, among the stragglers or in a spilled
-    segment.
+    shows in the report), and some message and wait records are held
+    back to the end of the trace, after later-stamped messages and
+    later states of their rank.  The last-recorded message of a stamp
+    must then win, and a late state take its place in its rank's
+    timeline, wherever the stream keeps them: in the frontier, among
+    the stragglers or in a spilled segment.
     """
     num_ranks = draw(st.integers(2, 4))
     rounds = draw(st.integers(1, 4))
@@ -101,7 +114,11 @@ def trace_ops(draw):
             for message in arrivals:
                 t0 = now[dst]
                 t1 = max(t0, message.arrival_time)
-                ops.append(("state", dst, "msg", t0, t1, "wait", message.seq))
+                wait = ("state", dst, "msg", t0, t1, "wait", message.seq)
+                if reordered and draw(st.booleans()):
+                    held_back.append(wait)
+                else:
+                    ops.append(wait)
                 now[dst] = t1
     return ops + held_back
 
@@ -115,53 +132,137 @@ def feed(ops, tracer):
             tracer.comm(op[1])
 
 
-def batch_outcome(recorder):
-    try:
-        return "ok", build_run_report(recorder, scenario="p").to_json()
-    except TraceError:
-        return "error", None
+#: From "every row spills at once" to "nothing is ever evicted".
+LIMITS = (1, 3, 17, None)
 
 
-def stream_outcome(ops, config):
-    with TraceStreamAnalyzer(config) as analyzer:
+def analyzer_for(limit):
+    return TraceStreamAnalyzer(
+        StreamConfig(frontier_limit=limit, segment_events=4)
+    )
+
+
+def analyze(ops, limit):
+    with analyzer_for(limit) as analyzer:
+        feed(ops, analyzer)
+        return analyzer.finalize()
+
+
+def state_ops(ops):
+    return [op for op in ops if op[0] == "state"]
+
+
+def last_recorded(ops):
+    """The last-recorded message of each stamp."""
+    return {op[1].seq: op[1] for op in ops if op[0] == "comm"}
+
+
+def backward(cursor):
+    states = []
+    while cursor.state is not None:
+        states.append(cursor.state)
+        cursor.retreat()
+    return states
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=trace_ops())
+def test_cursors_and_lookups_follow_the_calls(ops):
+    timelines = {}
+    for _, rank, label, t0, t1, kind, cause in state_ops(ops):
+        timelines.setdefault(rank, []).append(
+            StateEvent(rank, label, t0, t1, kind, cause)
+        )
+    for states in timelines.values():
+        states.sort(key=lambda s: (s.t1, s.t0))  # stable: record order
+    messages = last_recorded(ops)
+    for limit in LIMITS:
+        with analyzer_for(limit) as analyzer:
+            feed(ops, analyzer)
+            view = _StreamingView(analyzer)
+            for rank, states in timelines.items():
+                cursor = view.anchor(rank, math.inf, 0.0)
+                assert backward(cursor) == states[::-1]
+            for seq in range(max(messages, default=-1) + 2):
+                assert view.message(seq) == messages.get(seq)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=trace_ops())
+def test_scalars_equal_direct_reductions(ops):
+    states = state_ops(ops)
+    comms = [op[1] for op in ops if op[0] == "comm"]
+    runtime = max(
+        [op[4] for op in states] + [c.arrival_time for c in comms]
+    )
+    num_ranks = 1 + max(
+        [op[1] for op in states] + [r for c in comms for r in (c.src, c.dst)]
+    )
+    useful = [0.0] * num_ranks
+    for _, rank, _, t0, t1, kind, _ in states:
+        if kind == "compute":
+            useful[rank] += t1 - t0
+    latencies = {}
+    for c in comms:
+        latencies.setdefault(c.label, []).append(c.arrival_time - c.send_time)
+    baselines = {
+        label: float(max(statistics.median(values), 1e-12))
+        for label, values in sorted(latencies.items())
+    }
+    for limit in LIMITS:
+        result = analyze(ops, limit)
+        assert result.runtime_seconds == runtime
+        assert result.num_ranks == num_ranks
+        assert result.waits.efficiencies.useful_seconds == tuple(useful)
+        assert result.waits.baseline_latency_s == baselines
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=trace_ops())
+def test_every_resolved_wait_is_billed_exactly_once(ops):
+    messages = last_recorded(ops)
+    blocked, buffered = [], []
+    for _, _, _, t0, t1, kind, cause in state_ops(ops):
+        message = messages.get(cause) if kind == "wait" else None
+        if message is None:
+            continue
+        if t1 > t0:
+            blocked.append(t1 - t0)
+        else:
+            buffered.append(max(t0 - message.arrival_time, 0))
+    for limit in LIMITS:
+        waits = analyze(ops, limit).waits
+        billed = math.fsum(
+            entry.seconds
+            for entry in waits.entries
+            if entry.category not in ("collective-imbalance", "late-receiver")
+        )
+        assert billed == pytest.approx(math.fsum(blocked), abs=1e-9)
+        assert waits.seconds("late-receiver") == pytest.approx(
+            math.fsum(buffered), abs=1e-9
+        )
+
+
+def report_outcome(ops, limit):
+    with analyzer_for(limit) as analyzer:
         feed(ops, analyzer)
         try:
             result = analyzer.finalize()
         except TraceError:
             return "error", None
-        return "ok", build_stream_run_report(result, scenario="p").to_json()
-
-
-@settings(max_examples=60, deadline=None)
-@given(ops=trace_ops())
-def test_streaming_equals_batch_exactly(ops):
-    recorder = TraceRecorder()
-    feed(ops, recorder)
-    kind, batch_doc = batch_outcome(recorder)
-    stream_kind, stream_doc = stream_outcome(
-        ops, StreamConfig(frontier_limit=4, segment_events=4)
-    )
-    assert stream_kind == kind
-    assert stream_doc == batch_doc
+        return "ok", build_run_report(result, scenario="p").to_json()
 
 
 @settings(max_examples=40, deadline=None)
 @given(ops=trace_ops())
 def test_frontier_limit_never_changes_the_report(ops):
-    outcomes = {
-        stream_outcome(
-            ops, StreamConfig(frontier_limit=limit, segment_events=4)
-        )
-        for limit in (1, 3, 17, None)
-    }
-    assert len(outcomes) == 1
+    assert len({report_outcome(ops, limit) for limit in LIMITS}) == 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(ops=trace_ops(), data=st.data())
-def test_batch_rejection_implies_stream_rejection(ops, data):
-    """Truncate one wait so it ends before its cause arrives — the
-    validation failure must surface identically in both pipelines."""
+def test_truncated_wait_is_rejected_at_every_limit(ops, data):
+    """Truncate one wait so it ends before its cause arrives."""
     candidates = [
         index
         for index, op in enumerate(ops)
@@ -172,10 +273,8 @@ def test_batch_rejection_implies_stream_rejection(ops, data):
     _, rank, label, t0, t1, kind, cause = ops[index]
     ops = list(ops)
     ops[index] = ("state", rank, label, t0, t0, kind, cause)
-
-    recorder = TraceRecorder()
-    feed(ops, recorder)
-    assert batch_outcome(recorder)[0] == "error"
-    assert stream_outcome(
-        ops, StreamConfig(frontier_limit=2, segment_events=2)
-    )[0] == "error"
+    for limit in LIMITS:
+        with analyzer_for(limit) as analyzer:
+            feed(ops, analyzer)
+            with pytest.raises(TraceError, match="before its cause arrives"):
+                analyzer.finalize()

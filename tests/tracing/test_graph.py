@@ -1,4 +1,5 @@
-"""Tests for the happens-before graph and critical-path extraction."""
+"""Tests for the happens-before structure the trace store keeps
+(program order + stamped message edges) and critical-path extraction."""
 
 import math
 
@@ -6,15 +7,13 @@ import pytest
 
 from repro.cluster import MpiJob, tibidabo
 from repro.errors import TraceError
-from repro.tracing.graph import (
+from repro.tracing.attribution import (
     PATH_CATEGORIES,
     CriticalPath,
-    HappensBeforeGraph,
     PathSegment,
-    build_graph,
-    critical_path,
 )
 from repro.tracing.recorder import TraceRecorder
+from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
 
 
 class _Msg:
@@ -43,35 +42,47 @@ def _late_sender_trace():
     return rec
 
 
+def _analyze(recorder):
+    """*recorder*'s events replayed into an analyzer that never evicts
+    (what ``trace-report --chrome-out`` runs), finalized."""
+    with TraceStreamAnalyzer(StreamConfig(frontier_limit=None)) as analyzer:
+        recorder.replay(analyzer)
+        return analyzer.finalize()
+
+
+def _path(recorder):
+    return _analyze(recorder).path
+
+
 class TestHappensBeforeGraph:
     def test_counts_and_end(self):
-        graph = build_graph(_late_sender_trace())
-        assert graph.node_count == 5
-        # 3 program-order edges (2 on rank 0, 2 on rank 1... minus one
-        # each) plus one message edge.
-        assert graph.edge_count == (1 + 2) + 1
-        assert graph.end_time == pytest.approx(6.0)
-        assert graph.end_rank == 1
+        result = _analyze(_late_sender_trace())
+        # 5 state intervals (the nodes) and one stamped message edge.
+        assert result.stats.states_ingested == 5
+        assert result.stats.distinct_messages == 1
+        assert result.runtime_seconds == pytest.approx(6.0)
+        # The walk starts from the rank that ends the job.
+        assert result.path.segments[-1].rank == 1
 
     def test_empty_trace_rejected(self):
         with pytest.raises(TraceError):
-            build_graph(TraceRecorder())
+            _analyze(TraceRecorder())
 
     def test_validate_passes_on_consistent_trace(self):
-        build_graph(_late_sender_trace()).validate()
+        _analyze(_late_sender_trace())
 
     def test_validate_rejects_wait_ending_before_arrival(self):
         rec = TraceRecorder()
         rec.state(0, "send", 0.0, 0.1, kind="send", cause=1)
         rec.comm(_Msg(0, 1, 0.0, 9.0, "p2p", seq=1))
         rec.state(1, "recv", 0.0, 1.0, kind="wait", cause=1)
-        with pytest.raises(TraceError):
-            build_graph(rec).validate()
+        with pytest.raises(TraceError, match="before its cause arrives"):
+            _analyze(rec)
 
 
 class TestCriticalPath:
     def test_late_sender_hop(self):
-        path = critical_path(_late_sender_trace())
+        path = _path(_late_sender_trace())
         # The path must hop from rank 1's wait to rank 0's compute at
         # the injection time — never charge rank 1's pre-send blocking.
         assert path.rank_changes == 1
@@ -82,7 +93,7 @@ class TestCriticalPath:
         assert path.dominant_wait_label() == "recv"
 
     def test_segments_tile_the_runtime(self):
-        path = critical_path(_late_sender_trace())
+        path = _path(_late_sender_trace())
         covered = math.fsum(s.duration for s in path.segments)
         assert covered == pytest.approx(path.total_seconds)
         path.check_coverage()
@@ -91,7 +102,7 @@ class TestCriticalPath:
         rec = TraceRecorder()
         rec.state(0, "work", 0.0, 1.0, kind="compute")
         rec.state(0, "work", 2.0, 3.0, kind="compute")
-        path = critical_path(rec)
+        path = _path(rec)
         assert path.breakdown["idle"] == pytest.approx(1.0)
         assert path.breakdown["compute"] == pytest.approx(2.0)
 
@@ -100,11 +111,11 @@ class TestCriticalPath:
         rec.state(0, "work", 0.0, 1.0, kind="compute")
         rec.state(0, "retry", 1.0, 1.5, kind="retry")
         rec.state(0, "work", 1.5, 2.0, kind="compute")
-        path = critical_path(rec)
+        path = _path(rec)
         assert path.breakdown["rework"] == pytest.approx(0.5)
 
     def test_by_label_sorted_largest_first(self):
-        path = critical_path(_late_sender_trace())
+        path = _path(_late_sender_trace())
         seconds = list(path.by_label.values())
         assert seconds == sorted(seconds, reverse=True)
 
@@ -172,24 +183,24 @@ class TestOnRealJob:
         return rec
 
     def test_walk_converges_and_tiles(self, recorder):
-        graph = HappensBeforeGraph(recorder)
-        graph.validate()
-        path = graph.critical_path()
+        path = _path(recorder)
         path.check_coverage()
-        assert path.total_seconds == pytest.approx(graph.end_time)
+        assert path.total_seconds == pytest.approx(
+            max(s.t1 for s in recorder.states)
+        )
 
     def test_categories_are_known(self, recorder):
-        path = critical_path(recorder)
+        path = _path(recorder)
         assert {s.category for s in path.segments} <= set(PATH_CATEGORIES)
 
     def test_collective_wait_lands_on_path(self, recorder):
         # Over half the 8-rank job is the alltoallv exchange; some of
         # it must be on the path as wait time.
-        path = critical_path(recorder)
+        path = _path(recorder)
         assert path.breakdown["wait"] > 0.0
         assert path.dominant_wait_label() == "alltoallv"
 
     def test_deterministic(self, recorder):
-        first = critical_path(recorder)
-        second = critical_path(recorder)
+        first = _path(recorder)
+        second = _path(recorder)
         assert first.segments == second.segments

@@ -1,10 +1,10 @@
-"""The streaming analyzer: bounded memory, exactness, failure modes.
+"""The trace store: bounded memory, exactness, failure modes.
 
 The load-bearing claim is *byte identity*: for the same trace, the
-streaming analysis — whatever its frontier limit, however much it
-spilled — produces the same :class:`RunReport` JSON as the batch
-graph+classifier pipeline.  Everything else (spill framing, eviction
-accounting, live summaries) supports that.
+analysis — whatever its frontier limit, however much it spilled —
+produces the same :class:`RunReport` JSON as with no limit, which is
+what ``trace-report`` runs without ``--stream``.  Everything else
+(spill framing, eviction accounting, live summaries) supports that.
 """
 
 import pytest
@@ -12,7 +12,7 @@ import pytest
 from repro.errors import TraceError
 from repro.metrics.export import registry_to_dict
 from repro.metrics.registry import MetricsRegistry
-from repro.obs import build_run_report, build_stream_run_report
+from repro.obs import build_run_report
 from repro.tracing import TraceRecorder
 from repro.tracing.stream import (
     SpillLog,
@@ -49,13 +49,18 @@ def _stream_only(config=None, **kwargs):
 
 class TestByteIdentity:
     def test_stream_equals_batch_under_aggressive_eviction(self):
+        """The streamed run against the recorded one replayed with no
+        frontier limit: ``trace-report --stream`` against
+        ``trace-report --chrome-out``."""
         config = StreamConfig(frontier_limit=64, segment_events=16)
         recorder, analyzer = _tee(config)
         with analyzer:
             result = analyzer.finalize()
-            streamed = build_stream_run_report(result, scenario="tee")
-        batch = build_run_report(recorder, scenario="tee")
-        assert streamed.to_json() == batch.to_json()
+            streamed = build_run_report(result, scenario="tee")
+        with TraceStreamAnalyzer(StreamConfig(frontier_limit=None)) as batch:
+            recorder.replay(batch)
+            batch_report = build_run_report(batch.finalize(), scenario="tee")
+        assert streamed.to_json() == batch_report.to_json()
         # The equality must have been earned: this run really spilled.
         assert result.stats.retired_segments > 0
         assert result.stats.spill_bytes > 0
@@ -68,9 +73,7 @@ class TestByteIdentity:
                 StreamConfig(frontier_limit=limit, segment_events=8)
             ) as analyzer:
                 result = analyzer.finalize()
-                documents.add(
-                    build_stream_run_report(result, scenario="x").to_json()
-                )
+                documents.add(build_run_report(result, scenario="x").to_json())
         assert len(documents) == 1
 
     def test_high_water_respects_the_limit(self):
@@ -139,14 +142,13 @@ class TestLifecycle:
         analyzer.close()
         assert not spill_dir.exists()
 
-    def test_explicit_spill_dir_is_kept(self, tmp_path):
-        config = StreamConfig(
-            frontier_limit=8, segment_events=4, spill_dir=tmp_path / "spill"
-        )
-        analyzer = _stream_only(config, rounds=10)
-        analyzer.finalize()
-        analyzer.close()
-        assert (tmp_path / "spill").exists()
+    def test_concurrent_analyzers_keep_separate_spill_logs(self):
+        config = StreamConfig(frontier_limit=8, segment_events=4)
+        first = _stream_only(config, rounds=10)
+        second = _stream_only(config, rounds=10)
+        with first, second:
+            assert first._dir != second._dir
+            assert first.finalize().waits == second.finalize().waits
 
 
 STATE_COLUMNS = [
@@ -251,7 +253,6 @@ class TestConfigValidation:
         [
             ({"frontier_limit": 0}, "frontier_limit"),
             ({"segment_events": 0}, "segment_events"),
-            ({"contention_factor": 1.0}, "contention_factor"),
             ({"summary_every": -1}, "summary_every"),
         ],
     )
@@ -325,7 +326,8 @@ class TestLiveSummaries:
 
 class TestStreamingValidation:
     def test_wait_ending_before_arrival_is_rejected(self):
-        """Same validation the batch graph applies, at finalize time."""
+        """A wait cannot end before its cause arrives: checked at
+        finalize, once every message is in."""
 
         class _Msg:
             src, dst, tag, nbytes, seq = 0, 1, "t", 8, 0

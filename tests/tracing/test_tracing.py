@@ -76,6 +76,15 @@ class TestRecorder:
         recorder = _traced_job()
         assert recorder.end_time >= max(s.t1 for s in recorder.states)
 
+    def test_replay_reproduces_every_record_in_order(self):
+        recorder = _traced_job()
+        recorder.fault("crash", 0.002, "node3", ranks=[3])
+        copy = TraceRecorder()
+        recorder.replay(copy)
+        assert copy.states == recorder.states
+        assert copy.comms == recorder.comms
+        assert copy.faults == recorder.faults
+
 
 class TestParaver:
     def test_export_has_header_and_records(self):

@@ -5,12 +5,11 @@ import pytest
 from repro.cluster import MpiJob, tibidabo
 from repro.errors import TraceError
 from repro.tracing.recorder import TraceRecorder
+from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
 from repro.tracing.waitstates import (
     BENIGN_CATEGORIES,
     WAIT_CATEGORIES,
     EfficiencyReport,
-    classify_wait_states,
-    efficiency_report,
 )
 
 
@@ -24,6 +23,18 @@ class _Msg:
         self.arrival_time = arrival_time
         self.label = label
         self.seq = seq
+
+
+def _analyze(recorder):
+    """*recorder*'s events replayed into an analyzer that never evicts
+    (what ``trace-report --chrome-out`` runs), finalized."""
+    with TraceStreamAnalyzer(StreamConfig(frontier_limit=None)) as analyzer:
+        recorder.replay(analyzer)
+        return analyzer.finalize()
+
+
+def _waits(recorder):
+    return _analyze(recorder).waits
 
 
 def _clean_peers(rec, label="p2p", n=4, latency=0.1, seq0=100):
@@ -41,7 +52,7 @@ class TestClassification:
         rec.comm(_Msg(0, 1, 5.0, 5.1, "p2p", seq=1))
         rec.state(1, "recv", 0.0, 5.1, kind="wait", cause=1)
         _clean_peers(rec)
-        report = classify_wait_states(rec)
+        report = _waits(rec)
         assert report.seconds("late-sender", "recv") == pytest.approx(5.0)
         assert report.seconds("transfer", "recv") == pytest.approx(0.1)
         assert report.dominant.category == "late-sender"
@@ -52,7 +63,7 @@ class TestClassification:
         _clean_peers(rec, n=5, latency=0.1)
         rec.comm(_Msg(0, 1, 0.0, 2.1, "p2p", seq=1))
         rec.state(1, "recv", 0.0, 2.1, kind="wait", cause=1)
-        report = classify_wait_states(rec)
+        report = _waits(rec)
         assert report.seconds("switch-contention", "recv") == pytest.approx(
             2.0, rel=0.01
         )
@@ -64,7 +75,7 @@ class TestClassification:
         _clean_peers(rec, n=5, latency=0.1)
         rec.comm(_Msg(0, 1, 0.0, 0.1, "p2p", seq=1))
         rec.state(1, "recv", 0.0, 0.1, kind="wait", cause=1)
-        report = classify_wait_states(rec)
+        report = _waits(rec)
         assert report.seconds("switch-contention") == 0.0
         assert report.seconds("transfer", "recv") == pytest.approx(0.1)
 
@@ -79,7 +90,7 @@ class TestClassification:
         rec.comm(_Msg(1, 2, 3.0, 3.1, "p2p", seq=2))
         rec.state(1, "send", 3.0, 3.1, kind="send", cause=2)
         rec.state(2, "recv", 0.0, 3.1, kind="wait", cause=2)
-        report = classify_wait_states(rec)
+        report = _waits(rec)
         # Rank 2 blocked 3.1s: 0.1 in flight (transfer) + 3.0 pre-send,
         # of which ~2.9 traces to the congested hop and ~0.1 to its
         # baseline transfer.  Nothing is genuine late-sender.
@@ -93,7 +104,7 @@ class TestClassification:
         rec.comm(_Msg(0, 1, 0.0, 0.1, "p2p", seq=1))
         # Receive posted 4s after arrival: mailbox hit, zero-length wait.
         rec.state(1, "recv", 4.1, 4.1, kind="wait", cause=1)
-        report = classify_wait_states(rec)
+        report = _waits(rec)
         assert report.seconds("late-receiver", "recv") == pytest.approx(4.0)
         assert report.dominant is None  # benign categories never dominate
         assert report.blocked_seconds == pytest.approx(0.0)
@@ -109,7 +120,7 @@ class TestClassification:
         rec.comm(_Msg(0, 1, 3.1, 3.2, "x", seq=3, tag=("alltoallv", 1, 0)))
         rec.comm(_Msg(1, 0, 1.1, 1.2, "x", seq=4, tag=("alltoallv", 1, 1)))
         rec.state(0, "work", 0.0, 3.2, kind="compute")
-        report = classify_wait_states(rec)
+        report = _waits(rec)
         assert report.seconds("collective-imbalance", "alltoallv") == pytest.approx(
             2.0
         )
@@ -118,26 +129,20 @@ class TestClassification:
         rec = TraceRecorder()
         rec.state(0, "recv", 0.0, 1.0, kind="wait", cause=-1)
         rec.comm(_Msg(0, 1, 0.0, 0.1, "p2p", seq=-1))
-        report = classify_wait_states(rec)
+        report = _waits(rec)
         assert report.total_wait_seconds == 0.0
         assert report.dominant is None
 
     def test_rejects_empty_trace(self):
         with pytest.raises(TraceError):
-            classify_wait_states(TraceRecorder())
-
-    def test_rejects_bad_contention_factor(self):
-        rec = TraceRecorder()
-        rec.state(0, "work", 0.0, 1.0, kind="compute")
-        with pytest.raises(TraceError):
-            classify_wait_states(rec, contention_factor=1.0)
+            _waits(TraceRecorder())
 
     def test_categories_are_known(self):
         rec = TraceRecorder()
         _clean_peers(rec, n=5, latency=0.1)
         rec.comm(_Msg(0, 1, 0.0, 3.0, "p2p", seq=1))
         rec.state(1, "recv", 0.0, 3.0, kind="wait", cause=1)
-        report = classify_wait_states(rec)
+        report = _waits(rec)
         assert {e.category for e in report.entries} <= set(WAIT_CATEGORIES)
         assert BENIGN_CATEGORIES <= set(WAIT_CATEGORIES)
 
@@ -163,14 +168,14 @@ class TestEfficiencies:
         rec.state(0, "work", 0.0, 4.0, kind="compute")
         rec.state(1, "work", 0.0, 2.0, kind="compute")
         rec.state(1, "recv", 2.0, 4.0, kind="wait")
-        report = efficiency_report(rec)
+        report = _analyze(rec).waits.efficiencies
         assert report.useful_seconds == (4.0, 2.0)
         assert report.runtime_seconds == pytest.approx(4.0)
         assert report.load_balance == pytest.approx(0.75)
 
     def test_rejects_empty_trace(self):
         with pytest.raises(TraceError):
-            efficiency_report(TraceRecorder())
+            _analyze(TraceRecorder())
 
 
 class TestFigure4Signal:
@@ -182,11 +187,15 @@ class TestFigure4Signal:
             yield rank.compute(0.05, label="scf")
             yield from rank.alltoallv([100_000] * rank.size)
 
+    def _job_waits(self, cluster):
+        """Run the job with the analyzer as its tracer, as
+        ``trace-report`` does without ``--chrome-out``."""
+        with TraceStreamAnalyzer(StreamConfig(frontier_limit=None)) as analyzer:
+            MpiJob(cluster, 24, self._program, tracer=analyzer).run()
+            return analyzer.finalize().waits
+
     def test_switch_contention_dominates_congested_alltoallv(self):
-        cluster = tibidabo(num_nodes=12, seed=1)
-        rec = TraceRecorder()
-        MpiJob(cluster, 24, self._program, tracer=rec).run()
-        report = classify_wait_states(rec)
+        report = self._job_waits(tibidabo(num_nodes=12, seed=1))
         top = report.dominant
         assert top is not None
         assert top.category == "switch-contention"
@@ -194,9 +203,8 @@ class TestFigure4Signal:
         assert "switch-contention" in report.explain()
 
     def test_upgraded_switches_remove_the_pathology(self):
-        cluster = tibidabo(num_nodes=12, seed=1, upgraded_switches=True)
-        rec = TraceRecorder()
-        MpiJob(cluster, 24, self._program, tracer=rec).run()
-        report = classify_wait_states(rec)
+        report = self._job_waits(
+            tibidabo(num_nodes=12, seed=1, upgraded_switches=True)
+        )
         contention = report.seconds("switch-contention")
         assert contention < 0.1 * max(report.blocked_seconds, 1e-12)
