@@ -164,10 +164,16 @@ class Fabric:
         simulated time, so they are deterministic across runs.
         """
         tx = [nic.tx for nic in self.nics]
+        # Left to right in a plain loop: from Python 3.12 on, sum() of
+        # floats compensates rounding, which moves the last digit and
+        # would make the goldens depend on the interpreter.
+        busy_seconds = 0.0
+        for r in tx:
+            busy_seconds += r.busy_time
         summary: dict[str, float] = {
             "bytes": float(sum(r.bytes_carried for r in tx)),
             "messages": float(sum(r.messages_carried for r in tx)),
-            "busy_seconds": sum(r.busy_time for r in tx),
+            "busy_seconds": busy_seconds,
             "retransmit_episodes": float(self.total_loss_episodes()),
         }
         if elapsed > 0:

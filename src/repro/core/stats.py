@@ -350,11 +350,6 @@ class MannWhitneyResult:
     n_b: int
     p_value: float
 
-    @property
-    def effect_size(self) -> float:
-        """Rank-biserial correlation: ``2 U / (n_a n_b) - 1`` in [-1, 1]."""
-        return 2.0 * self.u / (self.n_a * self.n_b) - 1.0
-
 
 def mann_whitney(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
     """Two-sided Mann-Whitney U test via the tie-corrected normal

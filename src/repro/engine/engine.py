@@ -45,6 +45,8 @@ where sample N's value depends on the N-1 samples before it) set
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,6 +71,10 @@ from repro.version import __version__
 #: v3: entries carry the worker's metrics snapshot, replayed on hits
 #: so metrics exports are cache-state independent.
 SCHEMA_VERSION = 3
+
+#: How often a forked attempt checks that the process that forked it
+#: is still alive.
+_PARENT_POLL_S = 0.5
 
 #: A sweep worker: params in, JSON-serializable payload out.
 Worker = Callable[[Mapping[str, Any]], Any]
@@ -170,7 +176,7 @@ def _timed_call(
     return value, time.perf_counter() - start, None
 
 
-def _point_process_main(conn, worker, params, capture) -> None:
+def _point_process_main(conn, worker, params, capture, parent) -> None:
     """Child-process entry: run one point, ship the outcome over *conn*.
 
     Every outcome is a message: ``("ok", value, wall, snapshot)`` on
@@ -179,7 +185,28 @@ def _point_process_main(conn, worker, params, capture) -> None:
     the exception itself cannot travel over the pipe.  A child that
     dies without sending anything is a crash, detected by the parent
     via its process sentinel and exit code.
+
+    The fork copies the parent's signal handling, event loop handlers
+    included, and the loop's wakeup fd, which would write a signal
+    sent to this child into the parent's loop.  So the child drops the
+    wakeup fd, restores the default SIGTERM action, and ignores SIGINT:
+    a terminal's Ctrl-C reaches the whole process group, and the parent
+    decides what becomes of its attempts (the engine kills them, the
+    service drains them).  The child also exits once *parent*, the pid
+    that forked it, is gone and nothing is left to read its result.
+    An interval timer drives that check: a watcher thread cost ~2 ms
+    per attempt to start and tear down.
     """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def exit_if_orphaned(signum, frame) -> None:
+        if os.getppid() != parent:
+            os._exit(1)
+
+    signal.signal(signal.SIGALRM, exit_if_orphaned)
+    signal.setitimer(signal.ITIMER_REAL, _PARENT_POLL_S, _PARENT_POLL_S)
     try:
         try:
             value, wall, snapshot = _timed_call(worker, params, capture)
@@ -236,7 +263,7 @@ async def run_attempt(
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_point_process_main,
-        args=(child_conn, worker, params, metrics.enabled),
+        args=(child_conn, worker, params, metrics.enabled, os.getpid()),
         daemon=True,
     )
     proc.start()

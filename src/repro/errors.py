@@ -26,10 +26,6 @@ class AllocationError(ReproError):
     """The simulated OS page allocator could not satisfy a request."""
 
 
-class SchedulingError(ReproError):
-    """The simulated OS scheduler was driven into an invalid state."""
-
-
 class NetworkError(SimulationError):
     """The cluster network simulation reached an invalid state."""
 

@@ -121,13 +121,6 @@ class ResilientRunResult:
         return self.rework_seconds / self.wall_seconds if self.wall_seconds else 0.0
 
     @property
-    def overhead_fraction(self) -> float:
-        """Fraction of wall time that is not useful application work."""
-        if not self.wall_seconds:
-            return 0.0
-        return 1.0 - self.useful_seconds / self.wall_seconds
-
-    @property
     def detection_latency_s(self) -> float | None:
         """Mean crash-to-detection latency across failures."""
         if not self.failures:

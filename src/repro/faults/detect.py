@@ -46,11 +46,6 @@ class RetryPolicy:
             raise ConfigurationError(f"negative attempt {attempt}")
         return self.timeout_s * self.backoff**attempt
 
-    @property
-    def max_total_wait_s(self) -> float:
-        """Total backoff paid by a send that exhausts every retry."""
-        return sum(self.wait_for(a) for a in range(self.max_retries))
-
 
 @dataclass(frozen=True)
 class FailureDetector:

@@ -235,10 +235,6 @@ class FaultInjector:
         until = self._link_down_until.get(node)
         return until is not None and now < until
 
-    def node_detected_dead(self, node: int) -> bool:
-        """Whether the detector has already declared *node* dead."""
-        return node in self.detected_nodes
-
     def rank_detected_dead(self, rank: int) -> bool:
         """Whether the detector has already declared *rank* dead."""
         return rank in self.dead_ranks

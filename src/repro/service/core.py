@@ -24,6 +24,7 @@ Failure is the design center, not the edge case:
 from __future__ import annotations
 
 import asyncio
+import shutil
 import tempfile
 import time
 from dataclasses import dataclass
@@ -102,7 +103,7 @@ class JobService:
             )
         # Live trace summaries land here (one NDJSON file per job with
         # a progress-emitting scenario); under run_dir when journaling,
-        # otherwise a private temp dir that dies with the instance.
+        # otherwise a private temp dir that shutdown() removes.
         if self.config.run_dir is not None:
             self.progress_dir = Path(self.config.run_dir) / "progress"
         else:
@@ -166,6 +167,8 @@ class JobService:
         persisted = len(self.queue.drain()) + killed
         if self.journal is not None:
             self.journal.close()
+        if self.config.run_dir is None:
+            shutil.rmtree(self.progress_dir, ignore_errors=True)
         return {"drained": drained, "persisted": persisted}
 
     async def _recover(self) -> None:

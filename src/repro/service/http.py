@@ -118,9 +118,6 @@ class ServiceServer:
         )
         return summary
 
-    def request_stop(self) -> None:
-        self._stop.set()
-
     # -- request plumbing --------------------------------------------------
 
     async def _handle(

@@ -233,12 +233,7 @@ def trace_analysis_point(params: Mapping[str, Any]) -> dict[str, Any]:
             handle.write(json.dumps(summary, sort_keys=True) + "\n")
             handle.flush()
 
-    analyzer = TraceStreamAnalyzer(
-        StreamConfig(
-            summary_every=2048 if on_summary is not None else 0,
-            on_summary=on_summary,
-        )
-    )
+    analyzer = TraceStreamAnalyzer(StreamConfig(on_summary=on_summary))
     try:
         cluster = tibidabo(num_nodes=max(1, (num_ranks + 1) // 2), seed=seed)
         MpiJob(

@@ -32,12 +32,6 @@ class ExaflopProjection:
     required_gflops_per_watt: float
     current_gflops_per_watt: float
 
-    @property
-    def efficiency_factor(self) -> float:
-        """How much better GFLOPS/W must get — the paper's "factor of
-        25"."""
-        return self.required_gflops_per_watt / self.current_gflops_per_watt
-
 
 def required_efficiency_factor(
     current_gflops_per_watt: float = GREEN500_TOP_2012_GFLOPS_PER_WATT,

@@ -7,8 +7,9 @@ fault-injected runs.  It implements the tracer interface (``state`` /
 a :class:`~repro.tracing.recorder.TraceRecorder`; a run that also needs
 the recorder's event list (for the Chrome or Paraver writers) records
 first and replays it with :meth:`TraceRecorder.replay`.  With
-``frontier_limit=None`` nothing but the wait log ever leaves memory —
-that is how ``trace-report`` runs without ``--stream``.
+``frontier_limit=None`` nothing ever leaves memory and no spill
+directory is made — that is how ``trace-report`` runs without
+``--stream``.
 
 Memory model
 ------------
@@ -19,14 +20,14 @@ sorted array.  A row's leading fields are its sort key — ``(t1, t0,
 record position)`` for states, ``(seq, record position)`` for
 messages — so rows sort and bisect as their keys.  The public
 :class:`StateEvent` / :class:`CommEvent` is built only when a cursor
-or a message lookup reads it.  When the live count exceeds ``frontier_limit``, the oldest
-rows of the largest series are retired to an append-only **spill
-log** in segments of ``segment_events``.  Each segment is one frame of
-typed columns (packed float64/int64 arrays, a per-frame string table,
-JSON only for message tags) behind a sha256 digest of the exact bytes
-written; a small LRU cache decodes retired segments back on demand.
-Receive waits additionally ride an append-only wait log so the final
-classification replays them in exact record order.  A ``seq`` index
+or a message lookup reads it.  When the live count exceeds
+``frontier_limit``, the oldest rows of the largest series are retired
+to an append-only **spill log** in segments of ``segment_events``.
+Each segment is one frame — a small header and the ``marshal``'d rows
+— behind a sha256 digest of the exact bytes written, which the log
+also keeps in memory; a small LRU cache decodes retired segments back
+on demand.  Receive waits additionally ride the log in record order,
+so the final classification replays them exactly.  A ``seq`` index
 finds each stamped message in one step: it maps the stamp to the
 last-recorded message's row while that row is in memory, and to its
 segment's number once it spilled.  What never spills is that index and
@@ -43,7 +44,7 @@ with no limit and under ``--stream --frontier 64``.
 from __future__ import annotations
 
 import hashlib
-import json
+import marshal
 import os
 import random
 import shutil
@@ -53,8 +54,8 @@ import tempfile
 from array import array
 from bisect import bisect_right, insort
 from collections import OrderedDict
-from dataclasses import dataclass
-from itertools import chain, starmap
+from dataclasses import asdict, dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -84,11 +85,15 @@ from repro.tracing.waitstates import (
 )
 
 #: Bump when the spill-frame layout changes.
-SPILL_SCHEMA = 2
+SPILL_SCHEMA = 3
 
 #: How often (in ingested events) the ``trace.*`` metrics are flushed
 #: to the registry between the final flush at :meth:`finalize`.
 _METRICS_EVERY = 4096
+
+#: Ingested events between two live summaries when
+#: :attr:`StreamConfig.on_summary` is set.
+_SUMMARY_EVERY = 2048
 
 #: Reservoir size (and seed) for the *provisional* per-label baseline
 #: latencies behind live summaries (the exact baselines are computed
@@ -106,165 +111,54 @@ _INF = float("inf")
 # Spill frames
 # ---------------------------------------------------------------------------
 #
-# frame   := sha256(body) body
-# body    := header strings column*
-# header  := schema u16, kind u8, rank i64, events u32
-# strings := count u32, byte length of each string i64[count], UTF-8 text
-# column  := codec char, payload bytes u32, payload
+# frame  := sha256(body) body
+# body   := header marshal.dumps(rows)
+# header := schema u16, kind u8, rank i64, events u32
 #
-# Column codecs: ``d`` packed float64, ``q`` packed int64, ``s`` int64
-# indices into the frame's string table, ``j`` a JSON list.  A column
-# whose values do not all have its codec's exact type (an ``int`` time,
-# a ``float`` size, an int beyond 64 bits) is written as ``j`` rather
-# than coerced, so every decoded value equals the original in value and
-# type.  Arrays use native byte order: a spill log never outlives the
-# process that wrote it.
+# ``marshal`` writes every row value by its exact built-in type, so a
+# decoded row equals the original in value and type (``-0.0``, ints past
+# 64 bits, ``True`` against ``1``), and it refuses subclasses and foreign
+# objects.  Its format is for trusted bytes only: a frame is unmarshalled
+# only when its sha256 is the digest this process kept in memory when it
+# wrote the frame, so a spill log never outlives the process that wrote it.
 
 _FRAME_KINDS = ("states", "comms", "waits")
 
-#: Column codecs per frame kind, in the order the series encode them.
-_LAYOUTS = {
-    # record position, label, t0, t1, kind, cause
-    "states": "qsddsq",
-    # record position, src, dst, tag, nbytes, send, arrival, label, seq
-    "comms": "qqqjqddsq",
-    # rank, label, t0, t1, kind, cause
-    "waits": "qsddsq",
-}
-
 _DIGEST_BYTES = hashlib.sha256().digest_size
 _HEADER = struct.Struct("<HBqI")
-_STRINGS = struct.Struct("<I")
-_COLUMN = struct.Struct("<cI")
-_TYPED = {b"d": float, b"q": int, b"s": str}
-_JSON_SCALARS = (str, int, float, bool, type(None))
-_JSON_SCALAR_TYPES = frozenset(_JSON_SCALARS)
 
 
-def _encode_tag(tag: Any) -> Any:
-    """Frame a JSON-column value: tuples become lists, scalars of the
-    JSON types pass through by exact type (no subclass coercion)."""
-    if type(tag) in _JSON_SCALARS:
-        return tag
-    if type(tag) is tuple:
-        # Scalars inline: a flat tag costs one call, not one per item.
-        return [
-            item if type(item) in _JSON_SCALARS else _encode_tag(item)
-            for item in tag
-        ]
-    raise TraceError(
-        f"cannot spill {tag!r} of type {type(tag).__name__}; streaming "
-        "analysis needs JSON-framable message tags and event fields "
-        "(None, bool, str, int, float, or tuples thereof)"
-    )
-
-
-def _decode_tag(tag: Any) -> Any:
-    if type(tag) is list:
-        return tuple([
-            _decode_tag(item) if type(item) is list else item
-            for item in tag
-        ])
-    return tag
-
-
-def _framable(values: Sequence) -> bool:
-    """Whether :func:`_encode_tag` accepts every value, checked one
-    nesting level at a time with no call per value."""
-    while True:
-        types = {*map(type, values)}
-        if tuple not in types:
-            return types <= _JSON_SCALAR_TYPES
-        if not types - {tuple} <= _JSON_SCALAR_TYPES:
-            return False
-        if types != {tuple}:
-            values = [value for value in values if type(value) is tuple]
-        values = [*chain.from_iterable(values)]
-
-
-def _decode_json_column(values: list) -> list:
-    """A decoded JSON column with its arrays back as tuples."""
-    types = {*map(type, values)}
-    if list not in types:
-        return values
-    if types == {list} and list not in {
-        *map(type, chain.from_iterable(values))
-    }:
-        return [*map(tuple, values)]  # flat tags: the common case
-    return [_decode_tag(value) for value in values]
-
-
-def _encode_column(codec: bytes, values: Sequence, strings: dict) -> bytes:
-    if codec in _TYPED and {*map(type, values)} <= {_TYPED[codec]}:
-        try:
-            if codec == b"s":
-                for value in dict.fromkeys(values):
-                    strings.setdefault(value, len(strings))
-                packed = array("q", map(strings.__getitem__, values))
-            else:
-                packed = array(codec.decode(), values)
-        except OverflowError:
-            pass  # an int beyond 64 bits: keep it exact as JSON
-        else:
-            payload = packed.tobytes()
-            return _COLUMN.pack(codec, len(payload)) + payload
-    if not _framable(values):
-        for value in values:
-            _encode_tag(value)  # raises, naming the first unframable value
-    # JSON writes a tuple as the array _encode_tag would make of it.
-    payload = json.dumps(values, separators=(",", ":")).encode("utf-8")
-    return _COLUMN.pack(b"j", len(payload)) + payload
-
-
-def _encode_strings(strings: dict) -> bytes:
-    blobs = [text.encode("utf-8", "surrogatepass") for text in strings]
-    return (
-        _STRINGS.pack(len(blobs))
-        + array("q", map(len, blobs)).tobytes()
-        + b"".join(blobs)
-    )
-
-
-def encode_frame(kind: str, rank: int, columns: Sequence[Sequence]) -> bytes:
-    """One spill frame holding *columns* (all of one length) of a
-    segment of *kind* events for *rank*."""
-    layout = _LAYOUTS[kind]
-    if len(columns) != len(layout):
-        raise TraceError(
-            f"{kind} frames hold {len(layout)} columns, got {len(columns)}"
-        )
-    count = len(columns[0])
-    if any(len(column) != count for column in columns):
-        raise TraceError(f"{kind} frame columns differ in length")
+def encode_frame(kind: str, rank: int, rows: Sequence[tuple]) -> bytes:
+    """One spill frame holding a segment of *kind* rows for *rank*."""
     try:
         header = _HEADER.pack(
-            SPILL_SCHEMA, _FRAME_KINDS.index(kind), rank, count
+            SPILL_SCHEMA, _FRAME_KINDS.index(kind), rank, len(rows)
         )
     except struct.error as error:
         raise TraceError(
-            f"cannot frame {count} {kind} of rank {rank}: {error}"
+            f"cannot frame {len(rows)} {kind} of rank {rank}: {error}"
         ) from None
-    strings: dict[str, int] = {}
-    encoded = [
-        _encode_column(codec.encode(), values, strings)
-        for codec, values in zip(layout, columns)
-    ]
-    body = b"".join([header, _encode_strings(strings), *encoded])
+    try:
+        body = header + marshal.dumps(rows)
+    except ValueError as error:
+        raise TraceError(
+            f"cannot spill {kind} of rank {rank}: {error}; streaming "
+            "analysis needs message tags and event fields of exact "
+            "built-in types (no subclasses)"
+        ) from None
     return hashlib.sha256(body).digest() + body
 
 
-def _unpack(typecode: str, data) -> list:
-    packed = array(typecode)
-    packed.frombytes(data)
-    return packed.tolist()
+def decode_frame(
+    data: bytes, *, kind: str, rank: int, digest: bytes
+) -> list[tuple]:
+    """The rows of a frame written by :func:`encode_frame`.
 
-
-def decode_frame(data: bytes, *, kind: str, rank: int) -> list[list]:
-    """The columns of a frame written by :func:`encode_frame`.
-
-    The digest is checked against the exact bytes before anything is
-    parsed, then the header's kind and rank against the caller's
-    expectation; every failure is a :class:`TraceError`.
+    *digest* is the frame's sha256 as kept in memory when it was
+    written.  The bytes must hash to the digest they carry, that digest
+    must be *digest*, and the header must name *kind* and *rank* — all
+    before anything is unmarshalled; every failure is a
+    :class:`TraceError`.
     """
     view = memoryview(data)
     body = view[_DIGEST_BYTES:]
@@ -273,7 +167,9 @@ def decode_frame(data: bytes, *, kind: str, rank: int) -> list[list]:
         or hashlib.sha256(body).digest() != view[:_DIGEST_BYTES]
     ):
         raise TraceError("corrupt: its sha256 does not match its bytes")
-    schema, code, frame_rank, count = _HEADER.unpack_from(body)
+    if view[:_DIGEST_BYTES] != digest:
+        raise TraceError("rewritten: its sha256 is not the one written")
+    schema, code, frame_rank, _ = _HEADER.unpack_from(body)
     frame_kind = _FRAME_KINDS[code] if code < len(_FRAME_KINDS) else code
     if schema != SPILL_SCHEMA or frame_kind != kind or frame_rank != rank:
         raise TraceError(
@@ -281,81 +177,57 @@ def decode_frame(data: bytes, *, kind: str, rank: int) -> list[list]:
             f"rank={frame_rank}, wanted schema {SPILL_SCHEMA} "
             f"kind={kind!r} rank={rank}"
         )
-    try:
-        at = _HEADER.size
-        (size,) = _STRINGS.unpack_from(body, at)
-        at += _STRINGS.size
-        lengths = _unpack("q", body[at:at + 8 * size])
-        at += 8 * size
-        strings = []
-        for length in lengths:
-            strings.append(
-                str(body[at:at + length], "utf-8", "surrogatepass")
-            )
-            at += length
-        columns = []
-        for _ in _LAYOUTS[kind]:
-            codec, length = _COLUMN.unpack_from(body, at)
-            at += _COLUMN.size
-            payload = body[at:at + length]
-            at += length
-            if codec == b"j":
-                column = _decode_json_column(json.loads(bytes(payload)))
-            elif codec == b"s":
-                column = list(map(strings.__getitem__, _unpack("q", payload)))
-            else:
-                column = _unpack(codec.decode(), payload)
-            if len(column) != count:
-                raise ValueError(f"a column holds {len(column)} values")
-            columns.append(column)
-        if at != len(body):
-            raise ValueError(f"{len(body) - at} trailing bytes")
-    except (ValueError, IndexError, struct.error) as error:
-        raise TraceError(f"malformed: {error}") from error
-    return columns
+    return marshal.loads(body[_HEADER.size:])
 
 
 class SpillLog:
     """Append-only log of sha256-framed segments (journal discipline).
 
-    One frame per segment (see :func:`encode_frame`); every read
-    verifies the frame's digest over the bytes on disk and its kind
-    and rank before decoding, so a bad disk turns into a
-    :class:`TraceError` instead of silently wrong analysis.
+    One frame per segment (see :func:`encode_frame`).  The log keeps
+    each frame's digest in memory, and every read checks the bytes on
+    disk against it and the frame's kind and rank before decoding, so
+    a bad disk turns into a :class:`TraceError` instead of silently
+    wrong analysis.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._file = open(self.path, "w+b")
+        #: offset -> sha256 of the frame written there.
+        self._digests: dict[int, bytes] = {}
         self.bytes_written = 0
         self.segments_written = 0
 
     def append(
-        self, kind: str, rank: int, columns: Sequence[Sequence]
+        self, kind: str, rank: int, rows: Sequence[tuple]
     ) -> tuple[int, int]:
-        """Frame one segment's columns; returns ``(offset, length)``."""
-        data = encode_frame(kind, rank, columns)
+        """Frame one segment's rows; returns ``(offset, length)``."""
+        data = encode_frame(kind, rank, rows)
         self._file.seek(0, os.SEEK_END)
         offset = self._file.tell()
         self._file.write(data)
         self._file.flush()
+        self._digests[offset] = data[:_DIGEST_BYTES]
         self.bytes_written += len(data)
         self.segments_written += 1
         return offset, len(data)
 
     def read(
         self, offset: int, length: int, *, kind: str, rank: int
-    ) -> list[list]:
-        """The verified columns of the frame at *offset*."""
+    ) -> list[tuple]:
+        """The verified rows of the frame at *offset*."""
+        where = f"spill frame at offset {offset} of {self.path.name}"
+        digest = self._digests.get(offset)
+        if digest is None:
+            raise TraceError(f"{where} is misaddressed: none was written")
         self._file.seek(offset)
         data = self._file.read(length)
-        where = f"spill frame at offset {offset} of {self.path.name}"
         if len(data) != length:
             raise TraceError(
                 f"{where} is truncated: read {len(data)} of {length} bytes"
             )
         try:
-            return decode_frame(data, kind=kind, rank=rank)
+            return decode_frame(data, kind=kind, rank=rank, digest=digest)
         except TraceError as error:
             raise TraceError(f"{where} is {error}") from None
 
@@ -367,15 +239,6 @@ class SpillLog:
 # ---------------------------------------------------------------------------
 # Event series over frontier, stragglers and spilled segments
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _SegRef:
-    """One retired segment: where it lives and how many rows it holds."""
-
-    offset: int
-    length: int
-    count: int
 
 
 class _Segment:
@@ -399,27 +262,25 @@ class _Segment:
 class _SegmentCache:
     """Tiny LRU over decoded spill segments (bounded working set)."""
 
-    def __init__(self, log: SpillLog, capacity: int) -> None:
-        self._log = log
+    def __init__(self, log: SpillLog | None, capacity: int) -> None:
+        #: The log the segments live in (``None`` until the first spill).
+        self.log = log
         self._capacity = capacity
         self._entries: OrderedDict[int, _Segment] = OrderedDict()
 
-    def get(self, series: "_EventSeries", ref: _SegRef) -> _Segment:
+    def get(self, series: "_EventSeries", ref: tuple[int, int]) -> _Segment:
+        """The segment whose frame sits at ``ref = (offset, length)``."""
         # Frames of every series share one log, so an offset names one.
-        entry = self._entries.get(ref.offset)
+        offset, length = ref
+        entry = self._entries.get(offset)
         if entry is not None:
-            self._entries.move_to_end(ref.offset)
+            self._entries.move_to_end(offset)
             return entry
-        columns = self._log.read(
-            ref.offset, ref.length, kind=series.kind, rank=series.rank
+        entry = _Segment(
+            self.log.read(offset, length, kind=series.kind, rank=series.rank),
+            series.build,
         )
-        entry = series.decode(columns)
-        if len(entry.rows) != ref.count:
-            raise TraceError(
-                f"spill segment at offset {ref.offset} decoded to "
-                f"{len(entry.rows)} events, expected {ref.count}"
-            )
-        self._entries[ref.offset] = entry
+        self._entries[offset] = entry
         if len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
         return entry
@@ -506,18 +367,11 @@ class _EventSeries:
         self.cache = cache
         self.rows: list[tuple] = []
         self.stragglers: list[tuple] = []
-        self.segments: list[_SegRef] = []
+        #: ``(offset, length)`` of each retired segment's frame.
+        self.segments: list[tuple[int, int]] = []
         self._segment_min_keys: list[tuple] = []
         self.watermark: tuple | None = None
         self.next_pos = 0
-
-    def encode(self, rows: list[tuple]) -> list[Sequence]:
-        """The frame columns of a segment of *rows* (see :data:`_LAYOUTS`)."""
-        raise NotImplementedError
-
-    def decode(self, columns: list[list]) -> _Segment:
-        """A segment back from its frame columns."""
-        raise NotImplementedError
 
     def build(self, row: tuple):
         """The public event record a row stands for."""
@@ -543,8 +397,7 @@ class _EventSeries:
         if count <= 0:
             return 0
         retired = self.rows[:count]
-        offset, length = log.append(self.kind, self.rank, self.encode(retired))
-        self.segments.append(_SegRef(offset, length, count))
+        self.segments.append(log.append(self.kind, self.rank, retired))
         self._segment_min_keys.append(retired[0])
         self.watermark = retired[-1]
         del self.rows[:count]
@@ -572,16 +425,6 @@ class _StateSeries(_EventSeries):
 
     kind = "states"
 
-    def encode(self, rows: list[tuple]) -> list[Sequence]:
-        t1s, t0s, positions, labels, kinds, causes = zip(*rows)
-        return [positions, labels, t0s, t1s, kinds, causes]
-
-    def decode(self, columns: list[list]) -> _Segment:
-        positions, labels, t0s, t1s, kinds, causes = columns
-        return _Segment(
-            list(zip(t1s, t0s, positions, labels, kinds, causes)), self.build
-        )
-
     def build(self, row: tuple) -> StateEvent:
         t1, t0, _, label, kind, cause = row
         return StateEvent(self.rank, label, t0, t1, kind, cause)
@@ -602,14 +445,6 @@ class _CommSeries(_EventSeries):
         #: memory (frontier or straggler), or the number of the
         #: segment it spilled to.
         self.index: dict[int, tuple | int] = {}
-
-    def encode(self, rows: list[tuple]) -> list[Sequence]:
-        seqs, positions, *fields = zip(*rows)
-        return [positions, *fields, seqs]
-
-    def decode(self, columns: list[list]) -> _Segment:
-        positions, *fields, seqs = columns
-        return _Segment(list(zip(seqs, positions, *fields)), self.build)
 
     def build(self, row: tuple) -> CommEvent:
         seq, _, src, dst, tag, nbytes, send, arrival, label = row
@@ -644,16 +479,16 @@ class StreamConfig:
     """Knobs of one streaming analysis.
 
     ``frontier_limit`` bounds the live in-memory event count (``None``
-    never evicts); ``segment_events`` sizes retired segments and wait
-    log frames; ``summary_every`` (events) drives :func:`on_summary`
-    with provisional live summaries.  The spill log lives in a fresh
-    ``trace-stream-*`` directory under :func:`tempfile.gettempdir`
-    (``TMPDIR``), removed by :meth:`TraceStreamAnalyzer.close`.
+    never evicts and never spills); ``segment_events`` sizes retired
+    segments and wait log frames; ``on_summary``, when set, receives a
+    provisional live summary every 2,048 ingested events.  A bounded
+    analyzer makes its spill log in a fresh ``trace-stream-*`` directory
+    under :func:`tempfile.gettempdir` (``TMPDIR``) on its first spill;
+    :meth:`TraceStreamAnalyzer.close` removes it.
     """
 
     frontier_limit: int | None = 8192
     segment_events: int = 1024
-    summary_every: int = 0
     on_summary: Callable[[dict], None] | None = None
 
     def __post_init__(self) -> None:
@@ -664,10 +499,6 @@ class StreamConfig:
         if self.segment_events < 1:
             raise TraceError(
                 f"segment_events must be >= 1, got {self.segment_events}"
-            )
-        if self.summary_every < 0:
-            raise TraceError(
-                f"summary_every must be >= 0, got {self.summary_every}"
             )
 
 
@@ -686,17 +517,7 @@ class StreamStats:
     retired_segments: int
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "events_ingested": self.events_ingested,
-            "states_ingested": self.states_ingested,
-            "comms_ingested": self.comms_ingested,
-            "faults_ingested": self.faults_ingested,
-            "distinct_messages": self.distinct_messages,
-            "frontier_live": self.frontier_live,
-            "frontier_high_water": self.frontier_high_water,
-            "spill_bytes": self.spill_bytes,
-            "retired_segments": self.retired_segments,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -755,7 +576,7 @@ class TraceStreamAnalyzer:
 
     Drive it as the tracer (``MpiJob(..., tracer=analyzer)``); then
     call :meth:`finalize` for the exact analysis and :meth:`close` to
-    drop the spill log.
+    drop the spill log, if it spilled.
     """
 
     def __init__(
@@ -766,9 +587,10 @@ class TraceStreamAnalyzer:
     ) -> None:
         self.config = config or StreamConfig()
         self._registry = registry
-        self._dir = Path(tempfile.mkdtemp(prefix="trace-stream-"))
-        self._log = SpillLog(self._dir / "trace.spill")
-        self._cache = _SegmentCache(self._log, _CACHE_SEGMENTS)
+        #: The spill directory and log, made on the first spill.
+        self._dir: Path | None = None
+        self._log: SpillLog | None = None
+        self._cache = _SegmentCache(None, _CACHE_SEGMENTS)
         self._states: dict[int, _StateSeries] = {}
         self._comms = _CommSeries(-1, self._cache)
         self._latencies: dict[str, array] = {}
@@ -778,9 +600,10 @@ class TraceStreamAnalyzer:
         self._num_ranks = 0
         self._end_time = 0.0
         #: Rows ``(rank, label, t0, t1, kind, cause)`` of the receive
-        #: waits not yet flushed to the wait log.
+        #: waits not yet spilled; ``(offset, length)`` of each spilled
+        #: wait frame.
         self._wait_tail: list[tuple] = []
-        self._wait_segments: list[tuple[int, int, int]] = []
+        self._wait_segments: list[tuple[int, int]] = []
         self._events = 0
         self._states_n = 0
         self._comms_n = 0
@@ -792,8 +615,12 @@ class TraceStreamAnalyzer:
         self._flushed_segments = 0
         limit = self.config.frontier_limit
         self._limit = _INF if limit is None else limit
-        self._tracking_live = self.config.summary_every > 0
-        self._next_summary = self.config.summary_every or _INF
+        # Without a frontier limit the waits stay in memory too.
+        self._wait_frame = (
+            _INF if limit is None else self.config.segment_events
+        )
+        self._tracking_live = self.config.on_summary is not None
+        self._next_summary = _SUMMARY_EVERY if self._tracking_live else _INF
         self._live_buckets: dict[tuple[str, str], list] = {}
         self._live_classified = 0
         self._live_pending = 0
@@ -911,30 +738,39 @@ class TraceStreamAnalyzer:
     def _note_wait(self, row: tuple) -> None:
         self._wait_tail.append(row)
         self._live += 1
-        if len(self._wait_tail) >= self.config.segment_events:
+        if len(self._wait_tail) >= self._wait_frame:
             self._flush_waits()
         if self._tracking_live:
             self._provisional_classify(StateEvent(*row))
 
+    def _spill_log(self) -> SpillLog:
+        """The spill log, made with its directory on the first spill."""
+        if self._log is None:
+            self._dir = Path(tempfile.mkdtemp(prefix="trace-stream-"))
+            self._log = self._cache.log = SpillLog(self._dir / "trace.spill")
+        return self._log
+
+    def _spilled(self) -> tuple[int, int]:
+        """Bytes and frames written to the spill log so far."""
+        log = self._log
+        return (0, 0) if log is None else (
+            log.bytes_written, log.segments_written
+        )
+
     def _flush_waits(self) -> None:
-        if not self._wait_tail:
-            return
-        columns = list(zip(*self._wait_tail))
-        offset, length = self._log.append("waits", -1, columns)
-        self._wait_segments.append((offset, length, len(self._wait_tail)))
+        self._wait_segments.append(
+            self._spill_log().append("waits", -1, self._wait_tail)
+        )
         self._live -= len(self._wait_tail)
         self._wait_tail = []
 
     def _iter_waits(self) -> Iterator[StateEvent]:
         """Replay every receive wait in exact record order."""
-        for offset, length, count in self._wait_segments:
-            columns = self._log.read(offset, length, kind="waits", rank=-1)
-            if len(columns[0]) != count:
-                raise TraceError(
-                    f"wait segment at offset {offset} holds "
-                    f"{len(columns[0])} waits, expected {count}"
-                )
-            yield from map(StateEvent, *columns)
+        for offset, length in self._wait_segments:
+            yield from starmap(
+                StateEvent,
+                self._log.read(offset, length, kind="waits", rank=-1),
+            )
         yield from starmap(StateEvent, self._wait_tail)
 
     def _after_ingest(self) -> None:
@@ -946,9 +782,8 @@ class TraceStreamAnalyzer:
         if self._events - self._flushed_events >= _METRICS_EVERY:
             self._flush_metrics()
         if self._events >= self._next_summary:
-            self._next_summary = self._events + self.config.summary_every
-            if self.config.on_summary is not None:
-                self.config.on_summary(self.live_summary())
+            self._next_summary = self._events + _SUMMARY_EVERY
+            self.config.on_summary(self.live_summary())
 
     def _evict(self) -> None:
         while self._live > self._limit:
@@ -963,7 +798,7 @@ class TraceStreamAnalyzer:
                 return
             series = max(candidates, key=lambda s: s.spillable())
             spilled = series.spill(
-                self._log,
+                self._spill_log(),
                 min(self.config.segment_events, series.spillable()),
             )
             self._live -= spilled
@@ -1050,6 +885,7 @@ class TraceStreamAnalyzer:
         top = sorted(
             self._live_buckets.items(), key=lambda kv: (-kv[1][0], kv[0])
         )[:5]
+        spill_bytes, retired_segments = self._spilled()
         return {
             "provisional": True,
             "events_ingested": self._events,
@@ -1071,8 +907,8 @@ class TraceStreamAnalyzer:
             "frontier": {
                 "live": self._live,
                 "high_water": self._high_water,
-                "spill_bytes": self._log.bytes_written,
-                "retired_segments": self._log.segments_written,
+                "spill_bytes": spill_bytes,
+                "retired_segments": retired_segments,
             },
         }
 
@@ -1088,21 +924,23 @@ class TraceStreamAnalyzer:
         registry.gauge_max(
             "trace.frontier_high_water", float(self._high_water), volatile=True
         )
-        delta = self._log.bytes_written - self._flushed_bytes
+        spill_bytes, retired_segments = self._spilled()
+        delta = spill_bytes - self._flushed_bytes
         if delta:
             registry.inc("trace.spill_bytes", delta, volatile=True)
-        delta = self._log.segments_written - self._flushed_segments
+        delta = retired_segments - self._flushed_segments
         if delta:
             registry.inc("trace.retired_segments", delta, volatile=True)
         self._flushed_events = self._events
-        self._flushed_bytes = self._log.bytes_written
-        self._flushed_segments = self._log.segments_written
+        self._flushed_bytes = spill_bytes
+        self._flushed_segments = retired_segments
 
     # -- finalization -------------------------------------------------------
 
     @property
     def stats(self) -> StreamStats:
         """Current ingestion accounting (valid before finalize too)."""
+        spill_bytes, retired_segments = self._spilled()
         return StreamStats(
             events_ingested=self._events,
             states_ingested=self._states_n,
@@ -1111,8 +949,8 @@ class TraceStreamAnalyzer:
             distinct_messages=len(self._comms.index),
             frontier_live=self._live,
             frontier_high_water=self._high_water,
-            spill_bytes=self._log.bytes_written,
-            retired_segments=self._log.segments_written,
+            spill_bytes=spill_bytes,
+            retired_segments=retired_segments,
         )
 
     def finalize(self) -> StreamResult:
@@ -1178,12 +1016,14 @@ class TraceStreamAnalyzer:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Close the spill log and remove its directory."""
+        """Close the spill log and remove its directory, if it spilled."""
         if self._closed:
             return
         self._closed = True
-        self._log.close()
-        shutil.rmtree(self._dir, ignore_errors=True)
+        if self._log is not None:
+            self._log.close()
+        if self._dir is not None:
+            shutil.rmtree(self._dir, ignore_errors=True)
 
     def __enter__(self) -> "TraceStreamAnalyzer":
         return self

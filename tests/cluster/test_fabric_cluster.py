@@ -74,6 +74,14 @@ class TestFabricDelivery:
         assert fabric.nics[0].tx.free_at == 0.0
         assert fabric.total_loss_episodes() == 0
 
+    def test_busy_seconds_add_left_to_right_on_every_python(self):
+        """Python 3.12's compensated float sum() would read 1.0 here;
+        the goldens were made with plain left-to-right addition."""
+        fabric = Fabric(3, FatTreeSpec())
+        for nic, busy in zip(fabric.nics, (1e16, 1.0, -1e16)):
+            nic.tx.busy_time = busy
+        assert fabric.metrics_summary(1.0)["busy_seconds"] == 0.0
+
 
 class TestClusterModel:
     def test_tibidabo_defaults(self):

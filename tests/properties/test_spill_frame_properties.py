@@ -1,17 +1,20 @@
-"""Property-based round trips of the streaming spill-frame codec.
+"""Property-based round trips of the streaming spill frames.
 
 State, message and wait segments go through the real spill path —
-the series' column encoders, :class:`SpillLog` framing, the segment
-cache and the wait log — with values chosen to break a careless
-packed codec: ``-0.0``, subnormals, ``±1e308`` and infinities, ints
-past 2**53 and past 64 bits, integer timestamps, a float ``nbytes``,
+the series' rows, :class:`SpillLog` framing, the segment cache and
+the wait log — with values chosen to break a careless codec:
+``-0.0``, subnormals, ``±1e308`` and infinities, ints past 2**53 and
+past 64 bits, integer timestamps, a float ``nbytes``,
 ``bool`` causes, non-ASCII labels and nested tuple tags holding
 ``None`` and floats.  Every decoded event must equal its original in
 value *and* type (compared by ``repr``, which tells ``-0.0`` from
 ``0.0`` and ``1`` from ``1.0``).  Separately, any single flipped byte,
 any truncation, and any read with the wrong kind or rank must raise
-:class:`TraceError` before anything is decoded.
+:class:`TraceError` before anything is decoded, given the digest the
+writer kept in memory.
 """
+
+import hashlib
 
 import pytest
 
@@ -162,7 +165,8 @@ def test_wait_segments_round_trip_exactly(waits):
 
 @st.composite
 def frames(draw):
-    """A frame of a random kind and rank, plus that kind and rank."""
+    """A frame of a random kind and rank, the digest its writer keeps,
+    and that kind and rank."""
     rank = draw(int64s)
     kind = draw(st.sampled_from(["states", "comms", "waits"]))
     events = draw(st.lists(
@@ -170,49 +174,46 @@ def frames(draw):
         min_size=1, max_size=4,
     ))
     if kind == "comms":
-        series = _CommSeries(rank, None)
         rows = [comm_row(e, i) for i, e in enumerate(events)]
-    else:
-        series = _StateSeries(rank, None)
+    elif kind == "states":
         rows = [state_row(e, i) for i, e in enumerate(events)]
-    if kind == "waits":
-        columns = [[e.rank for e in events]] + series.encode(rows)[1:]
     else:
-        columns = series.encode(rows)
-    return encode_frame(kind, rank, columns), kind, rank
+        rows = [wait_row(e) for e in events]
+    frame = encode_frame(kind, rank, rows)
+    return frame, hashlib.sha256(frame[32:]).digest(), kind, rank
 
 
 @settings(max_examples=60, deadline=None)
 @given(framed=frames(), data=st.data())
 def test_any_flipped_byte_is_a_trace_error(framed, data):
-    frame, kind, rank = framed
-    decode_frame(frame, kind=kind, rank=rank)  # intact: decodes
+    frame, digest, kind, rank = framed
+    decode_frame(frame, kind=kind, rank=rank, digest=digest)  # intact
     index = data.draw(st.integers(0, len(frame) - 1))
     flip = data.draw(st.integers(1, 255))
     damaged = bytearray(frame)
     damaged[index] ^= flip
     with pytest.raises(TraceError, match="corrupt"):
-        decode_frame(bytes(damaged), kind=kind, rank=rank)
+        decode_frame(bytes(damaged), kind=kind, rank=rank, digest=digest)
 
 
 @settings(max_examples=60, deadline=None)
 @given(framed=frames(), data=st.data())
 def test_any_truncation_is_a_trace_error(framed, data):
-    frame, kind, rank = framed
+    frame, digest, kind, rank = framed
     cut = data.draw(st.integers(0, len(frame) - 1))
     with pytest.raises(TraceError, match="corrupt"):
-        decode_frame(frame[:cut], kind=kind, rank=rank)
+        decode_frame(frame[:cut], kind=kind, rank=rank, digest=digest)
 
 
 @settings(max_examples=60, deadline=None)
 @given(framed=frames(), data=st.data())
 def test_wrong_kind_or_rank_is_a_trace_error(framed, data):
-    frame, kind, rank = framed
+    frame, digest, kind, rank = framed
     other_kind = data.draw(
         st.sampled_from([k for k in ("states", "comms", "waits") if k != kind])
     )
     other_rank = data.draw(st.integers(-5, 5).filter(lambda r: r != rank))
     with pytest.raises(TraceError, match="misaddressed"):
-        decode_frame(frame, kind=other_kind, rank=rank)
+        decode_frame(frame, kind=other_kind, rank=rank, digest=digest)
     with pytest.raises(TraceError, match="misaddressed"):
-        decode_frame(frame, kind=kind, rank=other_rank)
+        decode_frame(frame, kind=kind, rank=other_rank, digest=digest)

@@ -7,21 +7,21 @@ what ``trace-report`` runs without ``--stream``.  Everything else
 (spill framing, eviction accounting, live summaries) supports that.
 """
 
+import tempfile
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import TraceError
 from repro.metrics.export import registry_to_dict
 from repro.metrics.registry import MetricsRegistry
 from repro.obs import build_run_report
-from repro.tracing import TraceRecorder
+from repro.tracing import TraceRecorder, stream
 from repro.tracing.stream import (
     SpillLog,
     StreamConfig,
     TraceStreamAnalyzer,
-    _decode_tag,
-    _encode_tag,
     build_synthetic_trace,
-    decode_frame,
     encode_frame,
 )
 
@@ -150,44 +150,45 @@ class TestLifecycle:
             assert first._dir != second._dir
             assert first.finalize().waits == second.finalize().waits
 
+    def test_no_frontier_limit_never_touches_disk(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with _stream_only(
+            StreamConfig(frontier_limit=None), num_ranks=12, rounds=40
+        ) as analyzer:
+            # 12 ranks x 3 messages x 40 rounds: 1,440 receive waits,
+            # more than one segment_events frame, all still in memory.
+            assert len(analyzer._wait_tail) == 1440
+            assert analyzer.stats.spill_bytes == 0
+            assert analyzer.stats.retired_segments == 0
+            assert not list(tmp_path.glob("trace-stream-*"))
+            assert analyzer.finalize().stats.spill_bytes == 0
+            assert not list(tmp_path.glob("trace-stream-*"))
 
-STATE_COLUMNS = [
-    [0, 1], ["compute", "alltoallv"], [0.0, 1.0], [1.0, 2.5],
-    ["compute", "wait"], [-1, 4],
+
+STATE_ROWS = [
+    (1.0, 0.0, 0, "compute", "compute", -1),
+    (2.5, 1.0, 1, "alltoallv", "wait", 4),
 ]
+
+
+class Stamp(int):
+    pass
 
 
 class TestSpillLog:
     def test_round_trip(self, tmp_path):
         log = SpillLog(tmp_path / "s.spill")
-        offset, length = log.append("states", 3, STATE_COLUMNS)
-        assert log.read(offset, length, kind="states", rank=3) == STATE_COLUMNS
+        offset, length = log.append("states", 3, STATE_ROWS)
+        assert log.read(offset, length, kind="states", rank=3) == STATE_ROWS
         assert log.bytes_written == length
         assert log.segments_written == 1
         log.close()
 
-    def test_frames_pack_typed_columns_not_json(self):
-        frame = encode_frame("states", 3, STATE_COLUMNS)
-        # Labels and kinds live once in the string table; times are
-        # packed doubles, so no JSON text reaches the frame.
-        assert frame.count(b"alltoallv") == 1
-        assert b"[" not in frame[32:]
-
-    def test_values_off_their_column_type_fall_back_to_json(self):
-        columns = [
-            [2**70, 1], ["a", "b"], [0, 1], [2, 3.5], ["state", "wait"],
-            [True, -1],
-        ]
-        frame = encode_frame("states", 0, columns)
-        assert b"[0,1]" in frame and b"[2,3.5]" in frame
-        decoded = decode_frame(frame, kind="states", rank=0)
-        assert decoded == columns
-        assert [type(v) for v in decoded[2]] == [int, int]
-        assert [type(v) for v in decoded[5]] == [bool, int]
-
     def test_corruption_is_a_trace_error(self, tmp_path):
         log = SpillLog(tmp_path / "s.spill")
-        offset, length = log.append("states", 0, STATE_COLUMNS)
+        offset, length = log.append("states", 0, STATE_ROWS)
         log._file.seek(offset + length - 3)
         log._file.write(b"X")
         log._file.flush()
@@ -197,16 +198,18 @@ class TestSpillLog:
 
     def test_misaddressed_read_is_a_trace_error(self, tmp_path):
         log = SpillLog(tmp_path / "s.spill")
-        offset, length = log.append("states", 0, [[] for _ in range(6)])
+        offset, length = log.append("states", 0, [])
         with pytest.raises(TraceError, match="misaddressed"):
             log.read(offset, length, kind="states", rank=7)
         with pytest.raises(TraceError, match="misaddressed"):
             log.read(offset, length, kind="waits", rank=0)
+        with pytest.raises(TraceError, match="misaddressed: none was"):
+            log.read(offset + 1, length - 1, kind="states", rank=0)
         log.close()
 
     def test_truncated_frame_is_a_trace_error(self, tmp_path):
         log = SpillLog(tmp_path / "s.spill")
-        offset, length = log.append("states", 0, STATE_COLUMNS)
+        offset, length = log.append("states", 0, STATE_ROWS)
         with pytest.raises(TraceError, match="corrupt"):
             log.read(offset, length - 5, kind="states", rank=0)
         log._file.truncate(offset + length - 5)
@@ -214,37 +217,52 @@ class TestSpillLog:
             log.read(offset, length, kind="states", rank=0)
         log.close()
 
+    def test_rewritten_frame_is_refused_before_decoding(
+        self, tmp_path, monkeypatch
+    ):
+        """A frame swapped on disk for another well-formed one — new
+        body, matching embedded sha256 — is not this process's frame,
+        so its bytes never reach ``marshal.loads``."""
+        log = SpillLog(tmp_path / "s.spill")
+        offset, length = log.append("states", 0, STATE_ROWS)
+        forged = encode_frame(
+            "states", 0, [STATE_ROWS[0], STATE_ROWS[1][:-1] + (5,)]
+        )
+        assert len(forged) == length
+        log._file.seek(offset)
+        log._file.write(forged)
+        log._file.flush()
+
+        def refuse(data):
+            raise AssertionError("a rewritten frame reached marshal.loads")
+
+        monkeypatch.setattr(stream, "marshal", SimpleNamespace(loads=refuse))
+        with pytest.raises(TraceError, match="rewritten: its sha256"):
+            log.read(offset, length, kind="states", rank=0)
+        log.close()
+
     def test_malformed_segments_are_refused_at_write(self, tmp_path):
         log = SpillLog(tmp_path / "s.spill")
-        with pytest.raises(TraceError, match="hold 6 columns"):
-            log.append("states", 0, [[0]])
-        with pytest.raises(TraceError, match="differ in length"):
-            log.append("states", 0, [[0], [], [], [], [], []])
         with pytest.raises(TraceError, match="cannot frame"):
-            log.append("states", 2**63, STATE_COLUMNS)
+            log.append("states", 2**63, STATE_ROWS)
         assert log.segments_written == 0
         log.close()
 
+    def test_subclassed_value_is_refused_at_write(self):
+        # A subclass would come back as its base type: refuse, never
+        # coerce.
+        with pytest.raises(TraceError, match="cannot spill comms"):
+            encode_frame(
+                "comms", -1,
+                [(0, 0, 1, 2, ("alltoallv", Stamp(3)), 8, 0.0, 1.0, "p2p")],
+            )
 
-class TestTagCodec:
-    def test_nested_tuples_round_trip(self):
-        tag = ("alltoallv", 3, ("phase", 2.5), None)
-        assert _decode_tag(_encode_tag(tag)) == tag
-
-    def test_scalars_pass_through(self):
-        for tag in (None, "x", 7, 2.5):
-            assert _decode_tag(_encode_tag(tag)) == tag
-
-    def test_unframable_tag_is_a_trace_error(self):
-        with pytest.raises(TraceError, match="JSON-framable"):
-            _encode_tag({"not": "hashable-framing"})
-
-        class Stamp(int):
-            pass
-
-        # JSON would write a subclass as its base type: refuse, never coerce.
-        with pytest.raises(TraceError, match="JSON-framable"):
-            _encode_tag(("alltoallv", Stamp(3)))
+    def test_foreign_object_is_refused_at_write(self):
+        with pytest.raises(TraceError, match="exact built-in types"):
+            encode_frame(
+                "comms", -1,
+                [(0, 0, 1, 2, object(), 8, 0.0, 1.0, "p2p")],
+            )
 
 
 class TestConfigValidation:
@@ -253,7 +271,6 @@ class TestConfigValidation:
         [
             ({"frontier_limit": 0}, "frontier_limit"),
             ({"segment_events": 0}, "segment_events"),
-            ({"summary_every": -1}, "summary_every"),
         ],
     )
     def test_bad_knobs_are_rejected(self, kwargs, match):
@@ -294,10 +311,10 @@ class TestLiveSummaries:
         config = StreamConfig(
             frontier_limit=64,
             segment_events=16,
-            summary_every=100,
             on_summary=summaries.append,
         )
-        with _stream_only(config, rounds=40) as analyzer:
+        # ~60 events a round: four summaries, one every 2,048 events.
+        with _stream_only(config, rounds=140) as analyzer:
             final = analyzer.live_summary()
             analyzer.finalize()
         assert len(summaries) >= 3
@@ -314,7 +331,7 @@ class TestLiveSummaries:
     def test_summaries_are_provisional_not_authoritative(self):
         """The live classification converges toward — but is allowed to
         differ from — the exact finalized analysis."""
-        config = StreamConfig(summary_every=100, on_summary=lambda s: None)
+        config = StreamConfig(on_summary=lambda s: None)
         with _stream_only(config, rounds=40) as analyzer:
             live = analyzer.live_summary()
             result = analyzer.finalize()
