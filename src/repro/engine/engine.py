@@ -50,7 +50,7 @@ import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Awaitable, Callable, Mapping, Sequence
 
 from repro.engine.cache import ResultCache
 from repro.engine.hashing import content_key
@@ -87,9 +87,7 @@ class SweepSpec:
     ``key`` must carry everything (besides the point itself) that the
     worker's output depends on — machine name, app parameters, seed —
     because it becomes part of every point's cache key.  ``name`` is a
-    display label only and never affects caching.  ``point_timeout_s``
-    overrides the engine policy's per-attempt budget for this sweep
-    (long cluster jobs get more rope than a 12-point counter sweep).
+    display label only and never affects caching.
     """
 
     name: str
@@ -97,7 +95,6 @@ class SweepSpec:
     points: tuple[Mapping[str, Any], ...]
     key: Mapping[str, Any] = field(default_factory=dict)
     serial_only: bool = False
-    point_timeout_s: float | None = None
 
     def __init__(
         self,
@@ -107,23 +104,16 @@ class SweepSpec:
         *,
         key: Mapping[str, Any] | None = None,
         serial_only: bool = False,
-        point_timeout_s: float | None = None,
     ) -> None:
         if not name:
             raise EngineError("a sweep needs a non-empty name")
         if not points:
             raise EngineError(f"sweep {name!r} has no points")
-        if point_timeout_s is not None and point_timeout_s <= 0:
-            raise EngineError(
-                f"sweep {name!r} point timeout must be positive, "
-                f"got {point_timeout_s}"
-            )
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "worker", worker)
         object.__setattr__(self, "points", tuple(dict(p) for p in points))
         object.__setattr__(self, "key", dict(key or {}))
         object.__setattr__(self, "serial_only", serial_only)
-        object.__setattr__(self, "point_timeout_s", point_timeout_s)
 
 
 @dataclass(frozen=True)
@@ -176,7 +166,7 @@ def _timed_call(
     return value, time.perf_counter() - start, None
 
 
-def _point_process_main(conn, worker, params, capture, parent) -> None:
+def _point_process_main(conn, worker, params, capture, parent, progress) -> None:
     """Child-process entry: run one point, ship the outcome over *conn*.
 
     Every outcome is a message: ``("ok", value, wall, snapshot)`` on
@@ -184,19 +174,23 @@ def _point_process_main(conn, worker, params, capture, parent) -> None:
     can re-raise the original), ``("error", text)`` when the value or
     the exception itself cannot travel over the pipe.  A child that
     dies without sending anything is a crash, detected by the parent
-    via its process sentinel and exit code.
+    via its process sentinel and exit code.  With *progress* set, the
+    worker's params gain a ``_progress`` callable, added after the fork
+    and so never in a cache key; each call sends ``("progress",
+    summary)`` ahead of the outcome.
 
-    The fork copies the parent's signal handling, event loop handlers
-    included, and the loop's wakeup fd, which would write a signal
-    sent to this child into the parent's loop.  So the child drops the
-    wakeup fd, restores the default SIGTERM action, and ignores SIGINT:
-    a terminal's Ctrl-C reaches the whole process group, and the parent
-    decides what becomes of its attempts (the engine kills them, the
-    service drains them).  The child also exits once *parent*, the pid
-    that forked it, is gone and nothing is left to read its result.
-    An interval timer drives that check: a watcher thread cost ~2 ms
-    per attempt to start and tear down.
+    The child leads a process group of its own, so a signal sent to its
+    parent's group (``kill %1``, a terminal's Ctrl-C) reaches only the
+    parent, which kills (engine) or drains (service) its attempts.  It
+    drops the wakeup fd the fork copied from the parent's event loop,
+    which would forward a signal sent to this child into that loop,
+    takes the default SIGTERM action, and ignores SIGINT, which must
+    not come back as a ``KeyboardInterrupt`` the parent re-raises.  It
+    also exits once *parent*, the pid that forked it, is gone; an
+    interval timer drives that check, as a watcher thread cost ~2 ms
+    per attempt.
     """
+    os.setpgid(0, 0)
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -207,6 +201,10 @@ def _point_process_main(conn, worker, params, capture, parent) -> None:
 
     signal.signal(signal.SIGALRM, exit_if_orphaned)
     signal.setitimer(signal.ITIMER_REAL, _PARENT_POLL_S, _PARENT_POLL_S)
+    if progress:
+        params = dict(
+            params, _progress=lambda summary: conn.send(("progress", summary))
+        )
     try:
         try:
             value, wall, snapshot = _timed_call(worker, params, capture)
@@ -226,6 +224,29 @@ def _point_process_main(conn, worker, params, capture, parent) -> None:
         conn.close()
 
 
+#: Reapers of forked attempts that replied before they exited, held
+#: here because a running loop keeps only weak references to its tasks.
+_REAPERS: set = set()
+
+
+async def _reap(proc) -> None:
+    """Reap *proc* once it exits, without blocking the loop; a reaper
+    cancelled first (its loop is ending) kills the child."""
+    import asyncio  # deferred: a run that forks nothing never loads it
+
+    loop = asyncio.get_running_loop()
+    gone = asyncio.Event()
+    loop.add_reader(proc.sentinel, gone.set)
+    try:
+        await gone.wait()
+    except asyncio.CancelledError:
+        proc.kill()
+        raise
+    finally:
+        loop.remove_reader(proc.sentinel)
+        proc.join()
+
+
 async def run_attempt(
     worker: Worker,
     params: Mapping[str, Any],
@@ -236,17 +257,23 @@ async def run_attempt(
     label: str,
     metrics: AnyRegistry,
     scope: str,
+    on_progress: Callable[[Any], Awaitable[None]] | None = None,
 ) -> tuple[Any, float, dict[str, Any] | None]:
     """One forked attempt at one point, supervised on the running loop.
 
     The engine's process pool and the job service both run every
-    attempt through here.  The child's result pipe and its process
-    sentinel are registered on the event loop, so a worker that dies
-    without reporting (``os._exit``, OOM kill, signal) is seen at once
-    even while forked siblings hold inherited pipe ends.  The attempt's
-    budget is ``timeout_s`` capped at ``deadline`` (a
-    ``time.monotonic()`` instant); a worker past it, or an attempt
-    cancelled by its caller, is killed outright.  Returns ``(value,
+    attempt through here.  The child's result pipe is its only channel
+    to the parent: with ``on_progress`` given, each ``("progress",
+    summary)`` message ahead of the outcome is awaited through it, in
+    order.  The pipe and the child's process sentinel are registered on
+    the event loop, so a worker that dies without reporting
+    (``os._exit``, OOM kill, signal) is seen at once even while forked
+    siblings hold inherited pipe ends.  The attempt's budget is
+    ``timeout_s`` capped at ``deadline`` (a ``time.monotonic()``
+    instant); a worker past it, or an attempt that fails or is
+    cancelled, is killed outright.  An outcome returns as soon as it is
+    read: a child still exiting is reaped once it has (or killed if the
+    loop ends first), never waited for on the loop.  Returns ``(value,
     wall, snapshot)`` or raises the worker's own exception,
     :class:`~repro.errors.PointTimeout` or
     :class:`~repro.errors.WorkerCrash`; timeouts and crashes tick
@@ -263,7 +290,10 @@ async def run_attempt(
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_point_process_main,
-        args=(child_conn, worker, params, metrics.enabled, os.getpid()),
+        args=(
+            child_conn, worker, params, metrics.enabled, os.getpid(),
+            on_progress is not None,
+        ),
         daemon=True,
     )
     proc.start()
@@ -289,13 +319,15 @@ async def run_attempt(
                     message = (
                         "error", f"undecodable worker message: {error!r}",
                     )
-                break
-            if dead:
+                if message is None or message[0] != "progress":
+                    break
+                await on_progress(message[1])
+            elif dead:
                 message = None  # died without reporting
                 break
+            # A dead child's queued messages are finite: drain them.
             wait_s = None if ends is None else ends - time.monotonic()
-            if wait_s is not None and wait_s <= 0:
-                proc.kill()
+            if wait_s is not None and wait_s <= 0 and not dead:
                 metrics.inc(f"{scope}.timeouts")
                 raise PointTimeout(budget, attempt=attempt)
             wake.clear()
@@ -303,15 +335,21 @@ async def run_attempt(
                 await asyncio.wait_for(wake.wait(), timeout=wait_s)
             except asyncio.TimeoutError:
                 pass  # the budget check above fires next time round
-    except asyncio.CancelledError:
+    except BaseException:
         proc.kill()
+        proc.join()  # a SIGKILLed child is reaped at once
         raise
     finally:
         loop.remove_reader(pipe_fd)
         loop.remove_reader(proc.sentinel)
         parent_conn.close()
-        proc.join(timeout=5.0)
 
+    if proc.is_alive():
+        reaper = loop.create_task(_reap(proc))
+        _REAPERS.add(reaper)
+        reaper.add_done_callback(_REAPERS.discard)
+        if message is None:
+            await reaper  # its pipe closed first; its exit code follows
     if message is None:
         metrics.inc(f"{scope}.worker_crashes")
         raise WorkerCrash(
@@ -386,11 +424,6 @@ class ExperimentEngine:
             return "serial"
         return "process"
 
-    def _timeout_for(self, spec: SweepSpec) -> float | None:
-        if spec.point_timeout_s is not None:
-            return spec.point_timeout_s
-        return self.policy.point_timeout_s
-
     def run(self, spec: SweepSpec) -> SweepRun:
         """Execute *spec*, reusing cached and journaled points.
 
@@ -417,7 +450,7 @@ class ExperimentEngine:
         failures: dict[int, dict[str, Any]] = {}
         failure_exc: dict[int, BaseException] = {}
         capture = self.metrics.enabled
-        timeout_s = self._timeout_for(spec)
+        timeout_s = self.policy.point_timeout_s
 
         def complete(index, value, wall, snapshot, attempt) -> None:
             values[index] = value
@@ -673,8 +706,6 @@ class ExperimentEngine:
         self,
         spec: SweepSpec,
         seeds: Sequence[int],
-        *,
-        seed_param: str = "seed",
     ) -> ReplicatedRun:
         """Execute every point of *spec* once per seed (§V-A-1 rigor).
 
@@ -683,7 +714,7 @@ class ExperimentEngine:
         memoized per ``(point, seed)`` in the content-addressed cache —
         extending a sweep from 3 to 5 seeds recomputes only the two
         new replicates, and a warm rerun recomputes nothing.  The base
-        points must not already carry ``seed_param``; the sweep ``key``
+        points must not already carry ``seed``; the sweep ``key``
         must not either, so replicate series share cache entries with
         any other run of the same experiment at the same seed.
         """
@@ -695,22 +726,21 @@ class ExperimentEngine:
                 f"sweep {spec.name!r} has duplicate seeds: {list(seeds)}"
             )
         for point in spec.points:
-            if seed_param in point:
+            if "seed" in point:
                 raise EngineError(
                     f"sweep {spec.name!r} base points already carry "
-                    f"{seed_param!r}; replication would overwrite it"
+                    "'seed'; replication would overwrite it"
                 )
         expanded = SweepSpec(
             spec.name,
             spec.worker,
             [
-                dict(point, **{seed_param: seed})
+                dict(point, seed=seed)
                 for point in spec.points
                 for seed in seeds
             ],
             key=spec.key,
             serial_only=spec.serial_only,
-            point_timeout_s=spec.point_timeout_s,
         )
         run = self.run(expanded)
         per_point = len(seeds)

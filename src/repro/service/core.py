@@ -24,8 +24,6 @@ Failure is the design center, not the edge case:
 from __future__ import annotations
 
 import asyncio
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,16 +99,6 @@ class JobService:
             self.journal = RunJournal(
                 Path(self.config.run_dir) / "service.journal", resume=True
             )
-        # Live trace summaries land here (one NDJSON file per job with
-        # a progress-emitting scenario); under run_dir when journaling,
-        # otherwise a private temp dir that shutdown() removes.
-        if self.config.run_dir is not None:
-            self.progress_dir = Path(self.config.run_dir) / "progress"
-        else:
-            self.progress_dir = Path(
-                tempfile.mkdtemp(prefix="repro-service-progress-")
-            )
-        self.progress_dir.mkdir(parents=True, exist_ok=True)
         self.metrics = current_registry()
         self.queue = AdmissionQueue(
             self.config.queue_limit, pool_size=self.config.pool_size
@@ -167,8 +155,6 @@ class JobService:
         persisted = len(self.queue.drain()) + killed
         if self.journal is not None:
             self.journal.close()
-        if self.config.run_dir is None:
-            shutil.rmtree(self.progress_dir, ignore_errors=True)
         return {"drained": drained, "persisted": persisted}
 
     async def _recover(self) -> None:
@@ -216,6 +202,7 @@ class JobService:
                 content_hash=content_hash,
                 deadline_s=submitted.get("deadline_s"),
                 recovered=True,
+                progress=scenario.progress,
             )
             job.key_material = material
             self.jobs[job_id] = job
@@ -298,12 +285,9 @@ class JobService:
             params=point,
             content_hash=content_hash,
             deadline_s=deadline_s,
+            progress=scenario.progress,
         )
         job.key_material = material
-        if scenario.progress:
-            job.progress_path = str(
-                self.progress_dir / f"{job.job_id}.ndjson"
-            )
 
         # Warm paths: the journal (this instance's WAL) first, then the
         # shared cache (global memo across instances and batch runs).
@@ -480,21 +464,19 @@ class JobService:
         await job.transition(JobState.RUNNING)
         policy = self._policy(job)
         worker = SCENARIOS[job.scenario].worker
-        params = dict(job.params)
-        if job.progress_path is not None:
-            # Injected after key material was derived, so the progress
-            # channel never perturbs caching or dedup.
-            params["_progress_path"] = job.progress_path
+        # Live trace summaries ride the result pipe into the job, never
+        # through its params, so caching and dedup never see them.
+        on_progress = job.add_progress if job.progress is not None else None
         transient: list[dict[str, Any]] = []
         while True:
             job.attempts += 1
             await job.touch()
             try:
                 value, wall, snapshot = await run_attempt(
-                    worker, params, job.attempts,
+                    worker, job.params, job.attempts,
                     timeout_s=policy.point_timeout_s, deadline=job.deadline,
                     label=f"job {job.job_id}", metrics=self.metrics,
-                    scope="service",
+                    scope="service", on_progress=on_progress,
                 )
             except Exception as error:
                 delay, final = policy.settle(

@@ -32,7 +32,6 @@ import asyncio
 import json
 import signal
 import sys
-from pathlib import Path
 from typing import Any
 
 from repro.engine.hashing import canonical_json
@@ -197,7 +196,7 @@ class ServiceServer:
         extra_headers: dict[str, str] | None = None,
     ) -> None:
         if raw is None:
-            raw = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+            raw = _ndjson(payload).encode("utf-8")
         reason = _REASONS.get(status, "Unknown")
         head = [
             f"HTTP/1.1 {status} {reason}",
@@ -365,11 +364,14 @@ class ServiceServer:
                 "error": "NotFound", "message": f"no route for {path}",
             })
 
-    async def _stream_events(self, job, reader, writer) -> None:
-        """NDJSON stream of job snapshots until the job is terminal.
+    async def _stream(self, job, reader, writer, mark, lines) -> None:
+        """An NDJSON stream for one job, until it is terminal.
 
-        A watcher counts as a waiter: if every watcher and waiter
-        disconnects before the job finishes, it is cancelled.
+        ``lines()`` returns the text the endpoint writes now; the loop
+        writes again once ``mark()`` moves or the job ends, and stops
+        after writing what a terminal job gave it.  A watcher counts as a
+        waiter: if every watcher and waiter disconnects before the job
+        finishes, it is cancelled.
         """
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
@@ -377,19 +379,15 @@ class ServiceServer:
             b"Connection: close\r\n\r\n"
         )
         await self.service.add_waiter(job)
-        seen = -1
         try:
             while True:
-                writer.write(
-                    (json.dumps(job.snapshot(), sort_keys=True) + "\n")
-                    .encode("utf-8")
-                )
+                seen, ended = mark(), job.state.terminal
+                writer.write(lines().encode("utf-8"))
                 await writer.drain()
-                seen = job.version
-                if job.state.terminal:
+                if ended:
                     return
                 if await self._await_or_disconnect(
-                    job.wait_change(seen), reader
+                    job.wait_change(lambda: mark() != seen), reader
                 ):
                     return
         except (ConnectionResetError, BrokenPipeError):
@@ -397,17 +395,20 @@ class ServiceServer:
         finally:
             await self.service.release_waiter(job)
 
-    async def _stream_trace(self, job, reader, writer) -> None:
-        """NDJSON live trace summaries for one job, then a final line.
+    async def _stream_events(self, job, reader, writer) -> None:
+        """One job snapshot per version, until the job is terminal."""
+        await self._stream(
+            job, reader, writer,
+            lambda: job.version, lambda: _ndjson(job.snapshot()),
+        )
 
-        Tails the worker's progress file emitting complete lines only
-        (the worker may be mid-append), and closes with
-        ``{"final": true, "state": ..., "summary": ...}`` once the job
-        is terminal.  Jobs whose scenario emits no progress get a 404
-        so clients can tell "no such channel" from "no lines yet".
-        Watchers count as waiters, exactly like ``/events``.
+    async def _stream_trace(self, job, reader, writer) -> None:
+        """The job's live trace summaries as they arrive, then a final
+        ``{"final": true, "state": ..., "summary": ...}`` line once the
+        job is terminal.  Jobs whose scenario emits no progress get a
+        404, so clients can tell "no such channel" from "no lines yet".
         """
-        if job.progress_path is None:
+        if job.progress is None:
             await self._send(writer, 404, {
                 "error": "NotFound",
                 "message": (
@@ -416,80 +417,30 @@ class ServiceServer:
                 ),
             })
             return
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        await self.service.add_waiter(job)
-        path = Path(job.progress_path)
-        offset = 0
-        try:
-            while True:
-                seen = job.version
-                offset, lines = _complete_lines(path, offset)
-                if lines:
-                    writer.write(b"".join(lines))
-                    await writer.drain()
-                if job.state.terminal:
-                    # One last drain: lines may have landed between
-                    # the read above and the state transition.
-                    offset, lines = _complete_lines(path, offset)
-                    summary = (
+        sent = 0
+
+        def lines() -> str:
+            nonlocal sent
+            new = job.progress[sent:]
+            sent += len(new)
+            if job.state.terminal:
+                new.append(_ndjson({
+                    "final": True,
+                    "state": job.state.value,
+                    "summary": (
                         job.value if job.state is JobState.DONE
                         else job.error
-                    )
-                    final = {
-                        "final": True,
-                        "state": job.state.value,
-                        "summary": summary,
-                    }
-                    writer.write(
-                        b"".join(lines)
-                        + (json.dumps(final, sort_keys=True) + "\n")
-                        .encode("utf-8")
-                    )
-                    await writer.drain()
-                    return
-                if await self._await_or_disconnect(
-                    _progress_tick(job, seen), reader
-                ):
-                    return
-        except (ConnectionResetError, BrokenPipeError):
-            return
-        finally:
-            await self.service.release_waiter(job)
+                    ),
+                }))
+            return "".join(new)
+
+        await self._stream(
+            job, reader, writer, lambda: len(job.progress), lines
+        )
 
 
-def _complete_lines(path: Path, offset: int) -> tuple[int, list[bytes]]:
-    """Newline-terminated bytes appended to *path* past *offset*.
-
-    A trailing partial line stays unread until its newline lands, so
-    the stream never forwards a torn JSON document.
-    """
-    try:
-        with path.open("rb") as handle:
-            handle.seek(offset)
-            chunk = handle.read()
-    except FileNotFoundError:
-        return offset, []
-    end = chunk.rfind(b"\n")
-    if end < 0:
-        return offset, []
-    return offset + end + 1, chunk[: end + 1].splitlines(keepends=True)
-
-
-async def _progress_tick(job, seen_version: int) -> None:
-    """Wake on a job state change or after a short poll interval.
-
-    The worker appends progress lines from its forked process, which
-    cannot bump the job's version — so the tail needs a heartbeat on
-    top of the change condition.
-    """
-    try:
-        await asyncio.wait_for(job.wait_change(seen_version), timeout=0.1)
-    except asyncio.TimeoutError:
-        pass
+def _ndjson(payload: Any) -> str:
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 async def serve(

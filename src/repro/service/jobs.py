@@ -12,15 +12,17 @@ States move strictly forward::
 
 Each transition bumps ``version`` and wakes the job's condition, which
 is what the ``/jobs/{id}/events`` stream and ``wait=true`` submissions
-block on — no polling inside the process.
+block on — no polling inside the process.  A live trace line wakes the
+same condition without a version bump, for ``/jobs/{id}/trace``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import enum
+import json
 import time
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 
 class JobState(enum.Enum):
@@ -36,7 +38,12 @@ class JobState(enum.Enum):
 
 
 class Job:
-    """One admitted submission and everything that happens to it."""
+    """One admitted submission and everything that happens to it.
+
+    With ``progress=True`` (its scenario streams live trace summaries),
+    ``progress`` keeps every summary its attempts sent as an NDJSON
+    line, for the job's lifetime; otherwise it is ``None``.
+    """
 
     def __init__(
         self,
@@ -48,6 +55,7 @@ class Job:
         content_hash: str,
         deadline_s: float | None = None,
         recovered: bool = False,
+        progress: bool = False,
     ) -> None:
         self.job_id = job_id
         self.scenario = scenario
@@ -69,12 +77,7 @@ class Job:
         # "cache" (warm ResultCache hit), "journal" (re-served after a
         # restart).  The dedup/zero-recompute proofs read this.
         self.source: str | None = None
-        # NDJSON file the worker appends live trace summaries to, set
-        # at submission for scenarios with ``progress=True``; the
-        # ``/jobs/<id>/trace`` endpoint tails it.  Never part of the
-        # content key — progress is an observation channel, not an
-        # input.
-        self.progress_path: str | None = None
+        self.progress: list[str] | None = [] if progress else None
         self.attempts = 0
         self.wall_seconds = 0.0
         self.submitted_at = time.time()
@@ -116,22 +119,29 @@ class Job:
         await self.touch()
 
     async def touch(self) -> None:
-        """Bump the version and wake watchers (progress heartbeats)."""
+        """Bump the version and wake watchers."""
         self.version += 1
+        await self._notify()
+
+    async def add_progress(self, summary: Mapping[str, Any]) -> None:
+        """Keep one live trace summary as an NDJSON line and wake
+        watchers; the version stays, so ``/events`` writes nothing."""
+        self.progress.append(json.dumps(summary, sort_keys=True) + "\n")
+        await self._notify()
+
+    async def _notify(self) -> None:
         async with self._changed:
             self._changed.notify_all()
 
-    async def wait_change(self, seen_version: int) -> int:
-        """Block until ``version`` advances past *seen_version*."""
+    async def wait_change(self, changed: Callable[[], bool]) -> None:
+        """Block until ``changed()`` holds or the job is terminal."""
         async with self._changed:
-            while self.version <= seen_version and not self.state.terminal:
-                await self._changed.wait()
-        return self.version
+            await self._changed.wait_for(
+                lambda: changed() or self.state.terminal
+            )
 
     async def wait_terminal(self) -> None:
-        async with self._changed:
-            while not self.state.terminal:
-                await self._changed.wait()
+        await self.wait_change(lambda: False)
 
     # -- views -------------------------------------------------------------
 
@@ -145,7 +155,7 @@ class Job:
             "content_hash": self.content_hash,
             "state": self.state.value,
             "source": self.source,
-            "progress": self.progress_path is not None,
+            "progress": self.progress is not None,
             "attempts": self.attempts,
             "wall_seconds": round(self.wall_seconds, 6),
             "dedup_count": self.dedup_count,

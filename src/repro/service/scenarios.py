@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
 import time
 from typing import Any, Callable, Mapping
 
@@ -130,9 +129,10 @@ class Scenario:
     record: Experiment
     worker: Callable[[Mapping[str, Any]], Any]
     check: Callable[[dict[str, Any]], None] | None = None
-    #: Progress-streaming scenarios get a per-job NDJSON file injected
-    #: as ``_progress_path`` (worker-side only — never key material),
-    #: which ``GET /jobs/<id>/trace`` tails while the job runs.
+    #: A progress-streaming worker finds a ``_progress`` callable in
+    #: its params (added in the forked attempt, never key material);
+    #: each summary it passes lands in the job, which
+    #: ``GET /jobs/<id>/trace`` streams while the job runs.
     progress: bool = False
 
     def build(
@@ -215,24 +215,15 @@ def trace_analysis_point(params: Mapping[str, Any]) -> dict[str, Any]:
 
     The trace never materializes: the simulation drives
     :class:`~repro.tracing.stream.TraceStreamAnalyzer` directly, and
-    when the service injected a ``_progress_path`` every provisional
-    live summary is appended there as one NDJSON line (what
-    ``GET /jobs/<id>/trace`` tails).  The returned value is the final
-    exact analysis summary.
+    when the forked attempt gave the worker a ``_progress`` callable,
+    every provisional live summary goes through it, over the attempt's
+    result pipe, into the job (what ``GET /jobs/<id>/trace`` streams).
+    The returned value is the final exact analysis summary.
     """
     app = BigDFT() if params["app"] == "bigdft" else Specfem3D()
     num_ranks = params["num_ranks"]
     seed = params["seed"]
-    progress_path = params.get("_progress_path")
-    handle = None
-    on_summary = None
-    if progress_path:
-        handle = open(progress_path, "a", encoding="utf-8")
-
-        def on_summary(summary: dict) -> None:
-            handle.write(json.dumps(summary, sort_keys=True) + "\n")
-            handle.flush()
-
+    on_summary = params.get("_progress")
     analyzer = TraceStreamAnalyzer(StreamConfig(on_summary=on_summary))
     try:
         cluster = tibidabo(num_nodes=max(1, (num_ranks + 1) // 2), seed=seed)
@@ -271,8 +262,6 @@ def trace_analysis_point(params: Mapping[str, Any]) -> dict[str, Any]:
         }
     finally:
         analyzer.close()
-        if handle is not None:
-            handle.close()
 
 
 #: Built after ``sweeps`` has finished importing, so each worker is the

@@ -1,18 +1,22 @@
 """The one worker supervisor the engine's pool and the job service share.
 
 Both run every forked attempt through ``repro.engine.engine.run_attempt``.
-These tests pin the two properties a supervisor most easily loses:
+These tests pin the properties a supervisor most easily loses:
 
 * a healthy worker that replies and exits between the parent's empty
   poll and its liveness check is a success, not a crash;
 * a typed abort (the journal's disk filled) ends the run without
-  leaving a worker process behind.
+  leaving a worker process behind;
+* a worker that has replied never holds up the loop, however long its
+  process takes to exit, and is still reaped once it does.
 
 Where the platform cannot fork, the engine runs sweeps serially.
 """
 
 import asyncio
 import multiprocessing
+import os
+import threading
 import time
 from multiprocessing.connection import Connection
 
@@ -20,8 +24,10 @@ import pytest
 
 from repro.engine import ExecutionPolicy, ExperimentEngine, SweepSpec
 from repro.engine.chaos import FlakyJournal
+from repro.engine.engine import run_attempt
 from repro.engine.sweeps import run_chaos_sweep
 from repro.errors import JournalError
+from repro.metrics.registry import MetricsRegistry
 from repro.service import JobService, ServiceConfig
 from repro.service.jobs import JobState
 from repro.service.scenarios import sleepy_point
@@ -114,3 +120,43 @@ def test_typed_abort_leaves_no_live_workers(tmp_path):
             child.kill()
             child.join(timeout=5.0)
         journal.close()
+
+
+def _reply_then_linger(params):
+    """Reply at once, but leave a thread that keeps the process alive."""
+    threading.Thread(target=time.sleep, args=(params["linger_s"],)).start()
+    return {"pid": os.getpid()}
+
+
+def test_a_replied_attempt_never_stalls_the_loop():
+    async def scenario():
+        stalls = []
+
+        async def ticker():
+            last = time.monotonic()
+            while True:
+                await asyncio.sleep(0.01)
+                now = time.monotonic()
+                stalls.append(now - last - 0.01)
+                last = now
+
+        ticks = asyncio.create_task(ticker())
+        started = time.monotonic()
+        value, _, _ = await run_attempt(
+            _reply_then_linger, {"linger_s": 2.0}, 1,
+            timeout_s=30.0, deadline=None, label="lingering",
+            metrics=MetricsRegistry(), scope="test",
+        )
+        returned_s = time.monotonic() - started
+        # The loop lives on past the child's thread, which ends 2 s
+        # after the reply; by then the child must have been reaped.
+        await asyncio.sleep(3.0)
+        ticks.cancel()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(value["pid"], os.WNOHANG)
+        return returned_s, max(stalls)
+
+    returned_s, stall_s = asyncio.run(scenario())
+    assert returned_s < 0.2
+    assert stall_s < 0.1
+    assert multiprocessing.active_children() == []

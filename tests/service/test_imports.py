@@ -65,8 +65,9 @@ def test_forked_attempts_import_nothing(tmp_path):
         "from repro.engine.engine import run_attempt\n"
         "from repro.service.scenarios import SCENARIOS\n"
         f"points = json.loads({json.dumps(json.dumps(points))})\n"
-        f"progress = {str(tmp_path / 'progress.ndjson')!r}\n"
         "assert set(points) == set(SCENARIOS), sorted(SCENARIOS)\n"
+        "async def ignore(summary):\n"
+        "    pass\n"
         "def newly_imported(worker):\n"
         "    def run(params):\n"
         "        before = set(sys.modules)\n"
@@ -76,12 +77,11 @@ def test_forked_attempts_import_nothing(tmp_path):
         "report = {}\n"
         "for name, scenario in SCENARIOS.items():\n"
         "    _, point = scenario.build(points[name])\n"
-        "    if scenario.progress:\n"
-        "        point['_progress_path'] = progress\n"
         "    report[name], _, _ = asyncio.run(run_attempt(\n"
         "        newly_imported(scenario.worker), point, 1, timeout_s=120,\n"
         "        deadline=None, label=name,\n"
-        "        metrics=repro.metrics.MetricsRegistry(), scope='probe'))\n"
+        "        metrics=repro.metrics.MetricsRegistry(), scope='probe',\n"
+        "        on_progress=ignore if scenario.progress else None))\n"
         "print(json.dumps(report))\n"
     )
     result = run_probe(probe)

@@ -1,9 +1,10 @@
 """The service leaves nothing behind.
 
 A forked attempt is its worker's alone: a signal sent to it ends it
-and never reaches the server, and it exits when its server dies.  A
-service without a run directory removes its private progress directory
-when it shuts down.
+and never reaches the server, a signal sent to the server's process
+group reaches only the server, and an attempt exits when its server
+dies.  Live trace summaries travel in memory, so a service writes
+nothing for them, with or without a run directory.
 """
 
 import asyncio
@@ -11,12 +12,15 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.engine import RunJournal
 from repro.service import JobService, ServiceClient, ServiceConfig
+from repro.service.jobs import JobState
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -61,9 +65,12 @@ def wait_for(predicate, timeout_s: float, what: str):
 
 
 class Serve:
-    """One ``repro serve --pool 1`` process on an ephemeral port."""
+    """One ``repro serve --pool 1`` process on an ephemeral port; with
+    ``own_group`` it leads a process group of its own."""
 
-    def __init__(self, tmp_path: Path) -> None:
+    def __init__(
+        self, tmp_path: Path, *, drain_s: float = 0.5, own_group: bool = False
+    ) -> None:
         env = dict(os.environ)
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = str(SRC) + (
@@ -75,12 +82,13 @@ class Serve:
                 sys.executable, "-m", "repro", "serve", "--port", "0",
                 "--run-dir", str(tmp_path / "run"),
                 "--cache-dir", str(tmp_path / "cache"),
-                "--pool", "1", "--drain", "0.5",
+                "--pool", "1", "--drain", str(drain_s),
             ],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
             text=True,
+            start_new_session=own_group,
         )
         port = None
         deadline = time.monotonic() + 30
@@ -93,10 +101,12 @@ class Serve:
         assert port is not None, "serve never announced its port"
         self.client = ServiceClient(f"http://127.0.0.1:{port}", timeout_s=30)
 
-    def start_sleepy_attempt(self) -> tuple[str, int]:
-        """Submit a 120 s job; returns its id and its attempt's pid."""
+    def start_sleepy_attempt(
+        self, duration_s: float = 120.0
+    ) -> tuple[str, int]:
+        """Submit a sleepy job; returns its id and its attempt's pid."""
         job = self.client.submit(
-            "sleepy", {"duration_s": 120.0}, wait=False
+            "sleepy", {"duration_s": duration_s}, wait=False
         )["job"]
         wait_for(
             lambda: self.client.status(job["job_id"])["job"]["state"]
@@ -159,17 +169,48 @@ def test_a_killed_server_leaves_no_attempt_behind(tmp_path):
             os.kill(attempt, signal.SIGKILL)
 
 
-def test_shutdown_removes_the_private_progress_dir(tmp_path):
+@linux_only
+def test_a_group_sigterm_drains_the_running_job(tmp_path):
+    server = Serve(tmp_path, drain_s=5.0, own_group=True)
+    try:
+        job_id, attempt = server.start_sleepy_attempt(duration_s=2.0)
+        # What a shell's `kill %1` or `kill -TERM -- -PGID` sends.
+        os.killpg(server.proc.pid, signal.SIGTERM)
+        _, stderr = server.proc.communicate(timeout=30)
+    finally:
+        server.stop()
+    assert server.proc.returncode == 0
+    assert "drained 1 running job(s)" in stderr
+    assert not alive(attempt)
+    with RunJournal(tmp_path / "run" / "service.journal", resume=True) as log:
+        assert log.completed[f"state/{job_id}"]["state"] == "done"
+
+
+def test_a_service_writes_nothing_for_progress(tmp_path, monkeypatch):
+    tmpdir = tmp_path / "tmpdir"
+    tmpdir.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmpdir))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+
     async def cycle(config):
         service = JobService(config)
         await service.start()
-        await service.shutdown(drain_s=0.1)
-        return service.progress_dir
+        try:
+            job, _ = await service.submit("trace-analysis", {"num_ranks": 4})
+            await asyncio.wait_for(job.wait_terminal(), timeout=60)
+            return job, sorted(tmpdir.iterdir())
+        finally:
+            await service.shutdown(drain_s=0.1)
 
-    private = asyncio.run(cycle(ServiceConfig(cache_root=tmp_path / "c")))
-    assert not private.exists()
-    kept = asyncio.run(cycle(ServiceConfig(
-        cache_root=tmp_path / "c", run_dir=tmp_path / "run"
-    )))
-    assert kept == tmp_path / "run" / "progress"
-    assert kept.is_dir()
+    for run_dir in (None, tmp_path / "run"):
+        job, made = asyncio.run(cycle(ServiceConfig(
+            cache_root=tmp_path / f"cache-{run_dir is None}", run_dir=run_dir,
+        )))
+        assert job.state is JobState.DONE, job.error
+        assert job.source == "computed"
+        assert made == []
+        assert job.progress, "the live summaries live in the job"
+    assert sorted(tmpdir.iterdir()) == []
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "service.journal"
+    ]

@@ -12,10 +12,12 @@ from repro.engine import RunJournal
 from repro.engine.hashing import canonical_json
 from repro.service import (
     JobService,
+    ServiceClient,
     ServiceConfig,
     job_content_key,
     resolve_scenario,
 )
+from repro.service.http import ServiceServer
 from repro.service.jobs import JobState
 
 
@@ -110,6 +112,51 @@ class TestRestartRecovery:
         assert job.state is JobState.DONE
         assert job.source == "computed"
         assert job.value == {"slept_s": 0.05}
+
+    def test_a_requeued_trace_job_keeps_its_live_stream(self, tmp_path):
+        async def first_life():
+            service = make_service(tmp_path, generation=1)
+            await service.start()
+            try:
+                blocker, _ = await service.submit(
+                    "sleepy", {"duration_s": 30.0}
+                )
+                while blocker.state is JobState.QUEUED:
+                    await asyncio.sleep(0.01)
+                # One pool slot: the trace job waits behind the nap.
+                traced, _ = await service.submit("trace-analysis", {})
+                assert traced.state is JobState.QUEUED
+                return blocker.job_id, traced.job_id
+            finally:
+                await service.shutdown(drain_s=0.0)
+
+        async def second_life():
+            service = make_service(tmp_path, generation=2)
+            service.journal.completed[f"job/{blocker_id}"]["params"] = {
+                "duration_s": 0.05, "tag": "",
+            }
+            server = ServiceServer(service, port=0)
+            await server.start()
+            try:
+                client = ServiceClient(
+                    f"http://127.0.0.1:{server.port}", timeout_s=60
+                )
+                status = await asyncio.to_thread(client.status, traced_id)
+                lines = await asyncio.to_thread(client.trace, traced_id)
+                return status["job"], lines
+            finally:
+                await server.stop()
+
+        blocker_id, traced_id = run(first_life())
+        job, lines = run(second_life())
+        assert job["recovered"] is True
+        assert job["progress"] is True
+        *provisional, final = lines
+        assert len(provisional) >= 2
+        assert all(line["provisional"] for line in provisional)
+        assert final["final"] is True
+        assert final["state"] == "done"
+        assert final["summary"]["scenario"] == "fig4-bigdft-36ranks-seed7"
 
     def test_new_ids_never_collide_with_recovered_ones(self, tmp_path):
         async def first_life():
