@@ -1,13 +1,18 @@
-"""Core hot-path benchmark: DES dispatch, memsim streaming, fig3 point.
+"""Core hot-path benchmark: DES dispatch, memsim streaming, OS boot,
+fig3 point.
 
 Produces (and gates against) the committed ``BENCH_core.json`` perf
 trajectory.  Every speed metric is measured twice in the same process
 — once on the frozen pre-rewrite implementation (``_legacy_des.py``,
-``_legacy_memsim.py``) and once on the current one — and recorded as a
-*speedup ratio*, so the committed numbers are comparable across
-machines: CI does not care how fast its runner is, only that the
-current engine still beats the frozen baseline by (almost) as much as
-it did when the baseline was committed.
+``_legacy_memsim.py``, ``_legacy_alloc.py``) and once on the current
+one — and recorded as a *speedup ratio*, so the committed numbers are
+comparable across machines: CI does not care how fast its runner is,
+only that the current engine still beats the frozen baseline by
+(almost) as much as it did when the baseline was committed.
+
+``osmodel_boot`` is measured as interleaved legacy/current pairs and
+gated on the median of the per-pair ratios (:func:`interleaved_pairs`);
+the other ratios are still best-of-N blocks.
 
 Usage::
 
@@ -24,6 +29,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -34,17 +41,52 @@ SCHEMA = 1
 
 #: Workload sizes.  "full" is the committed-trajectory configuration;
 #: "smoke" keeps the pytest smoke test and quick local runs cheap.
+#: A full-scale boot is the Snowball's 203,776 frames (796 MiB of 4 KiB
+#: pages) plus the page-alloc scenario's default 8 MiB array.
 SCALES = {
     "full": {"wide": 200_000, "steady": 200_000, "depth": 512,
-             "array_bytes": 2 << 20, "repeats": 5},
+             "array_bytes": 2 << 20, "repeats": 5,
+             "boot_frames": 203_776, "boot_pages": 2048, "pairs": 15},
     "smoke": {"wide": 2_000, "steady": 2_000, "depth": 64,
-              "array_bytes": 64 << 10, "repeats": 1},
+              "array_bytes": 64 << 10, "repeats": 1,
+              "boot_frames": 16_384, "boot_pages": 64, "pairs": 3},
 }
 
 
 def _best(fn, repeats: int) -> float:
     """Best-of-N wall-clock rate (max events/sec over repeats)."""
     return max(fn() for _ in range(repeats))
+
+
+def interleaved_pairs(legacy, current, pairs: int, unit: str,
+                      seed: int = 0) -> dict:
+    """Time *legacy* and *current* (each returns a rate) in *pairs*
+    back-to-back pairs, which of the two goes first drawn from a
+    seeded RNG.
+
+    A load burst then lands inside one pair, where it moves at most
+    that pair's ratio, instead of on a whole block of one side's
+    repeats.  ``speedup`` is the median of the per-pair ratios, all of
+    which are kept in ``ratios``.
+    """
+    order = random.Random(seed)
+    legacy_rates: list[float] = []
+    current_rates: list[float] = []
+    for _ in range(pairs):
+        if order.random() < 0.5:
+            legacy_rates.append(legacy())
+            current_rates.append(current())
+        else:
+            current_rates.append(current())
+            legacy_rates.append(legacy())
+    ratios = [c / l for l, c in zip(legacy_rates, current_rates)]
+    return {
+        "legacy": statistics.median(legacy_rates),
+        "current": statistics.median(current_rates),
+        "speedup": statistics.median(ratios),
+        "ratios": ratios,
+        "unit": unit,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +172,22 @@ def memsim_rate(kind: str, array_bytes: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# osmodel: one fragmented boot plus the allocation that follows it
+# ---------------------------------------------------------------------------
+
+
+def boot_rate(allocator_cls, frames: int, pages: int) -> float:
+    """Boots per second: a pool of *frames* fragmented at 0.85 (X1's
+    setting), then one allocation of *pages*, as ``page_alloc_point``
+    does through ``OSModel.boot``."""
+    start = time.perf_counter()
+    allocator = allocator_cls(frames)
+    allocator.fragment(0.85, random.Random(7))
+    allocator.allocate(pages)
+    return 1.0 / (time.perf_counter() - start)
+
+
+# ---------------------------------------------------------------------------
 # End-to-end: one fig3 cluster-scaling point
 # ---------------------------------------------------------------------------
 
@@ -171,9 +229,11 @@ def fig3_point() -> dict[str, float]:
 
 def run_benchmarks(scale: str = "full") -> dict:
     """Measure everything; returns the BENCH_core.json payload."""
+    from _legacy_alloc import BuddyAllocator as LegacyBuddyAllocator
     from _legacy_des import Simulator as LegacySimulator
 
     from repro.cluster.des import Simulator
+    from repro.osmodel.page_allocator import BuddyAllocator
 
     sizes = SCALES[scale]
     repeats = sizes["repeats"]
@@ -203,18 +263,27 @@ def run_benchmarks(scale: str = "full") -> dict:
         _best(lambda: memsim_rate("current", sizes["array_bytes"]), repeats),
         "lines/s",
     )
+    boot = interleaved_pairs(
+        lambda: boot_rate(LegacyBuddyAllocator, sizes["boot_frames"],
+                          sizes["boot_pages"]),
+        lambda: boot_rate(BuddyAllocator, sizes["boot_frames"],
+                          sizes["boot_pages"]),
+        sizes["pairs"], "boots/s",
+    )
     return {
         "schema": SCHEMA,
         "scale": scale,
         "note": (
             "speedup = current engine vs the frozen pre-rewrite baseline "
-            "(benchmarks/_legacy_des.py, _legacy_memsim.py), measured in "
-            "the same process; machine-independent, gated by CI"
+            "(benchmarks/_legacy_des.py, _legacy_memsim.py, "
+            "_legacy_alloc.py), measured in the same process; "
+            "machine-independent, gated by CI"
         ),
         "metrics": {
             "des_dispatch": dispatch,
             "des_steady": steady,
             "memsim_stream": memsim,
+            "osmodel_boot": boot,
             "fig3_point": fig3_point(),
         },
     }
@@ -223,8 +292,10 @@ def run_benchmarks(scale: str = "full") -> dict:
 def check(current: dict, committed: dict, threshold: float) -> list[str]:
     """Regression messages (empty = gate passes)."""
     problems: list[str] = []
-    for name in ("des_dispatch", "des_steady", "memsim_stream"):
-        want = committed["metrics"][name]["speedup"]
+    for name, entry in committed["metrics"].items():
+        if "speedup" not in entry:
+            continue
+        want = entry["speedup"]
         got = current["metrics"][name]["speedup"]
         floor = want * (1.0 - threshold)
         if got < floor:
@@ -259,9 +330,11 @@ def main(argv: list[str] | None = None) -> int:
 
     for name, entry in payload["metrics"].items():
         if "speedup" in entry:
+            pairs = (f", median of {len(entry['ratios'])} pairs"
+                     if "ratios" in entry else "")
             print(f"{name}: legacy {entry['legacy']:,.0f} -> current "
                   f"{entry['current']:,.0f} {entry['unit']} "
-                  f"({entry['speedup']:.2f}x)")
+                  f"({entry['speedup']:.2f}x{pairs})")
         else:
             print(f"{name}: sim {entry['elapsed_sim_s']:.3f} s, "
                   f"{entry['events_per_s']:,.0f} events/s wall")

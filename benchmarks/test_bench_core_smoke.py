@@ -25,6 +25,10 @@ def test_smoke_payload_shape_and_speedups():
         entry = metrics[name]
         assert entry["legacy"] > 0 and entry["current"] > 0
         assert entry["speedup"] == entry["current"] / entry["legacy"]
+    boot = metrics["osmodel_boot"]
+    assert boot["legacy"] > 0 and boot["current"] > 0
+    assert len(boot["ratios"]) == bench_core.SCALES["smoke"]["pairs"]
+    assert boot["speedup"] == sorted(boot["ratios"])[1]  # median of 3
     fig3 = metrics["fig3_point"]
     assert fig3["elapsed_sim_s"] > 0
     assert fig3["events_dispatched"] > 0
@@ -56,6 +60,48 @@ def test_check_passes_against_itself_and_flags_regressions():
     # Any drift in the deterministic simulated time fails.
     problems = bench_core.check(payload(5.0, 75.0001), committed, 0.2)
     assert problems and "deterministic" in problems[0]
+
+
+def test_check_flags_an_osmodel_boot_regression():
+    def payload(boot_speedup):
+        metrics = {
+            name: {"legacy": 1.0, "current": 5.0, "speedup": 5.0,
+                   "unit": "events/s"}
+            for name in ("des_dispatch", "des_steady", "memsim_stream")
+        }
+        metrics["osmodel_boot"] = {
+            "legacy": 1.0, "current": boot_speedup, "speedup": boot_speedup,
+            "ratios": [boot_speedup], "unit": "boots/s",
+        }
+        metrics["fig3_point"] = {"elapsed_sim_s": 75.0}
+        return {"schema": bench_core.SCHEMA, "metrics": metrics}
+
+    committed = payload(20.0)
+    assert bench_core.check(payload(16.5), committed, 0.2) == []
+    problems = bench_core.check(payload(15.5), committed, 0.2)
+    assert len(problems) == 1 and problems[0].startswith("osmodel_boot:")
+
+
+def test_interleaved_pairs_alternate_in_a_seeded_order():
+    calls = []
+
+    def side(name, rate):
+        def run():
+            calls.append(name)
+            return rate
+        return run
+
+    entry = bench_core.interleaved_pairs(
+        side("legacy", 2.0), side("current", 8.0), 6, "ops/s", seed=3
+    )
+    pairs = [tuple(calls[i:i + 2]) for i in range(0, 12, 2)]
+    assert set(pairs) == {("legacy", "current"), ("current", "legacy")}
+    assert entry["ratios"] == [4.0] * 6 and entry["speedup"] == 4.0
+    calls.clear()
+    bench_core.interleaved_pairs(
+        side("legacy", 2.0), side("current", 8.0), 6, "ops/s", seed=3
+    )
+    assert [tuple(calls[i:i + 2]) for i in range(0, 12, 2)] == pairs
 
 
 def test_committed_baseline_records_the_5x_campaign():

@@ -117,6 +117,13 @@ class BuddyAllocator:
     first; multi-page user allocations are composed page by page (as
     anonymous mmap does), so they are consecutive only when the free
     pool happens to be.
+
+    Each order's free list is kept in two insertion-ordered parts: the
+    *boot* blocks laid out when the pool was set up, in ascending
+    address order, then the *later* blocks made by splits and frees.
+    A fragmented pool is laid out one window of ``2**max_order`` frames
+    at a time, only when an allocation, a free or a count reaches it
+    (see :meth:`fragment`).
     """
 
     def __init__(
@@ -135,69 +142,92 @@ class BuddyAllocator:
         self.total_frames = total_frames
         self.page_size = page_size
         self.max_order = max_order
-        # free_lists[order] holds base frames of free blocks of 2**order pages.
-        self._free_lists: list[_OrderedSet] = [
+        # _boot[order] / _later[order] hold base frames of free blocks of
+        # 2**order pages; the order's free list is _boot then _later.
+        self._boot: list[_OrderedSet] = [
             _OrderedSet() for _ in range(max_order + 1)
         ]
+        self._later: list[_OrderedSet] = [
+            _OrderedSet() for _ in range(max_order + 1)
+        ]
+        # Allocated and pinned frames of the windows laid out so far.
         self._allocated: set[int] = set()
-        self._rebuild_free_lists(free_frames=None)
-
-    def _rebuild_free_lists(self, free_frames: set[int] | None) -> None:
-        """Greedily cover the free frames with maximal buddy blocks.
-
-        ``free_frames=None`` means every frame is free (fresh boot).
-        """
-        self._free_lists = [_OrderedSet() for _ in range(self.max_order + 1)]
-        if free_frames is None:
-            self._cover_range(0, self.total_frames)
-            return
-        # Find maximal runs of consecutive free frames, cover each with
-        # aligned buddy blocks.
-        ordered = sorted(free_frames)
-        index = 0
-        while index < len(ordered):
-            start = ordered[index]
-            end = start + 1
-            index += 1
-            while index < len(ordered) and ordered[index] == end:
-                end += 1
-                index += 1
-            self._cover_range(start, end)
+        # The pool below _drawn is laid out; fragment() draws the rest.
+        self._drawn = total_frames
+        self._rng: random.Random | None = None
+        self._pinned_fraction = 0.0
+        self._cover_range(0, total_frames)
 
     def _cover_range(self, start: int, end: int) -> None:
-        """Cover ``[start, end)`` with maximal aligned buddy blocks."""
+        """Cover ``[start, end)`` with maximal aligned boot blocks."""
         frame = start
         while frame < end:
-            order = self.max_order
-            while order > 0 and (
-                frame % (1 << order) != 0 or frame + (1 << order) > end
-            ):
-                order -= 1
-            self._free_lists[order].add(frame)
+            # The largest order that both the frame's alignment and the
+            # room left in the range allow.
+            order = min(
+                self.max_order,
+                (end - frame).bit_length() - 1,
+                (frame & -frame).bit_length() - 1 if frame else self.max_order,
+            )
+            self._boot[order].add(frame)
             frame += 1 << order
+
+    def _draw_window(self) -> None:
+        """Pin the next window's frames, one draw per frame in ascending
+        order, and cover its free runs with boot blocks.
+
+        No buddy block crosses a window boundary, so covering the pool
+        window by window lays out the same blocks, in the same order, as
+        covering it at once.
+        """
+        start = self._drawn
+        end = min(start + (1 << self.max_order), self.total_frames)
+        draw, pinned_fraction = self._rng.random, self._pinned_fraction
+        run_start = start
+        for frame in range(start, end):
+            if draw() < pinned_fraction:
+                self._allocated.add(frame)
+                self._cover_range(run_start, frame)
+                run_start = frame + 1
+        self._cover_range(run_start, end)
+        self._drawn = end
+
+    def _draw_to(self, frame_count: int) -> None:
+        """Lay out windows until the first *frame_count* frames are."""
+        while self._drawn < min(frame_count, self.total_frames):
+            self._draw_window()
 
     @property
     def free_frames(self) -> int:
-        """Number of currently free frames."""
+        """Number of currently free frames (lays out the whole pool)."""
+        self._draw_to(self.total_frames)
         return self.total_frames - len(self._allocated)
 
-    def _split_down(self, order: int, target: int) -> int:
-        """Split a free block of *order* down to *target*, returning the base."""
-        base = self._free_lists[order].pop_front()
-        while order > target:
-            order -= 1
-            buddy = base + (1 << order)
-            self._free_lists[order].add(buddy)
-        return base
+    def _take_block(self, order: int) -> int | None:
+        """Pop the front of *order*'s free list, or None if it is empty.
 
-    def _allocate_block(self, order: int) -> int:
-        for available in range(order, self.max_order + 1):
-            if len(self._free_lists[available]):
-                return self._split_down(available, order)
-        raise AllocationError(
-            f"out of physical memory: no free block of order {order} "
-            f"({self.free_frames} frames free, but fragmented)"
-        )
+        The front is the lowest boot block, which may sit in a window
+        not yet laid out; only when no boot block of this order is left
+        anywhere is it the oldest later block.
+        """
+        boot = self._boot[order]
+        while not boot and self._drawn < self.total_frames:
+            self._draw_window()
+        if boot:
+            return boot.pop_front()
+        later = self._later[order]
+        return later.pop_front() if later else None
+
+    def _take_frame(self) -> int | None:
+        """One frame from the smallest free block, splitting it down."""
+        for order in range(self.max_order + 1):
+            base = self._take_block(order)
+            if base is not None:
+                while order > 0:
+                    order -= 1
+                    self._later[order].add(base + (1 << order))
+                return base
+        return None
 
     def allocate(self, num_pages: int) -> PageAllocation:
         """Allocate *num_pages* frames, one order-0 block per page.
@@ -208,33 +238,40 @@ class BuddyAllocator:
         if num_pages <= 0:
             raise ConfigurationError(f"num_pages must be positive, got {num_pages}")
         frames: list[int] = []
-        try:
-            for _ in range(num_pages):
-                frame = self._allocate_block(0)
-                self._allocated.add(frame)
-                frames.append(frame)
-        except AllocationError:
-            for frame in frames:
-                self._free_frame(frame)
-            raise
+        for _ in range(num_pages):
+            frame = self._take_frame()
+            if frame is None:
+                for taken in frames:
+                    self._free_frame(taken)
+                raise AllocationError(
+                    f"out of physical memory: {num_pages} pages requested, "
+                    f"{self.free_frames} frames free"
+                )
+            self._allocated.add(frame)
+            frames.append(frame)
         return PageAllocation(frames=tuple(frames), page_size=self.page_size)
 
     def _free_frame(self, frame: int) -> None:
+        # A pinned frame may be freed too, so lay out its window first.
+        self._draw_to(frame + 1)
         if frame not in self._allocated:
             raise AllocationError(f"double free of frame {frame}")
         self._allocated.remove(frame)
-        # Coalesce with the buddy while possible.
+        # Coalesce with the buddy while possible; a buddy shares the
+        # frame's window, so it is laid out already.
         order = 0
         base = frame
         while order < self.max_order:
             buddy = base ^ (1 << order)
-            if buddy in self._free_lists[order]:
-                self._free_lists[order].discard(buddy)
-                base = min(base, buddy)
-                order += 1
+            if buddy in self._boot[order]:
+                self._boot[order].discard(buddy)
+            elif buddy in self._later[order]:
+                self._later[order].discard(buddy)
             else:
                 break
-        self._free_lists[order].add(base)
+            base = min(base, buddy)
+            order += 1
+        self._later[order].add(base)
 
     def free(self, allocation: PageAllocation) -> None:
         """Return an allocation's frames to the free pool."""
@@ -250,22 +287,25 @@ class BuddyAllocator:
         and multi-page allocations come out non-consecutive.
         ``churn=0`` leaves the allocator pristine.  Must be called
         before any allocation.
+
+        Each frame takes one ``rng.random()`` draw, in ascending frame
+        order, but a window of ``2**max_order`` frames is drawn only
+        when it is first needed.  So *rng* must be private to this
+        allocator, and a boot costs what its allocations touch rather
+        than the size of the machine.
         """
         if not 0.0 <= churn <= 1.0:
             raise ConfigurationError(f"churn must be in [0, 1], got {churn}")
+        self._draw_to(self.total_frames)
         if self._allocated:
             raise AllocationError("fragment() must run before any allocation")
         if churn == 0.0:
             return
-        pinned_fraction = 0.45 * churn
-        pinned = {
-            frame
-            for frame in range(self.total_frames)
-            if rng.random() < pinned_fraction
-        }
-        self._allocated = pinned
-        free = set(range(self.total_frames)) - pinned
-        self._rebuild_free_lists(free_frames=free)
+        self._boot = [_OrderedSet() for _ in range(self.max_order + 1)]
+        self._later = [_OrderedSet() for _ in range(self.max_order + 1)]
+        self._drawn = 0
+        self._rng = rng
+        self._pinned_fraction = 0.45 * churn
 
 
 class ReusingPageAllocator:

@@ -12,7 +12,11 @@ batch sweep is built from.  An unknown ``machine`` or ``app`` name, or
 a value outside the range the models accept (a non-positive shape,
 cores the cluster cannot place, an ``app_args`` key the app model does
 not take, fragmentation outside [0, 1], an array smaller than one
-element), is rejected before any worker forks.
+element or larger than the machine's memory), is rejected before any
+worker forks.  An array within physical memory that still finds too
+few unpinned frames (a small machine at high fragmentation) is not a
+range error: its job fails in the worker with a typed
+``AllocationError``.
 
 Every scenario carries a ``scenario_class`` — the circuit-breaker
 granularity.  A class that keeps crashing workers is shed as a unit
@@ -196,6 +200,14 @@ def _check_page_alloc(point: dict[str, Any]) -> None:
         raise InvalidJobRequest(
             f"scenario 'page-alloc' array_bytes must be >= 4 (one 32-bit "
             f"element), got {point['array_bytes']}"
+        )
+    # No boot has more frames than the machine has memory, so a larger
+    # array could only fail in the worker after taking every free frame.
+    total_bytes = sweeps.MACHINES[point["machine"]].memory.total_bytes
+    if point["array_bytes"] > total_bytes:
+        raise InvalidJobRequest(
+            f"scenario 'page-alloc' array_bytes must be <= {total_bytes} "
+            f"(the memory of {point['machine']}), got {point['array_bytes']}"
         )
     # The batch sweep passes floats; an integral submission must land
     # on the same cache entry.

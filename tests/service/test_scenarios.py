@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.engine import ExperimentEngine, SweepSpec, content_key, sweeps
-from repro.errors import ConfigurationError, InvalidJobRequest
+from repro.errors import AllocationError, ConfigurationError, InvalidJobRequest
 from repro.service import SCENARIOS, job_content_key, resolve_scenario
 
 SNOWBALL = "ST-Ericsson A9500 (Snowball)"
@@ -111,6 +111,7 @@ class TestRangeChecks:
         ("page-alloc", {"machine": SNOWBALL, "array_bytes": 4}, None),
         ("page-alloc", {"machine": SNOWBALL, "array_bytes": 3}, ConfigurationError),
         ("page-alloc", {"machine": SNOWBALL, "array_bytes": 0}, ConfigurationError),
+        ("page-alloc", {"machine": SNOWBALL, "array_bytes": 1 << 30}, AllocationError),
     ], ids=[
         "unit-shape", "zero-shape", "negative-shape",
         "full-cluster", "cores-past-capacity", "elapsed-no-cores",
@@ -119,6 +120,7 @@ class TestRangeChecks:
         "unknown-app-arg", "another-apps-arg",
         "full-fragmentation", "fragmentation-high", "fragmentation-low",
         "one-element-array", "sub-element-array", "empty-array",
+        "array-past-memory",
     ])
     def test_rejected_exactly_when_the_worker_would_fail(
         self, name, params, worker_error

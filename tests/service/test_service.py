@@ -366,6 +366,36 @@ class TestCircuitBreaker:
         assert len(forks) == 1
         assert set(breakers.values()) <= {"closed"}
 
+    def test_oversized_arrays_leave_the_memsim_breaker_closed(self, tmp_path):
+        """An array larger than the machine's memory could only fail in
+        the worker; refused at submission instead, three of them create
+        no job, so the next valid page-alloc job is not shed."""
+        async def scenario():
+            service = make_service(tmp_path, breaker_threshold=3)
+            await service.start()
+            try:
+                for _ in range(3):
+                    with pytest.raises(InvalidJobRequest, match="array_bytes"):
+                        await service.submit("page-alloc", {
+                            "machine": "ST-Ericsson A9500 (Snowball)",
+                            "array_bytes": 1 << 30,
+                        })
+                jobs_after_rejections = service.stats()["jobs"]
+                valid, _ = await service.submit("page-alloc", {
+                    "machine": "ST-Ericsson A9500 (Snowball)",
+                    "fragmentation": 0.85, "seed": 2, "array_bytes": 32 << 10,
+                })
+                await asyncio.wait_for(valid.wait_terminal(), timeout=60)
+                return jobs_after_rejections, valid, service.breakers.states()
+            finally:
+                await service.shutdown(drain_s=1.0)
+
+        jobs_after_rejections, valid, states = run(scenario())
+        assert jobs_after_rejections == 0
+        assert valid.state is JobState.DONE
+        assert valid.value == {"gb_per_s": 0.7713569454264848}
+        assert states.get("memsim", "closed") == "closed"
+
     def test_failed_job_records_its_error_and_transients(self, tmp_path):
         async def scenario():
             service = make_service(

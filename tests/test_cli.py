@@ -138,7 +138,10 @@ class TestCommands:
     def test_x1(self, capsys):
         assert main(["x1"]) == 0
         out = capsys.readouterr().out
-        assert "fragmentation" in out
+        assert out.splitlines()[1:] == [
+            "  fragmentation 0.00: 0.950 0.950 0.950 0.950 0.950 0.950",
+            "  fragmentation 0.85: 0.796 0.950 0.771 0.796 0.796 0.796",
+        ]
 
     def test_x3(self, capsys):
         assert main(["x3"]) == 0
