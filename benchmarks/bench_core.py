@@ -58,18 +58,17 @@ def _best(fn, repeats: int) -> float:
     return max(fn() for _ in range(repeats))
 
 
-def interleaved_pairs(legacy, current, pairs: int, unit: str,
-                      seed: int = 0) -> dict:
+def interleaved_pairs(legacy, current, pairs: int, unit: str) -> dict:
     """Time *legacy* and *current* (each returns a rate) in *pairs*
     back-to-back pairs, which of the two goes first drawn from a
-    seeded RNG.
+    fixed-seed RNG, so every run uses the same order.
 
     A load burst then lands inside one pair, where it moves at most
     that pair's ratio, instead of on a whole block of one side's
     repeats.  ``speedup`` is the median of the per-pair ratios, all of
     which are kept in ``ratios``.
     """
-    order = random.Random(seed)
+    order = random.Random(0)
     legacy_rates: list[float] = []
     current_rates: list[float] = []
     for _ in range(pairs):
