@@ -2,17 +2,14 @@
 fig3 point.
 
 Produces (and gates against) the committed ``BENCH_core.json`` perf
-trajectory.  Every speed metric is measured twice in the same process
-— once on the frozen pre-rewrite implementation (``_legacy_des.py``,
-``_legacy_memsim.py``, ``_legacy_alloc.py``) and once on the current
-one — and recorded as a *speedup ratio*, so the committed numbers are
+trajectory.  Every speed metric is measured on the frozen pre-rewrite
+implementation (``_legacy_des.py``, ``_legacy_memsim.py``,
+``_legacy_alloc.py``) and on the current one as interleaved pairs in
+the same process (:func:`gate.interleaved_pairs`), and recorded as the
+median per-pair *speedup ratio*, so the committed numbers are
 comparable across machines: CI does not care how fast its runner is,
 only that the current engine still beats the frozen baseline by
 (almost) as much as it did when the baseline was committed.
-
-``osmodel_boot`` is measured as interleaved legacy/current pairs and
-gated on the median of the per-pair ratios (:func:`interleaved_pairs`);
-the other ratios are still best-of-N blocks.
 
 Usage::
 
@@ -22,20 +19,19 @@ Usage::
 
 ``--check`` exits non-zero when any speedup regressed by more than the
 threshold against the committed file, or when the (deterministic)
-simulated fig3 elapsed time changed at all.
+simulated fig3 elapsed time changed at all (:func:`gate.check`).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import statistics
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from gate import interleaved_pairs, main
 
 SCHEMA = 1
 
@@ -45,47 +41,12 @@ SCHEMA = 1
 #: pages) plus the page-alloc scenario's default 8 MiB array.
 SCALES = {
     "full": {"wide": 200_000, "steady": 200_000, "depth": 512,
-             "array_bytes": 2 << 20, "repeats": 5,
-             "boot_frames": 203_776, "boot_pages": 2048, "pairs": 15},
+             "array_bytes": 2 << 20,
+             "boot_frames": 203_776, "boot_pages": 2048, "pairs": 25},
     "smoke": {"wide": 2_000, "steady": 2_000, "depth": 64,
-              "array_bytes": 64 << 10, "repeats": 1,
+              "array_bytes": 64 << 10,
               "boot_frames": 16_384, "boot_pages": 64, "pairs": 3},
 }
-
-
-def _best(fn, repeats: int) -> float:
-    """Best-of-N wall-clock rate (max events/sec over repeats)."""
-    return max(fn() for _ in range(repeats))
-
-
-def interleaved_pairs(legacy, current, pairs: int, unit: str) -> dict:
-    """Time *legacy* and *current* (each returns a rate) in *pairs*
-    back-to-back pairs, which of the two goes first drawn from a
-    fixed-seed RNG, so every run uses the same order.
-
-    A load burst then lands inside one pair, where it moves at most
-    that pair's ratio, instead of on a whole block of one side's
-    repeats.  ``speedup`` is the median of the per-pair ratios, all of
-    which are kept in ``ratios``.
-    """
-    order = random.Random(0)
-    legacy_rates: list[float] = []
-    current_rates: list[float] = []
-    for _ in range(pairs):
-        if order.random() < 0.5:
-            legacy_rates.append(legacy())
-            current_rates.append(current())
-        else:
-            current_rates.append(current())
-            legacy_rates.append(legacy())
-    ratios = [c / l for l, c in zip(legacy_rates, current_rates)]
-    return {
-        "legacy": statistics.median(legacy_rates),
-        "current": statistics.median(current_rates),
-        "speedup": statistics.median(ratios),
-        "ratios": ratios,
-        "unit": unit,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -235,123 +196,46 @@ def run_benchmarks(scale: str = "full") -> dict:
     from repro.osmodel.page_allocator import BuddyAllocator
 
     sizes = SCALES[scale]
-    repeats = sizes["repeats"]
-
-    def ratio_entry(legacy: float, current: float, unit: str) -> dict:
-        return {
-            "legacy": legacy,
-            "current": current,
-            "speedup": current / legacy,
-            "unit": unit,
-        }
-
-    dispatch = ratio_entry(
-        _best(lambda: des_wide_rate(LegacySimulator, sizes["wide"]), repeats),
-        _best(lambda: des_wide_rate(Simulator, sizes["wide"]), repeats),
-        "events/s",
-    )
-    steady = ratio_entry(
-        _best(lambda: des_steady_rate(LegacySimulator, sizes["steady"],
-                                      sizes["depth"]), repeats),
-        _best(lambda: des_steady_rate(Simulator, sizes["steady"],
-                                      sizes["depth"]), repeats),
-        "events/s",
-    )
-    memsim = ratio_entry(
-        _best(lambda: memsim_rate("legacy", sizes["array_bytes"]), repeats),
-        _best(lambda: memsim_rate("current", sizes["array_bytes"]), repeats),
-        "lines/s",
-    )
-    boot = interleaved_pairs(
-        lambda: boot_rate(LegacyBuddyAllocator, sizes["boot_frames"],
-                          sizes["boot_pages"]),
-        lambda: boot_rate(BuddyAllocator, sizes["boot_frames"],
-                          sizes["boot_pages"]),
-        sizes["pairs"], "boots/s",
-    )
+    pairs = sizes["pairs"]
     return {
         "schema": SCHEMA,
         "scale": scale,
         "note": (
-            "speedup = current engine vs the frozen pre-rewrite baseline "
-            "(benchmarks/_legacy_des.py, _legacy_memsim.py, "
-            "_legacy_alloc.py), measured in the same process; "
+            "speedup = median ratio of current engine vs the frozen "
+            "pre-rewrite baseline (benchmarks/_legacy_des.py, "
+            "_legacy_memsim.py, _legacy_alloc.py) over interleaved pairs "
+            "in the same process, every pair's ratio in ratios; "
             "machine-independent, gated by CI"
         ),
         "metrics": {
-            "des_dispatch": dispatch,
-            "des_steady": steady,
-            "memsim_stream": memsim,
-            "osmodel_boot": boot,
+            "des_dispatch": interleaved_pairs(
+                lambda: des_wide_rate(LegacySimulator, sizes["wide"]),
+                lambda: des_wide_rate(Simulator, sizes["wide"]),
+                pairs, "events/s",
+            ),
+            "des_steady": interleaved_pairs(
+                lambda: des_steady_rate(LegacySimulator, sizes["steady"],
+                                        sizes["depth"]),
+                lambda: des_steady_rate(Simulator, sizes["steady"],
+                                        sizes["depth"]),
+                pairs, "events/s",
+            ),
+            "memsim_stream": interleaved_pairs(
+                lambda: memsim_rate("legacy", sizes["array_bytes"]),
+                lambda: memsim_rate("current", sizes["array_bytes"]),
+                pairs, "lines/s",
+            ),
+            "osmodel_boot": interleaved_pairs(
+                lambda: boot_rate(LegacyBuddyAllocator, sizes["boot_frames"],
+                                  sizes["boot_pages"]),
+                lambda: boot_rate(BuddyAllocator, sizes["boot_frames"],
+                                  sizes["boot_pages"]),
+                pairs, "boots/s",
+            ),
             "fig3_point": fig3_point(),
         },
     }
 
 
-def check(current: dict, committed: dict, threshold: float) -> list[str]:
-    """Regression messages (empty = gate passes)."""
-    problems: list[str] = []
-    for name, entry in committed["metrics"].items():
-        if "speedup" not in entry:
-            continue
-        want = entry["speedup"]
-        got = current["metrics"][name]["speedup"]
-        floor = want * (1.0 - threshold)
-        if got < floor:
-            problems.append(
-                f"{name}: speedup {got:.2f}x fell below {floor:.2f}x "
-                f"(committed {want:.2f}x - {threshold:.0%})"
-            )
-    want_sim = committed["metrics"]["fig3_point"]["elapsed_sim_s"]
-    got_sim = current["metrics"]["fig3_point"]["elapsed_sim_s"]
-    if got_sim != want_sim:
-        problems.append(
-            f"fig3_point: simulated elapsed_s changed "
-            f"{want_sim!r} -> {got_sim!r} (must be deterministic)"
-        )
-    return problems
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, help="write BENCH_core.json here")
-    parser.add_argument("--check", type=Path,
-                        help="compare against a committed BENCH_core.json")
-    parser.add_argument("--threshold", default="20%",
-                        help="allowed speedup regression (default 20%%)")
-    parser.add_argument("--scale", choices=sorted(SCALES), default="full")
-    args = parser.parse_args(argv)
-
-    from repro.obs.diff import parse_threshold
-
-    threshold = parse_threshold(args.threshold)
-    payload = run_benchmarks(args.scale)
-
-    for name, entry in payload["metrics"].items():
-        if "speedup" in entry:
-            pairs = (f", median of {len(entry['ratios'])} pairs"
-                     if "ratios" in entry else "")
-            print(f"{name}: legacy {entry['legacy']:,.0f} -> current "
-                  f"{entry['current']:,.0f} {entry['unit']} "
-                  f"({entry['speedup']:.2f}x{pairs})")
-        else:
-            print(f"{name}: sim {entry['elapsed_sim_s']:.3f} s, "
-                  f"{entry['events_per_s']:,.0f} events/s wall")
-
-    if args.out:
-        args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
-
-    if args.check:
-        committed = json.loads(args.check.read_text())
-        problems = check(payload, committed, threshold)
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"bench gate ok (threshold {threshold:.0%})")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(__doc__, SCALES, run_benchmarks))

@@ -1309,6 +1309,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: --ci must be in (0, 1), got {args.ci}",
               file=sys.stderr)
         return 2
+    for flag, value, bad, want in (
+        ("--jobs", args.jobs, args.jobs < 1, ">= 1"),
+        ("--retries", args.retries, args.retries < 0, ">= 0"),
+        ("--point-timeout", args.point_timeout,
+         args.point_timeout is not None and args.point_timeout <= 0, "> 0"),
+        ("--retry-delay", args.retry_delay, args.retry_delay <= 0, "> 0"),
+    ):
+        if bad:
+            print(f"error: {flag} must be {want}, got {value}",
+                  file=sys.stderr)
+            return 2
     # Imported after parsing, so `--help` and a usage error load
     # nothing else.
     from repro import metrics as metrics_mod

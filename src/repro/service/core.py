@@ -86,6 +86,24 @@ class ServiceConfig:
             raise InvalidJobRequest(
                 f"retries must be >= 0, got {self.retries}"
             )
+        if self.point_timeout_s is not None and self.point_timeout_s <= 0:
+            raise InvalidJobRequest(
+                f"point timeout must be > 0, got {self.point_timeout_s}"
+            )
+        if self.retry_delay_s <= 0:
+            raise InvalidJobRequest(
+                f"retry delay must be > 0, got {self.retry_delay_s}"
+            )
+        if self.breaker_threshold < 1:
+            raise InvalidJobRequest(
+                f"breaker threshold must be >= 1, "
+                f"got {self.breaker_threshold}"
+            )
+        if self.breaker_cooldown_s <= 0:
+            raise InvalidJobRequest(
+                f"breaker cooldown must be > 0, "
+                f"got {self.breaker_cooldown_s}"
+            )
 
 
 class JobService:

@@ -223,6 +223,26 @@ class TestAdmissionControl:
         run(scenario())
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("overrides, match", [
+        ({"breaker_threshold": 0}, "breaker threshold must be >= 1"),
+        ({"breaker_cooldown_s": 0.0}, "breaker cooldown must be > 0"),
+        ({"breaker_cooldown_s": -1.0}, "breaker cooldown must be > 0"),
+        ({"point_timeout_s": 0.0}, "point timeout must be > 0"),
+        ({"retry_delay_s": 0.0}, "retry delay must be > 0"),
+        ({"retry_delay_s": -1.0}, "retry delay must be > 0"),
+    ])
+    def test_settings_that_break_every_job_are_refused(
+        self, tmp_path, overrides, match
+    ):
+        """Breakers and execution policies are built lazily, per job, so
+        a bad setting must fail when the service is configured rather
+        than in every job (or, for a zero timeout, leave each job
+        running forever)."""
+        with pytest.raises(InvalidJobRequest, match=match):
+            ServiceConfig(cache_root=tmp_path / "cache", **overrides)
+
+
 class TestCircuitBreaker:
     async def fail_once(self, service, x, state_dir):
         job, _ = await service.submit("chaos-squares", {

@@ -12,6 +12,16 @@ from repro.cli import COMMANDS, build_parser, main
 from repro.metrics import MetricsRegistry, to_json
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` on PYTHONPATH, for
+    tests that run the CLI in a child interpreter."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+    return env
+
+
 class TestParser:
     def test_artefact_required(self):
         with pytest.raises(SystemExit):
@@ -38,10 +48,6 @@ class TestParser:
 
     def test_help_loads_no_engine(self):
         """`--help` parses and exits before anything heavy is imported."""
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
         probe = (
             "import json, sys\n"
             "from repro.cli import main\n"
@@ -53,7 +59,8 @@ class TestParser:
         )
         result = subprocess.run(
             [sys.executable, "-c", probe],
-            env=env, capture_output=True, text=True, check=True, timeout=60,
+            env=_src_env(), capture_output=True, text=True, check=True,
+            timeout=60,
         )
         assert "usage:" in result.stdout
         loaded = set(json.loads(result.stderr))
@@ -183,3 +190,36 @@ class TestCommands:
     def test_faults_unknown_plan_fails_cleanly(self, capsys):
         assert main(["faults", "--quick", "--plan", "meteor"]) == 1
         assert "unknown fault plan" in capsys.readouterr().err
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize("flags, named", [
+        (["--jobs", "0"], "--jobs must be >= 1, got 0"),
+        (["--retries", "-1"], "--retries must be >= 0, got -1"),
+        (["--point-timeout", "0"], "--point-timeout must be > 0, got 0.0"),
+        (["--retries", "1", "--retry-delay", "-1"],
+         "--retry-delay must be > 0, got -1.0"),
+    ])
+    def test_bad_engine_flags_exit_2_with_one_line(self, flags, named,
+                                                   capsys):
+        assert main(["fig7", "--no-cache", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {named}\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--breaker-threshold", "0"),
+        ("--breaker-cooldown", "0"),
+    ])
+    def test_serve_refuses_bad_settings_before_listening(self, tmp_path,
+                                                         flag, value):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--run-dir", str(tmp_path / "run"),
+             "--cache-dir", str(tmp_path / "cache"), flag, value],
+            env=_src_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error in serve: ")
+        assert "listening" not in result.stderr
