@@ -15,8 +15,12 @@ ops, branches, streamed bytes, communication pattern) and derives its
 runtime on a :class:`~repro.arch.cpu.MachineModel` analytically, or on
 a :class:`~repro.cluster.cluster.ClusterModel` by generating MPI rank
 programs for the discrete-event simulator.  :mod:`repro.apps.catalog`
-carries the paper's Table I application list.
+carries the paper's Table I application list, and :data:`APPS` names
+the cluster-capable models so sweep points and job submissions can
+address them in text.
 """
+
+from typing import Any, Mapping
 
 from repro.apps.base import AppModel, RunResult
 from repro.apps.bigdft import BigDFT
@@ -32,8 +36,26 @@ from repro.apps.portfolio import (
 )
 from repro.apps.specfem3d import Specfem3D
 from repro.apps.stockfish import StockFish
+from repro.errors import EngineError
+
+#: Cluster-capable app models addressable by name in sweep params;
+#: a point's ``app_args`` are keyword arguments of the model.
+APPS = {"linpack": Linpack, "specfem3d": Specfem3D, "bigdft": BigDFT}
+
+
+def build_app(name: str, app_args: Mapping[str, Any] | None = None):
+    """Instantiate a scalable app model from its registry name."""
+    try:
+        factory = APPS[name]
+    except KeyError:
+        raise EngineError(
+            f"unknown app {name!r}; known: {sorted(APPS)}"
+        ) from None
+    return factory(**dict(app_args or {}))
+
 
 __all__ = [
+    "APPS",
     "AppModel",
     "Application",
     "BigDFT",
@@ -46,6 +68,7 @@ __all__ = [
     "Specfem3D",
     "StockFish",
     "WorkloadCharacter",
+    "build_app",
     "portfolio_apps",
     "portfolio_scaling_report",
 ]

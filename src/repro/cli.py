@@ -220,15 +220,18 @@ def _cmd_fig5(args) -> None:
 
 def _cmd_fig6(args) -> None:
     from repro.arch import SNOWBALL_A9500, XEON_X5550
+    from repro.core.artifacts import measurements_from_json
     from repro.core.report import render_table
-    from repro.engine.sweeps import run_variant_grid
+    from repro.engine import sweeps
 
     for machine in (XEON_X5550, SNOWBALL_A9500):
-        results = run_variant_grid(
-            args.engine, machine.name,
-            array_bytes=50 * 1024, replicates=3, seed=args.seed,
+        run = sweeps.VARIANT_GRID.run(
+            args.engine, sweeps.variant_grid_point,
+            [{"machine": machine.name, "array_bytes": 50 * 1024,
+              "replicates": 3, "seed": args.seed}],
             label=f"fig6/{machine.name}",
         )
+        results = measurements_from_json(run.values[0]["measurements"])
         rows = []
         for bits in (32, 64, 128):
             cells = []
@@ -373,33 +376,16 @@ def _cmd_x4(args) -> None:
 
 def _cmd_x5(args) -> None:
     from repro.arch import SNOWBALL_A9500
+    from repro.engine import sweeps
     from repro.kernels import fit_memory_model
 
-    sizes_kb = (2, 4, 8, 12, 16, 20, 24, 28, 32, 40, 48, 64, 96, 128)
-
-    def compute():
-        from repro.kernels import MemBench
-        from repro.kernels.membench import MemBenchConfig
-        from repro.osmodel import OSModel
-
-        os_model = OSModel.boot(SNOWBALL_A9500, seed=2)
-        bench = MemBench(SNOWBALL_A9500, os_model, seed=2)
-        return {"curve": [
-            [kb * 1024,
-             bench.measure(MemBenchConfig(array_bytes=kb * 1024))
-             .ideal_bandwidth_bytes_per_s / 1e9]
-            for kb in sizes_kb
-        ]}
-
-    # The §V-A protocol is order-dependent (every sample advances the
-    # OS scheduler), so the whole curve is one cache unit.
-    payload = args.engine.run_cached(
-        "x5/memmodel-curve",
-        {"experiment": "memmodel-curve", "machine": SNOWBALL_A9500.name,
-         "seed": 2, "sizes_kb": list(sizes_kb)},
-        compute,
+    run = sweeps.MEMMODEL_CURVE.run(
+        args.engine, sweeps.memmodel_curve_point,
+        [{"machine": SNOWBALL_A9500.name, "seed": 2,
+          "sizes_kb": [2, 4, 8, 12, 16, 20, 24, 28, 32, 40, 48, 64, 96, 128]}],
+        label="x5/memmodel-curve",
     )
-    curve = [(int(size), gbs) for size, gbs in payload["curve"]]
+    curve = [(int(size), gbs) for size, gbs in run.values[0]["curve"]]
     fitted = fit_memory_model(curve)
     print("X5: GA memory-model fit (ref [14]) on the Snowball")
     print(f"  recovered capacity : {fitted.model.capacity_bytes // 1024} KB "
@@ -582,110 +568,29 @@ def _cmd_claims(args) -> None:
         raise SystemExit(1)
 
 
-#: MPI ranks of the traced Figure 4 job.
-TRACE_REPORT_RANKS = 36
-
-
 def _cmd_trace_report(args) -> int:
-    _trace_report(args)
-    return 0
+    from repro.obs.report import write_trace_report
 
-
-def _trace_report(args) -> list[Path]:
-    """Run ``trace-report`` as *args* describe; returns the files written."""
-    from repro.metrics.registry import MetricsRegistry
-    from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
-
-    stream = getattr(args, "stream", False)
-    frontier = getattr(args, "frontier", None)
-    if stream and getattr(args, "chrome_out", None):
+    if args.stream and args.chrome_out:
         raise ReproError(
             "--chrome-out needs the materialized trace and cannot be "
             "combined with --stream (the bounded frontier never holds "
             "the whole timeline); drop one of the flags"
         )
-    if frontier is not None and not stream:
+    if args.frontier is not None and not args.stream:
         raise ReproError(
             "--frontier bounds the streaming analyzer and has no effect "
             "without --stream (the batch report holds the whole trace); "
             "add --stream or drop --frontier"
         )
-    if frontier is not None and frontier < 1:
-        raise ReproError(f"--frontier must be at least 1, got {frontier}")
-    if not stream:
-        config = StreamConfig(frontier_limit=None)
-    elif frontier is None:
-        config = StreamConfig()
-    else:
-        config = StreamConfig(frontier_limit=frontier)
-    # The job runs under its own registry (MpiJob captures the ambient
-    # registry at construction), then folds into the process-wide one
-    # so --metrics-out still sees this run.
-    registry = MetricsRegistry()
-    analyzer = None
-    try:
-        analyzer = TraceStreamAnalyzer(config, registry=registry)
-        return _run_trace_report(args, registry, analyzer)
-    except OSError as error:
-        raise ReproError(str(error)) from error
-    finally:
-        # Also on failure: the spill directory must not outlive the
-        # command.
-        if analyzer is not None:
-            analyzer.close()
-
-
-def _run_trace_report(args, registry, analyzer) -> list[Path]:
-    """Simulate the fig4 job under *registry*, analyze it with
-    *analyzer* and write the report bundle."""
-    import json
-
-    from repro import metrics as metrics_mod
-    from repro.apps import BigDFT, Specfem3D
-    from repro.cluster import MpiJob, tibidabo
-    from repro.engine.manifest import RunManifest
-    from repro.metrics.registry import use_registry
-    from repro.obs import build_run_report
-    from repro.tracing import TraceRecorder, write_chrome_trace
-
-    stream = getattr(args, "stream", False)
-    chrome_out = getattr(args, "chrome_out", None)
-    app = BigDFT() if args.app == "bigdft" else Specfem3D()
-    num_ranks = TRACE_REPORT_RANKS
-    scenario = f"fig4-{args.app}-{num_ranks}ranks-seed{args.seed}"
-    recorder = TraceRecorder() if chrome_out else None
-    with use_registry(registry):
-        cluster = tibidabo(num_nodes=18, seed=args.seed)
-        MpiJob(
-            cluster, num_ranks, app.rank_program(cluster, num_ranks),
-            tracer=analyzer if recorder is None else recorder,
-        ).run()
-    if recorder is not None:
-        # The Chrome writer reads the whole event list: write it first,
-        # then replay the events into the analyzer and drop the list, so
-        # the Chrome document and the analyzer's rows are never held
-        # together and the list is gone before the analysis finalizes.
-        write_chrome_trace(chrome_out, recorder, registry=registry)
-        recorder.replay(analyzer)
-        recorder = None
-
-    out_dir = Path(args.out or "trace-report-out")
-    result = analyzer.finalize()
-    report = build_run_report(result, scenario=scenario, registry=registry)
-    ambient = metrics_mod.current_registry()
-    if ambient.enabled:
-        ambient.merge(registry.snapshot())
-
-    written = report.save(out_dir)
-    if stream:
+    if args.frontier is not None and args.frontier < 1:
+        raise ReproError(f"--frontier must be at least 1, got {args.frontier}")
+    report, result, written = write_trace_report(
+        args.out or "trace-report-out", app=args.app, seed=args.seed,
+        stream=args.stream, frontier=args.frontier, chrome_out=args.chrome_out,
+    )
+    if args.stream:
         stats = result.stats
-        payload = {"stats": stats.to_dict()}
-        written["stream_stats.json"] = out_dir / "stream_stats.json"
-        written["stream_stats.json"].write_text(
-            json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-            + "\n",
-            encoding="utf-8",
-        )
         print(
             f"[trace-stream] events={stats.events_ingested} "
             f"frontier_high_water={stats.frontier_high_water} "
@@ -693,28 +598,10 @@ def _run_trace_report(args, registry, analyzer) -> list[Path]:
             f"retired_segments={stats.retired_segments}",
             file=sys.stderr,
         )
-    elif chrome_out:
-        written["trace.chrome.json"] = Path(chrome_out)
-    written["metrics.json"] = metrics_mod.write_metrics(
-        registry, out_dir / "metrics.json", "json", deterministic=True
-    )
-    key = {"app": args.app, "seed": args.seed, "ranks": num_ranks}
-    if stream:
-        key["stream"] = True
-    manifest = RunManifest(
-        sweep=f"trace-report/{args.app}",
-        key=key,
-        jobs=1, executor="inline", elapsed_seconds=0.0,
-    )
-    for name, path in sorted(written.items()):
-        # Attach by name relative to the output directory, so the
-        # manifest stays byte-identical wherever the bundle lands.
-        manifest.attach(name, path.name)
-    manifest_path = manifest.save(out_dir)
     print(report.to_markdown(), end="")
     for name, path in sorted(written.items()):
         print(f"[trace-report] wrote {path}", file=sys.stderr)
-    return [*written.values(), manifest_path]
+    return 0
 
 
 def _cmd_diff_metrics(args) -> int:
@@ -758,61 +645,18 @@ PINNED_ARTEFACTS: tuple[str, ...] = (
 )
 
 
-def _bundle_trace_report(args, artefact_dir: Path) -> str:
-    """The bundle's trace-report, memoized whole through the engine.
-
-    The cache payload is the exact text of every file the command
-    writes plus its stdout, so a warm bundle rewrites the cold run's
-    bytes without simulating anything.  Returns the stdout.
-    """
-    import io
-    from contextlib import redirect_stdout
-
-    def compute() -> dict:
-        local = argparse.Namespace(**vars(args))
-        local.out = str(artefact_dir)
-        # The pinned bundle keeps the Chrome export (the CLI default
-        # skips it unless a path asks for it).
-        local.chrome_out = str(artefact_dir / "trace.chrome.json")
-        local.stream = False
-        local.frontier = None
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            written = _trace_report(local)
-        # The recorder and the Chrome document are gone by now; only
-        # the written text is held while the payload is encoded.
-        return {
-            "stdout": buffer.getvalue(),
-            "files": {
-                path.name: path.read_bytes().decode("utf-8")
-                for path in written
-            },
-        }
-
-    payload = args.engine.run_cached(
-        f"trace-report/{args.app}",
-        {"experiment": "trace-report", "app": args.app, "seed": args.seed,
-         "ranks": TRACE_REPORT_RANKS, "chrome": True},
-        compute,
-    )
-    for name, text in payload["files"].items():
-        (artefact_dir / name).write_bytes(text.encode("utf-8"))
-    return payload["stdout"]
-
-
 def _cmd_reproduce_all(args) -> int:
     import io
     from contextlib import redirect_stdout
 
     from repro import metrics as metrics_mod
-    from repro.engine import ExperimentEngine, ResultCache
+    from repro.engine import ExperimentEngine, ResultCache, sweeps
     from repro.engine.hashing import canonical_json
     from repro.metrics.registry import MetricsRegistry
     from repro.obs.bundle import (
         BUNDLE_SCHEMA, environment_capture, file_digests,
         write_bundle_manifest,
     )
-    from repro.engine.sweeps import seed_series
 
     if args.paths:
         raise ReproError(
@@ -855,7 +699,16 @@ def _cmd_reproduce_all(args) -> int:
                 policy=_build_policy(args),
             )
             if name == "trace-report":
-                stdout = _bundle_trace_report(local, artefact_dir)
+                # One cached engine point; the pinned bundle keeps the
+                # Chrome export.
+                payload = sweeps.TRACE_REPORT.run(
+                    local.engine, sweeps.trace_report_point,
+                    [{"app": args.app, "seed": args.seed}],
+                    label=f"trace-report/{args.app}",
+                ).values[0]
+                for file_name, text in payload["files"].items():
+                    (artefact_dir / file_name).write_bytes(text.encode("utf-8"))
+                stdout = payload["stdout"]
             else:
                 buffer = io.StringIO()
                 with redirect_stdout(buffer):
@@ -881,7 +734,7 @@ def _cmd_reproduce_all(args) -> int:
         artefact_records[name] = {
             "files": file_digests(out_dir, files),
             "seed": args.seed,
-            "seeds": seed_series(args.seed, args.seeds),
+            "seeds": sweeps.seed_series(args.seed, args.seeds),
             "confidence": args.ci,
         }
         total_hits += hits
@@ -1315,6 +1168,7 @@ def main(argv: list[str] | None = None) -> int:
         ("--point-timeout", args.point_timeout,
          args.point_timeout is not None and args.point_timeout <= 0, "> 0"),
         ("--retry-delay", args.retry_delay, args.retry_delay <= 0, "> 0"),
+        ("--port", args.port, not 0 <= args.port <= 65535, "in [0, 65535]"),
     ):
         if bad:
             print(f"error: {flag} must be {want}, got {value}",

@@ -1,6 +1,6 @@
 """Artifact export: measurement sets to and from JSON.
 
-:func:`repro.engine.sweeps.run_variant_grid` caches its measurement
+:func:`repro.engine.sweeps.variant_grid_point` caches its measurement
 sets through this round trip.
 """
 

@@ -11,9 +11,10 @@ Public surface:
   scans with quarantine of corrupt shards.
 * :mod:`repro.engine.sweeps` — the repo's concrete sweep definitions
   (magicfilter unrolls, cluster scaling, fault/checkpoint studies),
-  shared by the CLI, the benchmarks and the tests; each experiment the
-  job service also runs is one :class:`~repro.engine.sweeps.Experiment`
-  record, the single source of its parameters and sweep key.
+  shared by the CLI, the service, the benchmarks and the tests; every
+  cached computation is one :class:`~repro.engine.sweeps.Experiment`
+  record with a module-level worker, the single source of its
+  parameters and sweep key.
 * :mod:`repro.engine.chaos` — deterministic fault injection for the
   chaos harness (``tests/chaos/``).
 """

@@ -36,10 +36,10 @@ Workers must be *pure* with respect to their params — every bit of
 state a point needs is built inside the worker from the params — and
 must return a JSON-serializable payload.  Purity is also what makes
 retries safe: re-running an attempt can only reproduce the same value.
-Order-dependent experiments (e.g. the §V-A OS-scheduler protocol,
-where sample N's value depends on the N-1 samples before it) set
-``serial_only`` and cache at coarser granularity via
-:meth:`ExperimentEngine.run_cached`.
+An order-dependent experiment (e.g. the §V-A OS-scheduler protocol,
+where sample N's value depends on the N-1 samples before it) is one
+point whose worker runs the whole protocol: it caches as one unit, and
+a lone pending point always runs in-process.
 """
 
 from __future__ import annotations
@@ -80,6 +80,25 @@ _PARENT_POLL_S = 0.5
 Worker = Callable[[Mapping[str, Any]], Any]
 
 
+def point_key(
+    sweep_key: Mapping[str, Any], point: Mapping[str, Any]
+) -> dict[str, Any]:
+    """The cache-key material of one point of a sweep keyed *sweep_key*.
+
+    Includes the library version and the engine schema version, so
+    upgrading either invalidates stale results; excludes the sweep
+    *name*, so differently-labelled sweeps over the same invariants
+    share entries.  The batch engine and the job service both key
+    through here, so a point either computes is a hit for the other.
+    """
+    return {
+        "schema": SCHEMA_VERSION,
+        "code": __version__,
+        "sweep": dict(sweep_key),
+        "point": dict(point),
+    }
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: a worker, its points, and the run's invariants.
@@ -94,7 +113,6 @@ class SweepSpec:
     worker: Worker
     points: tuple[Mapping[str, Any], ...]
     key: Mapping[str, Any] = field(default_factory=dict)
-    serial_only: bool = False
 
     def __init__(
         self,
@@ -103,7 +121,6 @@ class SweepSpec:
         points: Sequence[Mapping[str, Any]],
         *,
         key: Mapping[str, Any] | None = None,
-        serial_only: bool = False,
     ) -> None:
         if not name:
             raise EngineError("a sweep needs a non-empty name")
@@ -113,7 +130,6 @@ class SweepSpec:
         object.__setattr__(self, "worker", worker)
         object.__setattr__(self, "points", tuple(dict(p) for p in points))
         object.__setattr__(self, "key", dict(key or {}))
-        object.__setattr__(self, "serial_only", serial_only)
 
 
 @dataclass(frozen=True)
@@ -400,25 +416,15 @@ class ExperimentEngine:
 
     @staticmethod
     def point_key(spec: SweepSpec, params: Mapping[str, Any]) -> dict[str, Any]:
-        """The cache-key material of one point.
-
-        Includes the library version and the engine schema version, so
-        upgrading either invalidates stale results; excludes the sweep
-        *name*, so differently-labelled sweeps over the same invariants
-        share entries.
-        """
-        return {
-            "schema": SCHEMA_VERSION,
-            "code": __version__,
-            "sweep": dict(spec.key),
-            "point": dict(params),
-        }
+        """The cache-key material of one point of *spec*
+        (:func:`point_key`)."""
+        return point_key(spec.key, params)
 
     # -- execution ---------------------------------------------------------
 
-    def _pick_executor(self, spec: SweepSpec, pending: int) -> str:
+    def _pick_executor(self, pending: int) -> str:
         if (
-            self.jobs <= 1 or spec.serial_only or pending <= 1
+            self.jobs <= 1 or pending <= 1
             or "fork" not in multiprocessing.get_all_start_methods()
         ):
             return "serial"
@@ -515,7 +521,7 @@ class ExperimentEngine:
                         continue
                 pending.append(index)
 
-            executor_kind = self._pick_executor(spec, len(pending))
+            executor_kind = self._pick_executor(len(pending))
             if executor_kind == "process":
                 self._run_processes(
                     spec, pending, complete, fail, timeout_s, run_deadline
@@ -681,27 +687,6 @@ class ExperimentEngine:
             if snapshot is not None:
                 metrics.merge(snapshot)
 
-    def run_cached(
-        self,
-        name: str,
-        key: Mapping[str, Any],
-        compute: Callable[[], Any],
-    ) -> Any:
-        """Memoize one whole computation as a single-point sweep.
-
-        For order-dependent experiments (the §V-A scheduler protocol,
-        the GA model fit) where individual samples cannot be computed
-        independently: the unit of caching is the entire run.
-        """
-        spec = SweepSpec(
-            name,
-            lambda _params: compute(),
-            [{}],
-            key=key,
-            serial_only=True,
-        )
-        return self.run(spec).values[0]
-
     def run_replicated(
         self,
         spec: SweepSpec,
@@ -740,7 +725,6 @@ class ExperimentEngine:
                 for seed in seeds
             ],
             key=spec.key,
-            serial_only=spec.serial_only,
         )
         run = self.run(expanded)
         per_point = len(seeds)

@@ -1,41 +1,47 @@
 """Engine-backed sweep definitions for the repo's artefacts.
 
-Every sweep in the CLI and the benchmark suite routes through these
-helpers, so they all share one execution path (parallel fan-out,
-content-addressed caching, run manifests).  The module-level worker
-functions are the unit of distribution: they are picklable, take one
-JSON-able params mapping, rebuild *all* the state a point needs from
-those params (a fresh cluster, a fresh booted OS — never shared
-mutable state), and return a JSON-able payload.  That contract is what
-makes a ``--jobs 4`` run byte-identical to a serial one.
+Every cached computation (each CLI sweep, the bundle's trace-report,
+each job-service scenario) is one :class:`Experiment` record — name,
+typed parameters with defaults, sweep-key fields — run through
+:meth:`Experiment.run` with a module-level ``*_point`` worker, so they
+all share one execution path (parallel fan-out, content-addressed
+caching, run manifests).  The workers are the unit of distribution:
+they are picklable, take one JSON-able params mapping, rebuild *all*
+the state a point needs from those params (a fresh cluster, a fresh
+booted OS — never shared mutable state), and return a JSON-able
+payload.  That contract is what makes a ``--jobs 4`` run
+byte-identical to a serial one.  An order-dependent protocol (the
+§V-A scheduler experiments behind ``fig6`` and ``x5``) is one point
+whose worker runs it whole.
 
 Registries map names to machine and app models so cache keys stay
 textual: a cache entry's key is e.g. ``{"machine": "Intel Xeon
 X5550", "unroll": 6}``, never a pickled object.
 
-Each experiment that both the batch sweeps and the job service run is
-one :class:`Experiment` record — name, typed parameters with defaults,
-sweep-key fields — and both sides build every sweep key from it, so a
-``repro fig3`` point is a cache hit for ``repro submit``.  Records hold
-no worker: each caller names its worker where it runs, so a wrapper
-installed on a ``*_point`` attribute after import (``e2ebench/
-tracer.py``) is what runs.  A single-seed run is the replicated run
-with one seed.  The workers' models are imported at module level: the
-service and every CLI engine load this module in the parent process
-before the first fork, so every forked attempt inherits them and
-imports nothing.
+The batch sweeps and the job service build every sweep key from the
+same record, so a ``repro fig3`` point is a cache hit for ``repro
+submit``; a record the service does not expose declares no params.
+Records hold no worker: each caller names its worker where it runs,
+looked up as a module attribute at call time, so a wrapper installed
+on a ``*_point`` attribute after import (``e2ebench/tracer.py``) is
+what runs.  A single-seed run is the replicated run with one seed.
+The workers' models are imported at module level: the service and
+every CLI engine load this module in the parent process before the
+first fork, so every forked attempt inherits them and imports nothing.
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.apps import BigDFT, Linpack, Specfem3D
+from repro.apps import APPS, build_app
 from repro.arch import EXYNOS5_DUAL, SNOWBALL_A9500, TEGRA2_NODE, XEON_X5550
 from repro.arch.cpu import MachineModel
 from repro.cluster import MpiJob, tibidabo
-from repro.core.artifacts import measurements_from_json, measurements_to_json
+from repro.core.artifacts import measurements_to_json
 from repro.energy.scale import measure_cluster_energy
 from repro.engine.chaos import chaos_point
 from repro.engine.engine import (
@@ -47,6 +53,7 @@ from repro.faults.checkpoint import CheckpointConfig, run_with_checkpoints
 from repro.kernels import CounterSet, MagicFilterBenchmark, MemBench
 from repro.kernels.magicfilter import UNROLL_RANGE
 from repro.kernels.membench import MemBenchConfig
+from repro.obs.report import write_trace_report
 from repro.osmodel import OSModel
 from repro.tracing import TraceRecorder, analyze_collectives, resilience_summary
 
@@ -55,11 +62,6 @@ MACHINES: dict[str, MachineModel] = {
     machine.name: machine
     for machine in (XEON_X5550, SNOWBALL_A9500, TEGRA2_NODE, EXYNOS5_DUAL)
 }
-
-#: Cluster-capable app models addressable by name in sweep params;
-#: a point's ``app_args`` are keyword arguments of the model.
-APPS = {"linpack": Linpack, "specfem3d": Specfem3D, "bigdft": BigDFT}
-
 
 def machine_by_name(name: str) -> MachineModel:
     """Resolve a machine registry name, with a helpful error."""
@@ -71,19 +73,8 @@ def machine_by_name(name: str) -> MachineModel:
         ) from None
 
 
-def build_app(name: str, app_args: Mapping[str, Any] | None = None):
-    """Instantiate a scalable app model from its registry name."""
-    try:
-        factory = APPS[name]
-    except KeyError:
-        raise EngineError(
-            f"unknown app {name!r}; known: {sorted(APPS)}"
-        ) from None
-    return factory(**dict(app_args or {}))
-
-
 # ---------------------------------------------------------------------------
-# Experiment records (one per experiment the batch and the service share)
+# Experiment records (one per cached computation)
 # ---------------------------------------------------------------------------
 
 #: The default of a parameter that has none: submissions must give it.
@@ -171,6 +162,16 @@ CHAOS_SQUARES = Experiment("chaos-squares", {
     "state_dir": Param((str,)),
     "faults": Param((dict,), {}),
 })
+FIG4 = Experiment("fig4-alltoallv", {}, ("app", "num_nodes", "ranks", "seed"))
+FAULT_SCALING = Experiment(
+    "fault-scaling", {}, ("app", "app_args", "plan", "num_nodes", "seed")
+)
+CHECKPOINT_SWEEP = Experiment("checkpoint-sweep", {}, (
+    "app", "app_args", "plan", "horizon_s", "cores", "num_nodes", "seed",
+))
+VARIANT_GRID = Experiment("membench-variant-grid", {})
+MEMMODEL_CURVE = Experiment("memmodel-curve", {})
+TRACE_REPORT = Experiment("trace-report", {})
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +298,59 @@ def cluster_energy_point(params: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
+def variant_grid_point(params: Mapping[str, Any]) -> dict[str, Any]:
+    """The Figure 6 element-size x unroll grid on one machine, whole.
+
+    The §V-A protocol is order-dependent (every sample advances the OS
+    scheduler), so its samples cannot run as independent points.
+    """
+    machine = machine_by_name(params["machine"])
+    seed = params["seed"]
+    bench = MemBench(machine, OSModel.boot(machine, seed=seed), seed=seed)
+    results = bench.run_variant_grid(
+        array_bytes=params["array_bytes"], replicates=params["replicates"],
+        seed=seed,
+    )
+    return {"measurements": measurements_to_json(results)}
+
+
+def memmodel_curve_point(params: Mapping[str, Any]) -> dict[str, Any]:
+    """The X5 bandwidth curve, ``[bytes, GB/s]`` per array size, whole
+    (the same order-dependent §V-A protocol as the Figure 6 grid)."""
+    machine = machine_by_name(params["machine"])
+    seed = params["seed"]
+    bench = MemBench(machine, OSModel.boot(machine, seed=seed), seed=seed)
+    return {"curve": [
+        [kb * 1024,
+         bench.measure(MemBenchConfig(array_bytes=kb * 1024))
+         .ideal_bandwidth_bytes_per_s / 1e9]
+        for kb in params["sizes_kb"]
+    ]}
+
+
+def trace_report_point(params: Mapping[str, Any]) -> dict[str, Any]:
+    """The bundle's trace-report, Chrome export included: its stdout
+    and the text of every file it writes.
+
+    The files land in a temporary directory that is removed once
+    they are read, so a warm bundle rewrites the cold run's bytes from
+    the payload alone.
+    """
+    with tempfile.TemporaryDirectory(prefix="trace-report-") as tmp:
+        out_dir = Path(tmp)
+        report, _, _ = write_trace_report(
+            out_dir, app=params["app"], seed=params["seed"],
+            chrome_out=out_dir / "trace.chrome.json",
+        )
+        return {
+            "stdout": report.to_markdown(),
+            "files": {
+                path.name: path.read_bytes().decode("utf-8")
+                for path in sorted(out_dir.iterdir())
+            },
+        }
+
+
 # ---------------------------------------------------------------------------
 # Sweep builders
 # ---------------------------------------------------------------------------
@@ -340,52 +394,12 @@ def run_fig4(
     ``(upgraded, payload)`` pairs in that order.
     """
     base = {"app": "bigdft", "num_nodes": 18, "ranks": 36, "seed": seed}
-    spec = SweepSpec(
-        "fig4",
-        fig4_point,
+    run = FIG4.run(
+        engine, fig4_point,
         [dict(base, upgraded=upgraded) for upgraded in (False, True)],
-        key=dict(base, experiment="fig4-alltoallv"),
+        label="fig4",
     )
-    return [(point["upgraded"], value) for point, value in engine.run(spec)]
-
-
-def run_variant_grid(
-    engine: ExperimentEngine,
-    machine: str,
-    *,
-    array_bytes: int,
-    replicates: int,
-    seed: int,
-    label: str | None = None,
-):
-    """The Figure 6 element-size x unroll grid, cached whole.
-
-    The §V-A protocol is order-dependent (every sample advances the OS
-    scheduler), so points cannot run independently: the whole grid is
-    one cache unit, executed serially on a miss.
-    """
-
-    def compute() -> dict[str, Any]:
-        model = machine_by_name(machine)
-        os_model = OSModel.boot(model, seed=seed)
-        bench = MemBench(model, os_model, seed=seed)
-        results = bench.run_variant_grid(
-            array_bytes=array_bytes, replicates=replicates, seed=seed
-        )
-        return {"measurements": measurements_to_json(results)}
-
-    payload = engine.run_cached(
-        label or f"membench-grid/{machine}",
-        {
-            "experiment": "membench-variant-grid",
-            "machine": machine,
-            "array_bytes": array_bytes,
-            "replicates": replicates,
-            "seed": seed,
-        },
-        compute,
-    )
-    return measurements_from_json(payload["measurements"])
+    return [(point["upgraded"], value) for point, value in run]
 
 
 def run_fault_scaling(
@@ -400,9 +414,8 @@ def run_fault_scaling(
     label: str | None = None,
 ) -> list[tuple[int, dict[str, Any]]]:
     """LINPACK-under-faults rows per core count (the ``faults`` artefact)."""
-    spec = SweepSpec(
-        label or f"faults/{plan}",
-        fault_scaling_point,
+    run = FAULT_SCALING.run(
+        engine, fault_scaling_point,
         [
             {
                 "app": app, "app_args": dict(app_args or {}),
@@ -411,13 +424,8 @@ def run_fault_scaling(
             }
             for cores in sorted(counts)
         ],
-        key={
-            "experiment": "fault-scaling",
-            "app": app, "app_args": dict(app_args or {}),
-            "plan": plan, "num_nodes": num_nodes, "seed": seed,
-        },
+        label=label or f"faults/{plan}",
     )
-    run = engine.run(spec)
     return [(point["cores"], value) for point, value in run]
 
 
@@ -440,13 +448,11 @@ def run_checkpoint_sweep(
         "plan": plan, "horizon_s": horizon_s,
         "cores": cores, "num_nodes": num_nodes, "seed": seed,
     }
-    spec = SweepSpec(
-        label or f"checkpoint/{plan}",
-        checkpoint_interval_point,
+    run = CHECKPOINT_SWEEP.run(
+        engine, checkpoint_interval_point,
         [dict(base, interval_s=interval) for interval in intervals],
-        key=dict(base, experiment="checkpoint-sweep"),
+        label=label or f"checkpoint/{plan}",
     )
-    run = engine.run(spec)
     return [(point["interval_s"], value) for point, value in run]
 
 

@@ -8,6 +8,11 @@ when a registry observed the run, the deterministic metrics snapshot.
 It serializes to canonical JSON (what the golden files pin and ``repro
 diff-metrics`` consumes) and renders to markdown (what a human reads to
 see the Figure 4 diagnosis without opening a trace viewer).
+
+:func:`write_trace_report` is the one ``trace-report`` pipeline: the
+CLI command and the bundle's cached ``trace-report`` point both run it.
+:func:`run_fig4_job` is the one traced Figure 4 job, shared with the
+job service's ``trace-analysis`` scenario.
 """
 
 from __future__ import annotations
@@ -17,14 +22,28 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.metrics.export import registry_to_dict
-from repro.metrics.registry import MetricsRegistry, NullRegistry
+from repro.apps import build_app
+from repro.cluster import MpiJob, tibidabo
+from repro.engine.manifest import RunManifest
+from repro.errors import ReproError
+from repro.metrics.export import registry_to_dict, write_metrics
+from repro.metrics.registry import (
+    MetricsRegistry,
+    NullRegistry,
+    current_registry,
+    use_registry,
+)
 from repro.tracing.attribution import CriticalPath
-from repro.tracing.stream import StreamResult
+from repro.tracing.chrome import write_chrome_trace
+from repro.tracing.recorder import TraceRecorder
+from repro.tracing.stream import StreamConfig, StreamResult, TraceStreamAnalyzer
 from repro.tracing.waitstates import WaitStateReport
 
 #: Bump when the report document layout changes shape.
 REPORT_SCHEMA_VERSION = 1
+
+#: MPI ranks of the traced Figure 4 job ``trace-report`` runs.
+TRACE_REPORT_RANKS = 36
 
 
 @dataclass(frozen=True)
@@ -194,3 +213,113 @@ def build_run_report(
         waits=result.waits,
         metrics=metrics,
     )
+
+
+def run_fig4_job(app: str, ranks: int, seed: int, tracer) -> str:
+    """Simulate the Figure 4 job of *app* at *ranks* ranks under *tracer*.
+
+    The job packs two ranks per Tibidabo node.  Returns the run's
+    name, ``fig4-<app>-<ranks>ranks-seed<seed>``.
+    """
+    model = build_app(app)
+    cluster = tibidabo(num_nodes=(ranks + 1) // 2, seed=seed)
+    MpiJob(
+        cluster, ranks, model.rank_program(cluster, ranks), tracer=tracer
+    ).run()
+    return f"fig4-{app}-{ranks}ranks-seed{seed}"
+
+
+def write_trace_report(
+    out_dir: str | Path,
+    *,
+    app: str,
+    seed: int,
+    stream: bool = False,
+    frontier: int | None = None,
+    chrome_out: str | Path | None = None,
+) -> tuple[RunReport, StreamResult, dict[str, Path]]:
+    """Trace the Figure 4 job of *app*, analyze it and write the report.
+
+    Without *stream* the analyzer holds the whole trace; with it, the
+    analyzer keeps at most *frontier* events in memory (default:
+    :class:`~repro.tracing.stream.StreamConfig`'s) and spills the rest.
+    *chrome_out* records the whole trace, writes the Chrome export
+    there, then replays the events into the analyzer.  The job runs
+    under a registry of its own, folded into the ambient one after.
+
+    Writes ``report.json``, ``report.md``, ``metrics.json`` (and
+    ``stream_stats.json`` with *stream*) and a run manifest into
+    *out_dir*.  Returns the report, the finalized analysis and the
+    files the manifest attaches, by name.  An ``OSError`` surfaces as a
+    :class:`~repro.errors.ReproError`, and the analyzer's spill
+    directory never outlives the call.
+    """
+    out_dir = Path(out_dir)
+    if not stream:
+        config = StreamConfig(frontier_limit=None)
+    elif frontier is None:
+        config = StreamConfig()
+    else:
+        config = StreamConfig(frontier_limit=frontier)
+    # MpiJob captures the ambient registry at construction.
+    registry = MetricsRegistry()
+    analyzer = None
+    try:
+        analyzer = TraceStreamAnalyzer(config, registry=registry)
+        recorder = TraceRecorder() if chrome_out else None
+        with use_registry(registry):
+            scenario = run_fig4_job(
+                app, TRACE_REPORT_RANKS, seed,
+                analyzer if recorder is None else recorder,
+            )
+        if recorder is not None:
+            # The Chrome writer reads the whole event list: write it
+            # first, then replay the events into the analyzer and drop
+            # the list, so the Chrome document and the analyzer's rows
+            # are never held together and the list is gone before the
+            # analysis finalizes.
+            write_chrome_trace(chrome_out, recorder, registry=registry)
+            recorder.replay(analyzer)
+            recorder = None
+
+        result = analyzer.finalize()
+        report = build_run_report(result, scenario=scenario, registry=registry)
+        ambient = current_registry()
+        if ambient.enabled:
+            ambient.merge(registry.snapshot())
+
+        written = report.save(out_dir)
+        if stream:
+            written["stream_stats.json"] = out_dir / "stream_stats.json"
+            written["stream_stats.json"].write_text(
+                json.dumps(
+                    {"stats": result.stats.to_dict()},
+                    indent=2, sort_keys=True, allow_nan=False,
+                ) + "\n",
+                encoding="utf-8",
+            )
+        elif chrome_out:
+            written["trace.chrome.json"] = Path(chrome_out)
+        written["metrics.json"] = write_metrics(
+            registry, out_dir / "metrics.json", "json", deterministic=True
+        )
+        key = {"app": app, "seed": seed, "ranks": TRACE_REPORT_RANKS}
+        if stream:
+            key["stream"] = True
+        manifest = RunManifest(
+            sweep=f"trace-report/{app}",
+            key=key,
+            jobs=1, executor="inline", elapsed_seconds=0.0,
+        )
+        for name, path in sorted(written.items()):
+            # Attach by name relative to the output directory, so the
+            # manifest stays byte-identical wherever the report lands.
+            manifest.attach(name, path.name)
+        manifest.save(out_dir)
+        return report, result, written
+    except OSError as error:
+        raise ReproError(str(error)) from error
+    finally:
+        # Also on failure: the spill directory must not outlive the run.
+        if analyzer is not None:
+            analyzer.close()

@@ -90,6 +90,10 @@ class ServiceConfig:
             raise InvalidJobRequest(
                 f"point timeout must be > 0, got {self.point_timeout_s}"
             )
+        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
+            raise InvalidJobRequest(
+                f"default deadline must be > 0, got {self.default_deadline_s}"
+            )
         if self.retry_delay_s <= 0:
             raise InvalidJobRequest(
                 f"retry delay must be > 0, got {self.retry_delay_s}"

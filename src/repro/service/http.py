@@ -82,9 +82,17 @@ class ServiceServer:
 
     async def start(self) -> None:
         await self.service.start()
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._handle, self.host, self.port
+            )
+        except OSError as error:
+            # The service already recovered its journal and started its
+            # workers: close both before reporting.
+            await self.service.shutdown(drain_s=0)
+            raise ServiceError(
+                f"cannot listen on {self.host}:{self.port}: {error}"
+            ) from error
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def run_until_signalled(self) -> dict[str, int]:

@@ -30,17 +30,15 @@ import dataclasses
 import time
 from typing import Any, Callable, Mapping
 
-from repro.apps import BigDFT, Specfem3D
 from repro.arch import TEGRA2_NODE
-from repro.cluster import MpiJob, tibidabo
 from repro.engine import sweeps
 from repro.engine.chaos import chaos_point
-from repro.engine.engine import SCHEMA_VERSION
+from repro.engine.engine import point_key
 from repro.engine.hashing import content_key
 from repro.engine.sweeps import REQUIRED, Experiment, Param
 from repro.errors import InvalidJobRequest
+from repro.obs.report import build_run_report, run_fig4_job
 from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
-from repro.version import __version__
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +120,7 @@ class Scenario:
 
     ``build(params)`` validates a submission against ``record`` and
     returns the ``(sweep_key, point)`` pair whose content key addresses
-    the result — the same material :meth:`ExperimentEngine.point_key`
+    the result — the same material :func:`~repro.engine.engine.point_key`
     derives for the equivalent batch sweep point.  ``check``, when set,
     runs on the complete point: it raises on out-of-range values the
     field types cannot express, and may normalise the point in place.
@@ -232,44 +230,26 @@ def trace_analysis_point(params: Mapping[str, Any]) -> dict[str, Any]:
     result pipe, into the job (what ``GET /jobs/<id>/trace`` streams).
     The returned value is the final exact analysis summary.
     """
-    app = BigDFT() if params["app"] == "bigdft" else Specfem3D()
-    num_ranks = params["num_ranks"]
-    seed = params["seed"]
     on_summary = params.get("_progress")
     analyzer = TraceStreamAnalyzer(StreamConfig(on_summary=on_summary))
     try:
-        cluster = tibidabo(num_nodes=max(1, (num_ranks + 1) // 2), seed=seed)
-        MpiJob(
-            cluster, num_ranks, app.rank_program(cluster, num_ranks),
-            tracer=analyzer,
-        ).run()
+        scenario = run_fig4_job(
+            params["app"], params["num_ranks"], params["seed"], analyzer
+        )
         result = analyzer.finalize()
         if on_summary is not None:
             # One last provisional line so late subscribers see the
             # stream reach its final event count before the job value.
             on_summary(analyzer.live_summary())
-        efficiencies = result.waits.efficiencies
+        report = build_run_report(result, scenario=scenario).to_dict()
         return {
-            "scenario": f"fig4-{params['app']}-{num_ranks}ranks-seed{seed}",
-            "num_ranks": result.num_ranks,
-            "runtime_s": result.runtime_seconds,
-            "explanation": result.waits.explain(),
-            "critical_path_s": result.path.breakdown,
-            "wait_states": [
-                {
-                    "category": entry.category,
-                    "label": entry.label,
-                    "seconds": entry.seconds,
-                    "occurrences": entry.occurrences,
-                }
-                for entry in result.waits.entries
-            ],
-            "efficiency": {
-                "load_balance": efficiencies.load_balance,
-                "communication_efficiency":
-                    efficiencies.communication_efficiency,
-                "parallel_efficiency": efficiencies.parallel_efficiency,
-            },
+            "scenario": scenario,
+            "num_ranks": report["num_ranks"],
+            "runtime_s": report["runtime_s"],
+            "explanation": report["wait_states"]["explanation"],
+            "critical_path_s": report["critical_path"]["breakdown_s"],
+            "wait_states": report["wait_states"]["entries"],
+            "efficiency": report["efficiency"],
             "stream": result.stats.to_dict(),
         }
     finally:
@@ -342,15 +322,10 @@ def job_content_key(
 ) -> tuple[dict[str, Any], dict[str, Any], str]:
     """``(key_material, point, hash)`` for one validated submission.
 
-    The material mirrors :meth:`ExperimentEngine.point_key` exactly
-    (schema + code version + sweep key + point), which is what makes
-    the service's cache and journal interoperable with batch sweeps.
+    The material comes from the engine's own
+    :func:`~repro.engine.engine.point_key`, which is what makes the
+    service's cache and journal interoperable with batch sweeps.
     """
     sweep_key, point = scenario.build(params)
-    material = {
-        "schema": SCHEMA_VERSION,
-        "code": __version__,
-        "sweep": sweep_key,
-        "point": point,
-    }
+    material = point_key(sweep_key, point)
     return material, point, content_key(material)

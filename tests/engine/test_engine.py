@@ -10,6 +10,7 @@ from repro.engine import (
     SweepSpec,
     load_manifests,
 )
+from repro.engine.sweeps import Experiment
 from repro.errors import EngineError
 
 
@@ -26,10 +27,10 @@ def _square_and_mark(params):
     return {"y": params["x"] ** 2}
 
 
-def _spec(n=6, **kwargs):
+def _spec(n=6):
     return SweepSpec(
         "squares", _square, [{"x": x} for x in range(n)],
-        key={"experiment": "squares"}, **kwargs,
+        key={"experiment": "squares"},
     )
 
 
@@ -74,10 +75,6 @@ class TestDeterminism:
         run = ExperimentEngine(jobs=4).run(spec)
         assert run.manifest.executor == "process"
         assert [v["y"] for v in run.values] == [10, 11, 12, 13]
-
-    def test_serial_only_spec_never_pools(self):
-        run = ExperimentEngine(jobs=8).run(_spec(serial_only=True))
-        assert run.manifest.executor == "serial"
 
 
 class TestMemoization:
@@ -127,19 +124,23 @@ class TestMemoization:
         )
         assert run.manifest.misses == 1
 
-    def test_run_cached_memoizes_whole_computations(self, tmp_path):
+    def test_one_point_record_memoizes_whole_computations(self, tmp_path):
+        """An order-dependent protocol is one point: cached as a unit,
+        and run in-process even with a pool (the closure's counter
+        would not move in a forked child)."""
         cache = ResultCache(tmp_path / "cache")
         calls = {"n": 0}
 
-        def compute():
+        def curve(params):
             calls["n"] += 1
             return {"curve": [1, 2, 3]}
 
-        engine = ExperimentEngine(cache=cache)
-        assert engine.run_cached("curve", {"seed": 2}, compute) == \
-            {"curve": [1, 2, 3]}
-        assert engine.run_cached("curve", {"seed": 2}, compute) == \
-            {"curve": [1, 2, 3]}
+        record = Experiment("curve", {})
+        engine = ExperimentEngine(cache=cache, jobs=8)
+        for _ in range(2):
+            run = record.run(engine, curve, [{"seed": 2}], label="curve")
+            assert run.values == ({"curve": [1, 2, 3]},)
+            assert run.manifest.executor == "serial"
         assert calls["n"] == 1
         assert (engine.total_hits, engine.total_misses) == (1, 1)
 

@@ -1,0 +1,49 @@
+"""Every engine computation is one ``Experiment`` record.
+
+Each sweep the bundle runs names a module-level ``*_point`` worker of
+:mod:`repro.engine.sweeps`, so a wrapper installed on that attribute is
+what runs and every computation is a point a planner can list, and its
+key carries the record's ``experiment`` name.  The records that took
+over hand-built sweep keys keep those keys, so a cache an older
+checkout filled still hits.
+"""
+
+from repro.cli import PINNED_ARTEFACTS, main
+from repro.engine import ExperimentEngine, sweeps
+
+
+def test_every_bundle_sweep_is_a_record_point(tmp_path, capsys, monkeypatch):
+    seen = []
+    run = ExperimentEngine.run
+
+    def spy(engine, spec):
+        seen.append(spec)
+        return run(engine, spec)
+
+    monkeypatch.setattr(ExperimentEngine, "run", spy)
+    assert main([
+        "reproduce-all", "--quick", "--out", str(tmp_path / "bundle"),
+    ]) == 0
+    capsys.readouterr()
+    # table2 is the one pinned artefact that runs no sweep.
+    assert {spec.name.split("/")[0] for spec in seen} == (
+        set(PINNED_ARTEFACTS) - {"table2"}
+    )
+    for spec in seen:
+        worker = spec.worker
+        assert worker.__module__ == "repro.engine.sweeps", spec.name
+        assert worker.__name__.endswith("_point"), spec.name
+        assert getattr(sweeps, worker.__name__) is worker, spec.name
+        assert "experiment" in spec.key, spec.name
+
+
+def test_fig4_keeps_its_keys(monkeypatch):
+    monkeypatch.setattr(sweeps, "fig4_point", lambda params: {})
+    engine = ExperimentEngine()
+    sweeps.run_fig4(engine, seed=7)
+    assert [point.key for point in engine.manifests[-1].points] == [
+        # commodity switches
+        "b6280e1cc2f51f10ddb3d7c26d363bcd257a6b53aa4d92b7653c3803ea1f5e47",
+        # upgraded switches
+        "e6183a2f7c442193df9afc669214627d720460f86c7699f476c88b91fdc27339",
+    ]

@@ -17,6 +17,7 @@ from repro.errors import (
     InvalidJobRequest,
     JobNotFinished,
     JobNotFound,
+    ServiceDraining,
     ServiceError,
 )
 from repro.metrics.registry import MetricsRegistry, use_registry
@@ -153,3 +154,21 @@ class TestEndpoints:
         client = ServiceClient("http://127.0.0.1:1", timeout_s=1)
         with pytest.raises(ServiceError, match="cannot reach"):
             client.healthz()
+
+
+def test_a_port_in_use_is_reported_after_the_service_shuts_down(tmp_path):
+    async def scenario():
+        service = JobService(ServiceConfig(cache_root=tmp_path / "cache"))
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            srv = ServiceServer(service, port=holder.getsockname()[1])
+            with pytest.raises(ServiceError, match="cannot listen on"):
+                await srv.start()
+        # No worker task outlives the failed start.
+        current = asyncio.current_task()
+        assert [t for t in asyncio.all_tasks() if t is not current] == []
+        with pytest.raises(ServiceDraining):
+            await service.submit("squares", {"x": 2})
+
+    asyncio.run(scenario())

@@ -229,6 +229,8 @@ class TestConfigValidation:
         ({"breaker_cooldown_s": 0.0}, "breaker cooldown must be > 0"),
         ({"breaker_cooldown_s": -1.0}, "breaker cooldown must be > 0"),
         ({"point_timeout_s": 0.0}, "point timeout must be > 0"),
+        ({"default_deadline_s": 0.0}, "default deadline must be > 0"),
+        ({"default_deadline_s": -1.0}, "default deadline must be > 0"),
         ({"retry_delay_s": 0.0}, "retry delay must be > 0"),
         ({"retry_delay_s": -1.0}, "retry delay must be > 0"),
     ])

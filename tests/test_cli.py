@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,7 @@ class TestFlagValidation:
     @pytest.mark.parametrize("flag, value", [
         ("--breaker-threshold", "0"),
         ("--breaker-cooldown", "0"),
+        ("--deadline", "0"),
     ])
     def test_serve_refuses_bad_settings_before_listening(self, tmp_path,
                                                          flag, value):
@@ -223,3 +225,28 @@ class TestFlagValidation:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error in serve: ")
         assert "listening" not in result.stderr
+
+    @pytest.mark.parametrize("in_use", [True, False],
+                             ids=["port-in-use", "port-out-of-range"])
+    def test_serve_reports_a_port_it_cannot_listen_on(self, tmp_path,
+                                                      in_use):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1] if in_use else 70000
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--port", str(port),
+                 "--run-dir", str(tmp_path / "run"),
+                 "--cache-dir", str(tmp_path / "cache")],
+                env=_src_env(), capture_output=True, text=True, timeout=60,
+            )
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        if in_use:
+            assert result.returncode == 1
+            assert lines[0].startswith(
+                f"error in serve: cannot listen on 127.0.0.1:{port}: "
+            )
+        else:
+            assert result.returncode == 2
+            assert lines[0] == "error: --port must be in [0, 65535], got 70000"
