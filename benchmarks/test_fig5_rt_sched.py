@@ -1,31 +1,22 @@
 """Figure 5 — impact of real-time priority on the ARM Snowball's
 effective bandwidth (stride 1, array sizes 1-50 KB, 42 randomized
 repetitions per size): a bimodal distribution (5a) whose degraded
-samples are consecutive in acquisition order (5b)."""
+samples are consecutive in acquisition order (5b).  The experiment is
+the ``repro fig5`` record, at seed 5."""
 
-import pytest
-
-from repro.arch import SNOWBALL_A9500
 from repro.core.report import render_series
 from repro.core.stats import detect_modes, is_bimodal
-from repro.kernels import MemBench
-from repro.osmodel import OSModel, SchedulingPolicy
-
-SIZES = [k * 1024 for k in (1, 2, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 50)]
+from repro.engine.sweeps import FIG5_SIZES_KB, run_fig5
 
 
-def _regenerate():
-    os_model = OSModel.boot(SNOWBALL_A9500, policy=SchedulingPolicy.FIFO, seed=5)
-    bench = MemBench(SNOWBALL_A9500, os_model, seed=5)
-    return bench.run_experiment(array_sizes=SIZES, replicates=42, seed=5)
-
-
-def test_fig5_rt_priority_bimodal_bandwidth(benchmark, artefact):
-    results = benchmark.pedantic(_regenerate, rounds=1, iterations=1)
+def test_fig5_rt_priority_bimodal_bandwidth(benchmark, artefact, engine):
+    results = benchmark.pedantic(
+        lambda: run_fig5(engine, seed=5), rounds=1, iterations=1
+    )
 
     # 5a: bandwidth vs array size, nominal-mode averages.
     curve = []
-    for size in SIZES:
+    for size in (kb * 1024 for kb in FIG5_SIZES_KB):
         nominal = [
             s.value / 1e9 for s in results.where(array_bytes=size, degraded=False)
         ]

@@ -12,20 +12,7 @@ import pytest
 
 from repro.arch import SNOWBALL_A9500, XEON_X5550
 from repro.core.report import render_table
-from repro.kernels import MemBench
-from repro.osmodel import OSModel
-
-
-def _grid(machine, seed=3):
-    os_model = OSModel.boot(machine, seed=seed)
-    bench = MemBench(machine, os_model, seed=seed)
-    results = bench.run_variant_grid(array_bytes=50 * 1024, replicates=3, seed=seed)
-    grid = {}
-    for bits in (32, 64, 128):
-        for unroll in (1, 8):
-            values = results.where(elem_bits=bits, unroll=unroll).values()
-            grid[(bits, unroll)] = sum(values) / len(values) / 1e9
-    return grid
+from repro.engine.sweeps import run_fig6_grid
 
 
 def _render(title, grid):
@@ -39,8 +26,11 @@ def _render(title, grid):
     )
 
 
-def test_fig6a_xeon(benchmark, artefact):
-    grid = benchmark.pedantic(lambda: _grid(XEON_X5550), rounds=1, iterations=1)
+def test_fig6a_xeon(benchmark, artefact, engine):
+    grid = benchmark.pedantic(
+        lambda: run_fig6_grid(engine, XEON_X5550.name, seed=3),
+        rounds=1, iterations=1,
+    )
     artefact("Figure 6a — Xeon 5500/Nehalem bandwidth grid", _render("Nehalem", grid))
 
     # Unrolling and vectorizing both constantly improve performance.
@@ -54,8 +44,11 @@ def test_fig6a_xeon(benchmark, artefact):
     assert 5.0 < grid[(128, 8)] < 18.0
 
 
-def test_fig6b_snowball(benchmark, artefact):
-    grid = benchmark.pedantic(lambda: _grid(SNOWBALL_A9500), rounds=1, iterations=1)
+def test_fig6b_snowball(benchmark, artefact, engine):
+    grid = benchmark.pedantic(
+        lambda: run_fig6_grid(engine, SNOWBALL_A9500.name, seed=3),
+        rounds=1, iterations=1,
+    )
     artefact("Figure 6b — Snowball/A9500 bandwidth grid", _render("A9500", grid))
 
     # Best configuration: 64 bits + unrolling.

@@ -89,25 +89,16 @@ def _cmd_table1(args) -> None:
 
 
 def _cmd_table2(args) -> None:
-    from repro.apps import BigDFT, CoreMark, Linpack, Specfem3D, StockFish
-    from repro.arch import SNOWBALL_A9500, XEON_X5550
     from repro.core.report import render_table
-    from repro.energy import compare_runs
+    from repro.energy import table2_rows
 
-    rows = []
-    for app in (Linpack(), CoreMark(), StockFish(), Specfem3D(), BigDFT()):
-        row = compare_runs(app.run(XEON_X5550), app.run(SNOWBALL_A9500))
-        rows.append([
-            f"{app.name} ({row.metric_name})",
-            f"{row.contender_value:,.1f}",
-            f"{row.reference_value:,.1f}",
-            f"{row.ratio:.1f}",
-            f"{row.energy_ratio:.2f}",
-        ])
     print(render_table(
         "Table II: Xeon 5550 vs ST-Ericsson A9500",
         ["Benchmark", "Snowball", "Xeon", "Ratio", "Energy Ratio"],
-        rows,
+        [[f"{name} ({row.metric_name})", f"{row.contender_value:,.1f}",
+          f"{row.reference_value:,.1f}", f"{row.ratio:.1f}",
+          f"{row.energy_ratio:.2f}"]
+         for name, row in table2_rows().items()],
     ))
 
 
@@ -141,21 +132,14 @@ def _cmd_fig2(args) -> None:
 def _cmd_fig3(args) -> None:
     from repro.core.report import render_series
     from repro.core.stats import stable_seed, summarize_replicates
-    from repro.engine.sweeps import run_replicated_speedups, seed_series
+    from repro.engine import sweeps
 
-    quick = args.quick
-    seeds = seed_series(args.seed, args.seeds)
-    for title, app, counts, baseline in (
-        ("Figure 3a: LINPACK", "linpack",
-         [1, 4, 16, 48] if quick else [1, 2, 4, 8, 16, 32, 64, 100], 1),
-        ("Figure 3b: SPECFEM3D (vs 4 cores)", "specfem3d",
-         [4, 16, 64] if quick else [4, 8, 16, 32, 64, 128, 192], 4),
-        ("Figure 3c: BigDFT", "bigdft",
-         [1, 4, 16, 36] if quick else [1, 2, 4, 8, 16, 24, 32, 36], 1),
-    ):
-        grid = run_replicated_speedups(
-            args.engine, app, counts=counts, num_nodes=96, seeds=seeds,
-            baseline_cores=baseline, label=f"fig3/{app}",
+    seeds = sweeps.seed_series(args.seed, args.seeds)
+    for title, app, quick_counts, full_counts, baseline in sweeps.FIG3_CURVES:
+        counts = quick_counts if args.quick else full_counts
+        grid = sweeps.run_replicated_speedups(
+            args.engine, app, counts=counts, num_nodes=sweeps.FIG3_NUM_NODES,
+            seeds=seeds, baseline_cores=baseline, label=f"fig3/{app}",
         )
         if len(seeds) == 1:
             print(render_series(
@@ -197,51 +181,35 @@ def _cmd_fig4(args) -> None:
 
 
 def _cmd_fig5(args) -> None:
-    from repro.arch import SNOWBALL_A9500
     from repro.core.stats import detect_modes
-    from repro.kernels import MemBench
-    from repro.osmodel import OSModel, SchedulingPolicy
+    from repro.engine.sweeps import run_fig5
 
-    os_model = OSModel.boot(
-        SNOWBALL_A9500, policy=SchedulingPolicy.FIFO, seed=args.seed
-    )
-    bench = MemBench(SNOWBALL_A9500, os_model, seed=args.seed)
-    sizes = [k * 1024 for k in (1, 2, 4, 8, 16, 24, 32, 40, 48, 50)]
-    results = bench.run_experiment(array_sizes=sizes, replicates=42, seed=args.seed)
+    results = run_fig5(args.engine, seed=args.seed)
     at_16k = [s.value / 1e9 for s in results.where(array_bytes=16 * 1024)]
     modes = detect_modes(at_16k)
     print("Figure 5: RT-priority bandwidth modes at 16 KB:")
     for mode in modes:
         print(f"  {mode.center:.2f} GB/s x{mode.count}")
     degraded = [s.sequence for s in results if s.factors["degraded"]]
-    runs = 1 + sum(1 for a, b in zip(degraded, degraded[1:]) if b != a + 1)
+    runs = (
+        1 + sum(1 for a, b in zip(degraded, degraded[1:]) if b != a + 1)
+        if degraded else 0
+    )
     print(f"  {len(degraded)} degraded samples in {runs} consecutive run(s)")
 
 
 def _cmd_fig6(args) -> None:
     from repro.arch import SNOWBALL_A9500, XEON_X5550
-    from repro.core.artifacts import measurements_from_json
     from repro.core.report import render_table
-    from repro.engine import sweeps
+    from repro.engine.sweeps import run_fig6_grid
 
     for machine in (XEON_X5550, SNOWBALL_A9500):
-        run = sweeps.VARIANT_GRID.run(
-            args.engine, sweeps.variant_grid_point,
-            [{"machine": machine.name, "array_bytes": 50 * 1024,
-              "replicates": 3, "seed": args.seed}],
-            label=f"fig6/{machine.name}",
-        )
-        results = measurements_from_json(run.values[0]["measurements"])
-        rows = []
-        for bits in (32, 64, 128):
-            cells = []
-            for unroll in (1, 8):
-                values = results.where(elem_bits=bits, unroll=unroll).values()
-                cells.append(f"{sum(values) / len(values) / 1e9:.2f}")
-            rows.append([f"{bits}b", *cells])
+        grid = run_fig6_grid(args.engine, machine.name, seed=args.seed)
         print(render_table(
             f"Figure 6: {machine.name} (GB/s)",
-            ["element", "no unroll", "unroll=8"], rows,
+            ["element", "no unroll", "unroll=8"],
+            [[f"{bits}b", f"{grid[(bits, 1)]:.2f}", f"{grid[(bits, 8)]:.2f}"]
+             for bits in (32, 64, 128)],
         ))
         print()
 
@@ -250,7 +218,7 @@ def _cmd_fig7(args) -> None:
     from repro.arch import TEGRA2_NODE, XEON_X5550
     from repro.core.report import render_table
     from repro.engine.sweeps import run_magicfilter_sweep
-    from repro.kernels.magicfilter import UNROLL_RANGE
+    from repro.kernels.magicfilter import UNROLL_RANGE, sweet_spot
 
     for machine in (XEON_X5550, TEGRA2_NODE):
         sweep = run_magicfilter_sweep(
@@ -265,11 +233,7 @@ def _cmd_fig7(args) -> None:
                 for u in UNROLL_RANGE
             ],
         ))
-        # Same rule as MagicFilterBenchmark.sweet_spot: cycle counts
-        # within 30% of the optimum (per-element division cancels).
-        cycles = {u: sweep[u].cycles for u in UNROLL_RANGE}
-        best = min(cycles.values())
-        spots = sorted(u for u, c in cycles.items() if c <= best * 1.3)
+        spots = sweet_spot({u: sweep[u].cycles for u in UNROLL_RANGE})
         print(f"sweet spot: {spots}\n")
 
 
@@ -556,16 +520,35 @@ def _write_summary_document(args, path) -> None:
     )
 
 
-def _cmd_claims(args) -> None:
-    from repro.paper import audit
+def _cmd_claims(args) -> int:
+    from repro.core.report import render_table
+    from repro.engine.sweeps import seed_series
+    from repro.paper import ALL_CLAIMS, audit, paper_values
 
-    results = audit()
-    for result in results:
-        print(result.describe())
-    passed = sum(r.passed for r in results)
-    print(f"\n{passed}/{len(results)} paper claims reproduced")
-    if passed != len(results):
-        raise SystemExit(1)
+    seeds = seed_series(args.seed, args.seeds)
+    # One row per claim, one result per seed.
+    by_claim = list(zip(*(
+        audit(paper_values(args.engine, seed)) for seed in seeds
+    )))
+    if len(seeds) == 1:
+        for (result,) in by_claim:
+            print(result.describe())
+    else:
+        print(render_table(
+            f"Paper claims at seeds {seeds[0]}..{seeds[-1]}",
+            ["claim", "section", "passed", "failed at seeds"],
+            [
+                [claim.claim_id, claim.section,
+                 f"{sum(r.passed for r in results)}/{len(seeds)}",
+                 ", ".join(str(seed) for seed, r in zip(seeds, results)
+                           if not r.passed) or "-"]
+                for claim, results in zip(ALL_CLAIMS, by_claim)
+            ],
+        ))
+    passed = sum(all(r.passed for r in results) for results in by_claim)
+    every = "" if len(seeds) == 1 else " at every seed"
+    print(f"\n{passed}/{len(ALL_CLAIMS)} paper claims reproduced{every}")
+    return 0 if passed == len(ALL_CLAIMS) else 1
 
 
 def _cmd_trace_report(args) -> int:
@@ -1235,7 +1218,9 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 try:
                     with span:
-                        COMMANDS[name](args)
+                        # A failed claim exits 1, after `all` has run
+                        # every other artefact.
+                        code = max(code, COMMANDS[name](args) or 0)
                 except ReproError as error:
                     print(f"error regenerating {name}: {error}", file=sys.stderr)
                     code = 1
@@ -1253,23 +1238,16 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"[engine] journal {journal.path}: replayed "
                       f"{journal.replayed} | appended {journal.appended}",
                       file=sys.stderr)
-    except SystemExit as exit_request:
-        # Commands (claims) signal failure via SystemExit; the metrics
-        # export below must still happen before it propagates.
-        pending_exit = exit_request
     except KeyboardInterrupt:
         # Ctrl-C is a request, not a crash: one line, exit code 130
         # (128+SIGINT), no traceback.  Durable state is already safe —
         # the journal fsyncs per record and finished sweeps saved their
         # manifests — but an active run directory gets an interrupted
         # marker so a later --resume knows the run was cut short.
-        pending_exit = None
         code = 130
         print(f"\ninterrupted: {args.artefact} stopped by SIGINT",
               file=sys.stderr)
         _flush_interrupted(args, journal)
-    else:
-        pending_exit = None
     finally:
         if journal is not None:
             journal.close()
@@ -1287,6 +1265,4 @@ def main(argv: list[str] | None = None) -> int:
         except ReproError as error:
             print(f"error writing metrics: {error}", file=sys.stderr)
             code = 1
-    if pending_exit is not None:
-        raise pending_exit
     return code

@@ -94,10 +94,11 @@ class Mode:
     count: int
     members: tuple[float, ...]
 
-    @property
-    def weight(self) -> float:
-        """Fraction of the total sample belonging to this mode."""
-        return float(self.count)
+
+#: The smallest gap, as a fraction of the value above it, that
+#: separates two modes: a spread of a few percent (scheduler jitter)
+#: stays one mode.
+MODE_MIN_RELATIVE_GAP = 0.1
 
 
 def detect_modes(
@@ -105,12 +106,14 @@ def detect_modes(
 ) -> list[Mode]:
     """Detect well-separated modes in a 1-D sample.
 
-    The algorithm sorts the values and cuts the sorted sequence at gaps
-    larger than ``separation`` times the median inter-point gap, then
-    merges tiny fragments into their nearest neighbour.  It is designed
-    for the paper's Figure 5a use case — distinguishing a nominal
-    bandwidth mode from a degraded mode several times lower — not for
-    general density estimation.
+    The algorithm sorts the values and cuts the sorted sequence at
+    each gap that is both *wide* — more than ``separation`` times the
+    median inter-point gap and 5% of the data range, or more than 45%
+    of the range — and *relatively large*: more than
+    :data:`MODE_MIN_RELATIVE_GAP` of the value above it.  It is
+    designed for the paper's Figure 5a use case — distinguishing a
+    nominal bandwidth mode from a degraded mode several times lower —
+    not for general density estimation.
 
     Returns modes sorted by descending center.
     """
@@ -132,13 +135,14 @@ def detect_modes(
     # data range, so near-duplicate clusters are not shattered.
     data_range = ordered[-1] - ordered[0]
     threshold = max(separation * median_gap, 0.05 * data_range)
-    # A gap spanning nearly half the whole range is always a cut, even
-    # when duplicates skew the median-gap estimate.
+    # A gap spanning nearly half the whole range is wide even when
+    # duplicates skew the median-gap estimate.
     dominant_gap = 0.45 * data_range
 
     clusters: list[list[float]] = [[ordered[0]]]
     for gap, value in zip(gaps, ordered[1:]):
-        if gap > threshold or gap > dominant_gap:
+        wide = gap > threshold or gap > dominant_gap
+        if wide and gap > MODE_MIN_RELATIVE_GAP * abs(value):
             clusters.append([value])
         else:
             clusters[-1].append(value)

@@ -14,6 +14,7 @@ from repro.energy.model import (
     energy_to_solution,
     gflops_per_watt,
     performance_ratio,
+    table2_rows,
 )
 from repro.energy.scale import (
     ClusterRunEnergy,
@@ -37,4 +38,5 @@ __all__ = [
     "measure_cluster_energy",
     "performance_ratio",
     "switches_in_use",
+    "table2_rows",
 ]

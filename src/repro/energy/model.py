@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.apps import BigDFT, CoreMark, Linpack, Specfem3D, StockFish
 from repro.apps.base import RunResult
+from repro.arch import SNOWBALL_A9500, XEON_X5550
 from repro.errors import ConfigurationError
 
 
@@ -81,6 +83,14 @@ def compare_runs(reference: RunResult, contender: RunResult) -> EnergyComparison
         ratio=performance_ratio(reference, contender),
         energy_ratio=energy_ratio(reference, contender),
     )
+
+
+def table2_rows() -> dict[str, EnergyComparison]:
+    """Table II: each benchmark's Xeon-vs-Snowball row, by name."""
+    return {
+        app.name: compare_runs(app.run(XEON_X5550), app.run(SNOWBALL_A9500))
+        for app in (Linpack(), CoreMark(), StockFish(), Specfem3D(), BigDFT())
+    }
 
 
 def _check_comparable(a: RunResult, b: RunResult) -> None:

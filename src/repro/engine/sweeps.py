@@ -11,8 +11,8 @@ the state a point needs from those params (a fresh cluster, a fresh
 booted OS — never shared mutable state), and return a JSON-able
 payload.  That contract is what makes a ``--jobs 4`` run
 byte-identical to a serial one.  An order-dependent protocol (the
-§V-A scheduler experiments behind ``fig6`` and ``x5``) is one point
-whose worker runs it whole.
+§V-A scheduler experiments behind ``fig5``, ``fig6`` and ``x5``) is
+one point whose worker runs it whole.
 
 Registries map names to machine and app models so cache keys stay
 textual: a cache entry's key is e.g. ``{"machine": "Intel Xeon
@@ -41,7 +41,8 @@ from repro.apps import APPS, build_app
 from repro.arch import EXYNOS5_DUAL, SNOWBALL_A9500, TEGRA2_NODE, XEON_X5550
 from repro.arch.cpu import MachineModel
 from repro.cluster import MpiJob, tibidabo
-from repro.core.artifacts import measurements_to_json
+from repro.core.artifacts import measurements_from_json, measurements_to_json
+from repro.core.measurement import MeasurementSet
 from repro.energy.scale import measure_cluster_energy
 from repro.engine.chaos import chaos_point
 from repro.engine.engine import (
@@ -54,7 +55,7 @@ from repro.kernels import CounterSet, MagicFilterBenchmark, MemBench
 from repro.kernels.magicfilter import UNROLL_RANGE
 from repro.kernels.membench import MemBenchConfig
 from repro.obs.report import write_trace_report
-from repro.osmodel import OSModel
+from repro.osmodel import OSModel, SchedulingPolicy
 from repro.tracing import TraceRecorder, analyze_collectives, resilience_summary
 
 #: Machines addressable by name in sweep params.
@@ -162,7 +163,8 @@ CHAOS_SQUARES = Experiment("chaos-squares", {
     "state_dir": Param((str,)),
     "faults": Param((dict,), {}),
 })
-FIG4 = Experiment("fig4-alltoallv", {}, ("app", "num_nodes", "ranks", "seed"))
+FIG4 = Experiment("fig4-delays", {}, ("app", "num_nodes", "ranks", "seed"))
+FIG5 = Experiment("fig5-rt-membench", {})
 FAULT_SCALING = Experiment(
     "fault-scaling", {}, ("app", "app_args", "plan", "num_nodes", "seed")
 )
@@ -281,9 +283,22 @@ def fig4_point(params: Mapping[str, Any]) -> dict[str, Any]:
     return {
         "delayed": len(report.delayed),
         "instances": len(report.instances),
+        "ranks_delayed": [instance.ranks_delayed for instance in report.delayed],
         "loss_episodes": result.loss_episodes,
         "elapsed_s": result.elapsed_seconds,
     }
+
+
+def fig5_point(params: Mapping[str, Any]) -> dict[str, Any]:
+    """The Figure 5 experiment on a SCHED_FIFO Snowball, whole (the
+    same order-dependent §V-A protocol as the Figure 6 grid)."""
+    seed = params["seed"]
+    os_model = OSModel.boot(SNOWBALL_A9500, policy=SchedulingPolicy.FIFO, seed=seed)
+    results = MemBench(SNOWBALL_A9500, os_model, seed=seed).run_experiment(
+        array_sizes=[kb * 1024 for kb in params["sizes_kb"]],
+        replicates=params["replicates"], seed=seed,
+    )
+    return {"measurements": measurements_to_json(results)}
 
 
 def cluster_energy_point(params: Mapping[str, Any]) -> dict[str, Any]:
@@ -400,6 +415,39 @@ def run_fig4(
         label="fig4",
     )
     return [(point["upgraded"], value) for point, value in run]
+
+
+#: The Figure 5 array sizes (KB); each runs 42 randomized replicates.
+FIG5_SIZES_KB = (1, 2, 4, 8, 16, 24, 32, 40, 48, 50)
+
+
+def run_fig5(engine: ExperimentEngine, *, seed: int) -> MeasurementSet:
+    """The Figure 5 experiment at *seed*: one point, run whole."""
+    run = FIG5.run(
+        engine, fig5_point,
+        [{"sizes_kb": list(FIG5_SIZES_KB), "replicates": 42, "seed": seed}],
+        label="fig5",
+    )
+    return measurements_from_json(run.values[0]["measurements"])
+
+
+def run_fig6_grid(
+    engine: ExperimentEngine, machine: str, *, seed: int
+) -> dict[tuple[int, int], float]:
+    """The Figure 6 grid on one machine: ``(elem_bits, unroll) ->``
+    mean bandwidth in GB/s over the replicates."""
+    run = VARIANT_GRID.run(
+        engine, variant_grid_point,
+        [{"machine": machine, "array_bytes": 50 * 1024,
+          "replicates": 3, "seed": seed}],
+        label=f"fig6/{machine}",
+    )
+    results = measurements_from_json(run.values[0]["measurements"])
+    cells = {
+        (bits, unroll): results.where(elem_bits=bits, unroll=unroll).values()
+        for bits in (32, 64, 128) for unroll in (1, 8)
+    }
+    return {cell: sum(values) / len(values) / 1e9 for cell, values in cells.items()}
 
 
 def run_fault_scaling(
@@ -528,6 +576,19 @@ def seed_series(seed: int, count: int) -> list[int]:
     if count < 1:
         raise EngineError(f"seed count must be >= 1, got {count}")
     return [seed + offset for offset in range(count)]
+
+
+#: The Figure 3 curves on a 96-node Tibidabo: ``(title, app, quick
+#: core counts, full core counts, baseline cores)``.
+FIG3_CURVES = (
+    ("Figure 3a: LINPACK", "linpack",
+     (1, 4, 16, 48), (1, 2, 4, 8, 16, 32, 64, 100), 1),
+    ("Figure 3b: SPECFEM3D (vs 4 cores)", "specfem3d",
+     (4, 16, 64), (4, 8, 16, 32, 64, 128, 192), 4),
+    ("Figure 3c: BigDFT", "bigdft",
+     (1, 4, 16, 36), (1, 2, 4, 8, 16, 24, 32, 36), 1),
+)
+FIG3_NUM_NODES = 96
 
 
 def run_replicated_times(

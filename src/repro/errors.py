@@ -106,6 +106,11 @@ class DataError(ReproError):
     """Embedded reference data (e.g. Top500 series) failed validation."""
 
 
+class UnmeasurableClaim(ReproError):
+    """A paper claim's value cannot be computed from this run (e.g. a
+    ratio over samples the run did not draw)."""
+
+
 class EngineError(ReproError):
     """The experiment engine was mis-used: an unhashable cache key, a
     non-JSON worker payload, or a corrupt cache/manifest store."""

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.arch.cpu import MachineModel
 from repro.arch.isa import Precision
@@ -210,6 +210,24 @@ _CHAIN_LATENCY_FAST = 2.5
 _LOOP_OVERHEAD_INSTRUCTIONS = 6.0
 
 
+def sweet_spot(
+    cycles: Mapping[int, float], *, tolerance: float = 0.3
+) -> list[int]:
+    """Unroll degrees whose cycle count is within *tolerance* of the
+    optimum (per element or per run: the scale cancels).
+
+    The paper's reading of Figure 7: "the sweet spot area where loop
+    unrolling is beneficial and does not incur a too high number of
+    cache accesses" — [4:12] on Nehalem, only [4:7] on Tegra2.
+    """
+    if not cycles:
+        raise ConfigurationError("need at least one unroll degree")
+    if tolerance < 0:
+        raise ConfigurationError("tolerance cannot be negative")
+    best = min(cycles.values())
+    return sorted(u for u, c in cycles.items() if c <= best * (1.0 + tolerance))
+
+
 @dataclass(frozen=True)
 class VariantCost:
     """Per-element cost of one unroll variant."""
@@ -347,20 +365,9 @@ class MagicFilterBenchmark:
     def sweet_spot(
         self, unrolls: tuple[int, ...] = UNROLL_RANGE, *, tolerance: float = 0.3
     ) -> list[int]:
-        """Unroll degrees within *tolerance* of the cycle optimum.
-
-        The paper's reading of Figure 7: "the sweet spot area where
-        loop unrolling is beneficial and does not incur a too high
-        number of cache accesses" — [4:12] on Nehalem, only [4:7] on
-        Tegra2.
-        """
-        if not unrolls:
-            raise ConfigurationError("need at least one unroll degree")
-        if tolerance < 0:
-            raise ConfigurationError("tolerance cannot be negative")
+        """:func:`sweet_spot` of this machine's per-element cycles."""
         cycles = {u: self.variant_cost(u).cycles_per_element for u in unrolls}
-        best = min(cycles.values())
-        return sorted(u for u, c in cycles.items() if c <= best * (1.0 + tolerance))
+        return sweet_spot(cycles, tolerance=tolerance)
 
     def best_unroll(self, unrolls: tuple[int, ...] = UNROLL_RANGE) -> int:
         """The cycle-optimal unroll degree."""

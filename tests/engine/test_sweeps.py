@@ -5,7 +5,8 @@ Each sweep the bundle runs names a module-level ``*_point`` worker of
 what runs and every computation is a point a planner can list, and its
 key carries the record's ``experiment`` name.  The records that took
 over hand-built sweep keys keep those keys, so a cache an older
-checkout filled still hits.
+checkout filled still hits; FIG4's keys changed once, with its name,
+when its payload gained each delayed instance's ``ranks_delayed``.
 """
 
 from repro.cli import PINNED_ARTEFACTS, main
@@ -43,7 +44,7 @@ def test_fig4_keeps_its_keys(monkeypatch):
     sweeps.run_fig4(engine, seed=7)
     assert [point.key for point in engine.manifests[-1].points] == [
         # commodity switches
-        "b6280e1cc2f51f10ddb3d7c26d363bcd257a6b53aa4d92b7653c3803ea1f5e47",
+        "11dbc36fdd751c5f845d51cb2d0d76cd4ab172e35560f5db3615c7a2e6fbf3cb",
         # upgraded switches
-        "e6183a2f7c442193df9afc669214627d720460f86c7699f476c88b91fdc27339",
+        "cf9bca12b51e5edf597943511a18e930bd1d0e5bf591d5727479c375c59e1657",
     ]

@@ -7,7 +7,9 @@ properties rather than hand-picked examples:
   (the interval is explicitly widened to include the point estimate);
 * bootstrap/permutation results are pure functions of (data, seed);
 * ``summarize`` is equivariant under positive scaling;
-* ``detect_modes`` is stable under permutation of the input;
+* ``detect_modes`` is stable under permutation of the input, keeps a
+  sample within 5% jitter as one mode, and splits two such clusters
+  whose centres differ by 2x or more;
 * p-values live in (0, 1], comparisons are label-symmetric, and
   identical samples never read as significantly different.
 """
@@ -131,6 +133,38 @@ class TestDetectModesStability:
         original = [(m.center, m.count) for m in detect_modes(values)]
         permuted = [(m.center, m.count) for m in detect_modes(shuffled)]
         assert sorted(original) == sorted(permuted)
+
+
+#: One cluster: a positive base and each member's offset above it, at
+#: most 5% (the spread of scheduler jitter).
+cluster = st.tuples(
+    positive,
+    st.lists(st.floats(min_value=0.0, max_value=0.05), min_size=1, max_size=24),
+)
+
+
+def _members(base, offsets):
+    return [base * (1.0 + offset) for offset in offsets]
+
+
+class TestDetectModesSeparation:
+    @settings(max_examples=40, deadline=None)
+    @given(cluster)
+    def test_a_sample_within_jitter_is_one_mode(self, spec):
+        values = _members(*spec)
+        assume(max(values) <= 1.05 * min(values))
+        assert [m.count for m in detect_modes(values)] == [len(values)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(cluster, cluster, st.floats(min_value=2.1, max_value=100.0))
+    def test_clusters_twice_apart_are_two_modes(self, low, high, ratio):
+        slow = _members(*low)
+        fast = _members(low[0] * ratio, high[1])
+        for values in (slow, fast):
+            assume(max(values) <= 1.05 * min(values))
+        assume(sum(fast) / len(fast) >= 2.0 * sum(slow) / len(slow))
+        modes = detect_modes(slow + fast)
+        assert [m.count for m in modes] == [len(fast), len(slow)]
 
 
 class TestSignificanceTests:

@@ -97,6 +97,24 @@ class TestCommands:
         assert "GB/s" in out
         assert "consecutive" in out
 
+    def test_fig5_without_a_degraded_sample(self, capsys):
+        # Seed 1's 16 KB samples all sit within scheduler jitter.
+        assert main(["fig5", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" GB/s x") == 1
+        assert "0 degraded samples in 0 consecutive run(s)" in out
+
+    def test_all_runs_every_artefact_after_a_failing_claim(
+        self, monkeypatch, capsys
+    ):
+        ran = []
+        monkeypatch.setattr("repro.cli.COMMANDS", {
+            "claims": lambda args: ran.append("claims") or 1,
+            "table1": lambda args: ran.append("table1"),
+        })
+        assert main(["all", "--no-cache"]) == 1
+        assert ran == ["claims", "table1"]
+
     def test_fig7(self, capsys):
         assert main(["fig7"]) == 0
         out = capsys.readouterr().out
