@@ -1,15 +1,15 @@
 """Core hot-path benchmark: DES dispatch, memsim streaming, OS boot,
-fig3 point.
+warm result-cache reads, fig3 point.
 
 Produces (and gates against) the committed ``BENCH_core.json`` perf
 trajectory.  Every speed metric is measured on the frozen pre-rewrite
 implementation (``_legacy_des.py``, ``_legacy_memsim.py``,
-``_legacy_alloc.py``) and on the current one as interleaved pairs in
-the same process (:func:`gate.interleaved_pairs`), and recorded as the
-median per-pair *speedup ratio*, so the committed numbers are
-comparable across machines: CI does not care how fast its runner is,
-only that the current engine still beats the frozen baseline by
-(almost) as much as it did when the baseline was committed.
+``_legacy_alloc.py``, ``_legacy_cache.py``) and on the current one as
+interleaved pairs in the same process (:func:`gate.interleaved_pairs`),
+and recorded as the median per-pair *speedup ratio*, so the committed
+numbers are comparable across machines: CI does not care how fast its
+runner is, only that the current engine still beats the frozen
+baseline by (almost) as much as it did when the baseline was committed.
 
 Usage::
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -148,6 +149,70 @@ def boot_rate(allocator_cls, frames: int, pages: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# engine cache: the reads of a warm bundle
+# ---------------------------------------------------------------------------
+
+#: A warm ``reproduce-all --seed 7`` reads 81 entries: the trace-report
+#: one and 80 small ones.
+SMALL_READS = 80
+
+
+def cached_payload(worker, params: dict) -> dict:
+    """*worker*'s value at *params* with its metrics snapshot: the
+    payload the engine caches for one point."""
+    from repro.metrics.registry import MetricsRegistry, use_registry
+
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        value = worker(params)
+    return {"value": value, "metrics": registry.snapshot()}
+
+
+def cache_read_rate(cache, big_key: dict, small_key: dict) -> float:
+    """Entries read per second over one warm bundle's worth of reads:
+    the trace-report entry once, then a median-size one
+    :data:`SMALL_READS` times."""
+    start = time.perf_counter()
+    cache.get(big_key)
+    for _ in range(SMALL_READS):
+        cache.get(small_key)
+    return (1 + SMALL_READS) / (time.perf_counter() - start)
+
+
+def cache_get_entry(pairs: int) -> dict:
+    """``cache_get``: the frozen cache reading the entries it wrote
+    against the current cache reading its own, same payloads: the
+    bundle's real trace-report payload, Chrome trace included, and a
+    Figure 3 point's."""
+    from _legacy_cache import LegacyResultCache
+
+    from repro.engine.cache import ResultCache
+    from repro.engine.sweeps import cluster_time_point, trace_report_point
+
+    big_key = {"experiment": "trace-report", "app": "bigdft", "seed": 7}
+    small_key = {"experiment": "cluster-elapsed", "app": "linpack",
+                 "app_args": {}, "num_nodes": 96, "seed": 7, "cores": 16}
+    big = cached_payload(trace_report_point, {"app": "bigdft", "seed": 7})
+    small = cached_payload(cluster_time_point, dict(small_key))
+    with tempfile.TemporaryDirectory(prefix="bench-cache-") as tmp:
+        legacy = LegacyResultCache(Path(tmp) / "legacy")
+        current = ResultCache(Path(tmp) / "current")
+        for cache in (legacy, current):
+            cache.put(big_key, big)
+            cache.put(small_key, small)
+            if (cache.get(big_key), cache.get(small_key)) != (big, small):
+                raise RuntimeError(f"{type(cache).__name__} lost a payload")
+        entry = interleaved_pairs(
+            lambda: cache_read_rate(legacy, big_key, small_key),
+            lambda: cache_read_rate(current, big_key, small_key),
+            pairs, "entries/s",
+        )
+        if legacy.misses or current.misses:
+            raise RuntimeError("a timed cache read missed")
+    return entry
+
+
+# ---------------------------------------------------------------------------
 # End-to-end: one fig3 cluster-scaling point
 # ---------------------------------------------------------------------------
 
@@ -203,9 +268,9 @@ def run_benchmarks(scale: str = "full") -> dict:
         "note": (
             "speedup = median ratio of current engine vs the frozen "
             "pre-rewrite baseline (benchmarks/_legacy_des.py, "
-            "_legacy_memsim.py, _legacy_alloc.py) over interleaved pairs "
-            "in the same process, every pair's ratio in ratios; "
-            "machine-independent, gated by CI"
+            "_legacy_memsim.py, _legacy_alloc.py, _legacy_cache.py) over "
+            "interleaved pairs in the same process, every pair's ratio in "
+            "ratios; machine-independent, gated by CI"
         ),
         "metrics": {
             "des_dispatch": interleaved_pairs(
@@ -232,6 +297,7 @@ def run_benchmarks(scale: str = "full") -> dict:
                                   sizes["boot_pages"]),
                 pairs, "boots/s",
             ),
+            "cache_get": cache_get_entry(pairs),
             "fig3_point": fig3_point(),
         },
     }

@@ -18,7 +18,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_core
 import gate
 
-RATIO_ENTRIES = ("des_dispatch", "des_steady", "memsim_stream", "osmodel_boot")
+RATIO_ENTRIES = (
+    "des_dispatch", "des_steady", "memsim_stream", "osmodel_boot", "cache_get",
+)
 
 
 def test_smoke_payload_shape_and_speedups():

@@ -341,21 +341,19 @@ def _cmd_x4(args) -> None:
 def _cmd_x5(args) -> None:
     from repro.arch import SNOWBALL_A9500
     from repro.engine import sweeps
-    from repro.kernels import fit_memory_model
 
-    run = sweeps.MEMMODEL_CURVE.run(
+    run = sweeps.MEMMODEL_FIT.run(
         args.engine, sweeps.memmodel_curve_point,
         [{"machine": SNOWBALL_A9500.name, "seed": 2,
           "sizes_kb": [2, 4, 8, 12, 16, 20, 24, 28, 32, 40, 48, 64, 96, 128]}],
         label="x5/memmodel-curve",
     )
-    curve = [(int(size), gbs) for size, gbs in run.values[0]["curve"]]
-    fitted = fit_memory_model(curve)
+    fit = run.values[0]
     print("X5: GA memory-model fit (ref [14]) on the Snowball")
-    print(f"  recovered capacity : {fitted.model.capacity_bytes // 1024} KB "
+    print(f"  recovered capacity : {fit['capacity_bytes'] // 1024} KB "
           "(true L1: 32 KB)")
-    print(f"  plateaus           : {fitted.model.fast_bandwidth:.2f} / "
-          f"{fitted.model.slow_bandwidth:.2f} GB/s (MSE {fitted.error:.4f})")
+    print(f"  plateaus           : {fit['fast_gb_per_s']:.2f} / "
+          f"{fit['slow_gb_per_s']:.2f} GB/s (MSE {fit['mse']:.4f})")
 
 
 def _cmd_x6(args) -> None:

@@ -11,14 +11,20 @@ rest of the library builds on:
   intervals, bimodal-mode detection and least-squares fits,
 * :mod:`repro.core.experiment` — randomized factorial experiment plans
   (the §V-A protocol :class:`repro.kernels.MemBench` runs),
-* :mod:`repro.core.artifacts` — measurement sets to and from JSON,
+* :mod:`repro.core.artifacts` — measurement sets to and from JSON
+  records and text,
 * :mod:`repro.core.report` — ASCII tables and series for regenerating
   the paper's artefacts.
 
 Sweeps themselves run through :class:`repro.engine.ExperimentEngine`.
 """
 
-from repro.core.artifacts import measurements_from_json, measurements_to_json
+from repro.core.artifacts import (
+    measurements_from_json,
+    measurements_from_records,
+    measurements_to_json,
+    measurements_to_records,
+)
 from repro.core.experiment import ExperimentPlan, Factor, Trial
 from repro.core.measurement import MeasurementSet, Sample
 from repro.core.stats import (
@@ -42,7 +48,9 @@ __all__ = [
     "exponential_fit",
     "linear_fit",
     "measurements_from_json",
+    "measurements_from_records",
     "measurements_to_json",
+    "measurements_to_records",
     "render_series",
     "render_table",
     "summarize",

@@ -1,31 +1,62 @@
 """Artifact export: measurement sets to and from JSON.
 
-:func:`repro.engine.sweeps.variant_grid_point` caches its measurement
-sets through this round trip.
+:func:`repro.engine.sweeps.fig5_point` and
+:func:`~repro.engine.sweeps.variant_grid_point` cache their
+measurement sets as :func:`measurements_to_records`' plain list, so a
+cache read parses them once; the JSON text pair wraps the records.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Any
 
 from repro.core.measurement import MeasurementSet
 from repro.errors import ConfigurationError
 
 
-def measurements_to_json(results: MeasurementSet) -> str:
-    """Render a measurement set as a JSON list of sample objects."""
+def _jsonable(level: Any) -> Any:
+    """A factor level as ``json.dumps(..., default=str)`` writes it."""
+    if level is None or isinstance(level, (str, int, float)):
+        return level
+    return json.loads(json.dumps(level, default=str))
+
+
+def measurements_to_records(results: MeasurementSet) -> list[dict[str, Any]]:
+    """A measurement set as a JSON-able list of sample records; a
+    factor level JSON cannot hold is kept as its ``str()``."""
     if len(results) == 0:
         raise ConfigurationError("cannot export an empty measurement set")
-    payload = [
+    return [
         {
             "sequence": sample.sequence,
             "metric": sample.metric,
             "value": sample.value,
-            "factors": dict(sample.factors),
+            "factors": {
+                name: _jsonable(level) for name, level in sample.factors.items()
+            },
         }
         for sample in results
     ]
-    return json.dumps(payload, indent=2, default=str)
+
+
+def measurements_from_records(records: Any) -> MeasurementSet:
+    """Rebuild a set from :func:`measurements_to_records` output."""
+    if not isinstance(records, list):
+        raise ConfigurationError("measurement records must be a list")
+    results = MeasurementSet()
+    for entry in records:
+        try:
+            results.record(entry["metric"], float(entry["value"]),
+                           **entry.get("factors", {}))
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
+            raise ConfigurationError(f"malformed sample {entry!r}") from error
+    return results
+
+
+def measurements_to_json(results: MeasurementSet) -> str:
+    """Render a measurement set as a JSON list of sample objects."""
+    return json.dumps(measurements_to_records(results), indent=2)
 
 
 def measurements_from_json(text: str) -> MeasurementSet:
@@ -36,11 +67,4 @@ def measurements_from_json(text: str) -> MeasurementSet:
         raise ConfigurationError(f"malformed measurement JSON: {error}") from error
     if not isinstance(payload, list):
         raise ConfigurationError("measurement JSON must be a list")
-    results = MeasurementSet()
-    for entry in payload:
-        try:
-            results.record(entry["metric"], float(entry["value"]),
-                           **entry.get("factors", {}))
-        except (KeyError, TypeError, ValueError) as error:
-            raise ConfigurationError(f"malformed sample {entry!r}") from error
-    return results
+    return measurements_from_records(payload)

@@ -41,7 +41,9 @@ from repro.apps import APPS, build_app
 from repro.arch import EXYNOS5_DUAL, SNOWBALL_A9500, TEGRA2_NODE, XEON_X5550
 from repro.arch.cpu import MachineModel
 from repro.cluster import MpiJob, tibidabo
-from repro.core.artifacts import measurements_from_json, measurements_to_json
+from repro.core.artifacts import (
+    measurements_from_records, measurements_to_records,
+)
 from repro.core.measurement import MeasurementSet
 from repro.energy.scale import measure_cluster_energy
 from repro.engine.chaos import chaos_point
@@ -54,6 +56,7 @@ from repro.faults.checkpoint import CheckpointConfig, run_with_checkpoints
 from repro.kernels import CounterSet, MagicFilterBenchmark, MemBench
 from repro.kernels.magicfilter import UNROLL_RANGE
 from repro.kernels.membench import MemBenchConfig
+from repro.kernels.memmodel import fit_memory_model
 from repro.obs.report import write_trace_report
 from repro.osmodel import OSModel, SchedulingPolicy
 from repro.tracing import TraceRecorder, analyze_collectives, resilience_summary
@@ -164,15 +167,15 @@ CHAOS_SQUARES = Experiment("chaos-squares", {
     "faults": Param((dict,), {}),
 })
 FIG4 = Experiment("fig4-delays", {}, ("app", "num_nodes", "ranks", "seed"))
-FIG5 = Experiment("fig5-rt-membench", {})
+FIG5 = Experiment("fig5-rt-samples", {})
 FAULT_SCALING = Experiment(
     "fault-scaling", {}, ("app", "app_args", "plan", "num_nodes", "seed")
 )
 CHECKPOINT_SWEEP = Experiment("checkpoint-sweep", {}, (
     "app", "app_args", "plan", "horizon_s", "cores", "num_nodes", "seed",
 ))
-VARIANT_GRID = Experiment("membench-variant-grid", {})
-MEMMODEL_CURVE = Experiment("memmodel-curve", {})
+VARIANT_GRID = Experiment("membench-variant-samples", {})
+MEMMODEL_FIT = Experiment("memmodel-fit", {})
 TRACE_REPORT = Experiment("trace-report", {})
 
 
@@ -298,7 +301,7 @@ def fig5_point(params: Mapping[str, Any]) -> dict[str, Any]:
         array_sizes=[kb * 1024 for kb in params["sizes_kb"]],
         replicates=params["replicates"], seed=seed,
     )
-    return {"measurements": measurements_to_json(results)}
+    return {"measurements": measurements_to_records(results)}
 
 
 def cluster_energy_point(params: Mapping[str, Any]) -> dict[str, Any]:
@@ -326,21 +329,30 @@ def variant_grid_point(params: Mapping[str, Any]) -> dict[str, Any]:
         array_bytes=params["array_bytes"], replicates=params["replicates"],
         seed=seed,
     )
-    return {"measurements": measurements_to_json(results)}
+    return {"measurements": measurements_to_records(results)}
 
 
 def memmodel_curve_point(params: Mapping[str, Any]) -> dict[str, Any]:
-    """The X5 bandwidth curve, ``[bytes, GB/s]`` per array size, whole
-    (the same order-dependent §V-A protocol as the Figure 6 grid)."""
+    """The X5 bandwidth curve, ``[bytes, GB/s]`` per array size, and
+    the GA memory-model fit to it, whole (the same order-dependent
+    §V-A protocol as the Figure 6 grid)."""
     machine = machine_by_name(params["machine"])
     seed = params["seed"]
     bench = MemBench(machine, OSModel.boot(machine, seed=seed), seed=seed)
-    return {"curve": [
+    curve = [
         [kb * 1024,
          bench.measure(MemBenchConfig(array_bytes=kb * 1024))
          .ideal_bandwidth_bytes_per_s / 1e9]
         for kb in params["sizes_kb"]
-    ]}
+    ]
+    fitted = fit_memory_model(curve)
+    return {
+        "curve": curve,
+        "capacity_bytes": fitted.model.capacity_bytes,
+        "fast_gb_per_s": fitted.model.fast_bandwidth,
+        "slow_gb_per_s": fitted.model.slow_bandwidth,
+        "mse": fitted.error,
+    }
 
 
 def trace_report_point(params: Mapping[str, Any]) -> dict[str, Any]:
@@ -428,7 +440,7 @@ def run_fig5(engine: ExperimentEngine, *, seed: int) -> MeasurementSet:
         [{"sizes_kb": list(FIG5_SIZES_KB), "replicates": 42, "seed": seed}],
         label="fig5",
     )
-    return measurements_from_json(run.values[0]["measurements"])
+    return measurements_from_records(run.values[0]["measurements"])
 
 
 def run_fig6_grid(
@@ -442,7 +454,7 @@ def run_fig6_grid(
           "replicates": 3, "seed": seed}],
         label=f"fig6/{machine}",
     )
-    results = measurements_from_json(run.values[0]["measurements"])
+    results = measurements_from_records(run.values[0]["measurements"])
     cells = {
         (bits, unroll): results.where(elem_bits=bits, unroll=unroll).values()
         for bits in (32, 64, 128) for unroll in (1, 8)
