@@ -199,14 +199,13 @@ def _cmd_fig5(args) -> None:
 
 
 def _cmd_fig6(args) -> None:
-    from repro.arch import SNOWBALL_A9500, XEON_X5550
     from repro.core.report import render_table
-    from repro.engine.sweeps import run_fig6_grid
+    from repro.engine.sweeps import FIG6_MACHINES, run_fig6_grid
 
-    for machine in (XEON_X5550, SNOWBALL_A9500):
-        grid = run_fig6_grid(args.engine, machine.name, seed=args.seed)
+    for machine in FIG6_MACHINES:
+        grid = run_fig6_grid(args.engine, machine, seed=args.seed)
         print(render_table(
-            f"Figure 6: {machine.name} (GB/s)",
+            f"Figure 6: {machine} (GB/s)",
             ["element", "no unroll", "unroll=8"],
             [[f"{bits}b", f"{grid[(bits, 1)]:.2f}", f"{grid[(bits, 8)]:.2f}"]
              for bits in (32, 64, 128)],
@@ -215,17 +214,14 @@ def _cmd_fig6(args) -> None:
 
 
 def _cmd_fig7(args) -> None:
-    from repro.arch import TEGRA2_NODE, XEON_X5550
     from repro.core.report import render_table
-    from repro.engine.sweeps import run_magicfilter_sweep
+    from repro.engine.sweeps import FIG7_MACHINES, run_magicfilter_sweep
     from repro.kernels.magicfilter import UNROLL_RANGE, sweet_spot
 
-    for machine in (XEON_X5550, TEGRA2_NODE):
-        sweep = run_magicfilter_sweep(
-            args.engine, machine.name, label=f"fig7/{machine.name}"
-        )
+    for machine in FIG7_MACHINES:
+        sweep = run_magicfilter_sweep(args.engine, machine)
         print(render_table(
-            f"Figure 7: magicfilter on {machine.name}",
+            f"Figure 7: magicfilter on {machine}",
             ["unroll", "Mcycles", "Maccesses"],
             [
                 [u, f"{sweep[u].cycles / 1e6:.1f}",
@@ -253,35 +249,32 @@ def _cmd_x1(args) -> None:
               + " ".join(f"{v:.3f}" for v in values))
 
 
-def _cmd_x2(args) -> None:
+def _print_hybrid_efficiency(title: str) -> None:
+    """X2's hybrid-efficiency table, under *title*."""
     from repro.core.report import render_table
     from repro.gpu import hybrid_efficiency_table
 
-    rows = [
-        [name, f"{sp:.2f}", f"{dp:.2f}", note]
-        for name, sp, dp, note in hybrid_efficiency_table()
-    ]
     print(render_table(
-        "X2: peak efficiency with integrated GPUs (GFLOPS/W)",
-        ["platform", "SP", "DP", "note"], rows,
+        title, ["platform", "SP", "DP", "note"],
+        [[name, f"{sp:.2f}", f"{dp:.2f}", note]
+         for name, sp, dp, note in hybrid_efficiency_table()],
     ))
+
+
+def _cmd_x2(args) -> None:
+    _print_hybrid_efficiency(
+        "X2: peak efficiency with integrated GPUs (GFLOPS/W)"
+    )
 
 
 def _cmd_x3(args) -> None:
     from repro.arch import EXYNOS5_DUAL
     from repro.autotune import AutoTuner, ExhaustiveSearch
-    from repro.core.report import render_table
     from repro.gpu import (
-        GpuKernelSpec, OpenClRuntime, hybrid_efficiency_table,
-        tune_buffer_size, tuning_space,
+        GpuKernelSpec, OpenClRuntime, tune_buffer_size, tuning_space,
     )
 
-    print(render_table(
-        "X3: hybrid efficiency (GFLOPS/W)",
-        ["platform", "SP", "DP", "note"],
-        [[n, f"{sp:.2f}", f"{dp:.2f}", note]
-         for n, sp, dp, note in hybrid_efficiency_table()],
-    ))
+    _print_hybrid_efficiency("X3: hybrid efficiency (GFLOPS/W)")
     runtime = OpenClRuntime(
         accelerator=EXYNOS5_DUAL.accelerator,
         soc_bandwidth_bytes_per_s=EXYNOS5_DUAL.memory.sustained_bandwidth,
@@ -495,27 +488,21 @@ def _record_summary(args, artefact, series, points, *, x_label, y_label) -> None
     }
 
 
-def _summary_document(args) -> dict:
-    """The full replicate-summary document for this invocation."""
+def _write_summary_document(args, path) -> None:
+    """Write this invocation's replicate-summary document to *path* in
+    canonical (byte-stable) JSON."""
+    from repro.engine.hashing import canonical_json
     from repro.engine.sweeps import seed_series
     from repro.obs.significance import SUMMARY_SCHEMA
 
-    return {
+    document = {
         "schema": SUMMARY_SCHEMA,
         "confidence": args.ci,
         "seed": args.seed,
         "seeds": seed_series(args.seed, args.seeds),
         "artefacts": args.summaries,
     }
-
-
-def _write_summary_document(args, path) -> None:
-    """Write the summary document in canonical (byte-stable) JSON."""
-    from repro.engine.hashing import canonical_json
-
-    Path(path).write_text(
-        canonical_json(_summary_document(args)) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(canonical_json(document) + "\n", encoding="utf-8")
 
 
 def _cmd_claims(args) -> int:
@@ -632,7 +619,6 @@ def _cmd_reproduce_all(args) -> int:
 
     from repro import metrics as metrics_mod
     from repro.engine import ExperimentEngine, ResultCache, sweeps
-    from repro.engine.hashing import canonical_json
     from repro.metrics.registry import MetricsRegistry
     from repro.obs.bundle import (
         BUNDLE_SCHEMA, environment_capture, file_digests,
@@ -707,10 +693,7 @@ def _cmd_reproduce_all(args) -> int:
                 deterministic=True,
             )
         if local.summaries:
-            local_doc = _summary_document(local)
-            (artefact_dir / "summary.json").write_text(
-                canonical_json(local_doc) + "\n", encoding="utf-8"
-            )
+            _write_summary_document(local, artefact_dir / "summary.json")
         files = sorted(p for p in artefact_dir.rglob("*") if p.is_file())
         artefact_records[name] = {
             "files": file_digests(out_dir, files),
@@ -1153,6 +1136,25 @@ def main(argv: list[str] | None = None) -> int:
     ):
         if bad:
             print(f"error: {flag} must be {want}, got {value}",
+                  file=sys.stderr)
+            return 2
+    # An output flag the command never honours would silently write
+    # nothing (or, for the bundle's metrics, an empty export).
+    artefact = args.artefact in COMMANDS or args.artefact == "all"
+    run_dir_rule = (artefact or args.artefact == "serve",
+                    "only the artefacts, all and serve keep a run directory")
+    metrics_rule = (args.artefact != "reproduce-all",
+                    "the bundle writes each artefact's own metrics.json")
+    for flag, value, (honoured, why) in (
+        ("--summary-out", args.summary_out, (artefact, "only the "
+         "artefacts and all write a replicate-summary document")),
+        ("--run-dir", args.run_dir, run_dir_rule),
+        ("--resume", args.resume, run_dir_rule),
+        ("--metrics-out", args.metrics_out, metrics_rule),
+        ("--metrics-format", args.metrics_format, metrics_rule),
+    ):
+        if value is not None and not honoured:
+            print(f"error: {flag} has no effect on {args.artefact}: {why}",
                   file=sys.stderr)
             return 2
     # Imported after parsing, so `--help` and a usage error load

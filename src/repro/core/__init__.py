@@ -12,7 +12,7 @@ rest of the library builds on:
 * :mod:`repro.core.experiment` — randomized factorial experiment plans
   (the §V-A protocol :class:`repro.kernels.MemBench` runs),
 * :mod:`repro.core.artifacts` — measurement sets to and from JSON
-  records and text,
+  records,
 * :mod:`repro.core.report` — ASCII tables and series for regenerating
   the paper's artefacts.
 
@@ -20,9 +20,7 @@ Sweeps themselves run through :class:`repro.engine.ExperimentEngine`.
 """
 
 from repro.core.artifacts import (
-    measurements_from_json,
     measurements_from_records,
-    measurements_to_json,
     measurements_to_records,
 )
 from repro.core.experiment import ExperimentPlan, Factor, Trial
@@ -47,9 +45,7 @@ __all__ = [
     "detect_modes",
     "exponential_fit",
     "linear_fit",
-    "measurements_from_json",
     "measurements_from_records",
-    "measurements_to_json",
     "measurements_to_records",
     "render_series",
     "render_table",

@@ -1,9 +1,9 @@
-"""Artifact export: measurement sets to and from JSON.
+"""Artifact export: measurement sets to and from JSON records.
 
 :func:`repro.engine.sweeps.fig5_point` and
 :func:`~repro.engine.sweeps.variant_grid_point` cache their
 measurement sets as :func:`measurements_to_records`' plain list, so a
-cache read parses them once; the JSON text pair wraps the records.
+cache read parses them once.
 """
 
 from __future__ import annotations
@@ -52,19 +52,3 @@ def measurements_from_records(records: Any) -> MeasurementSet:
         except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise ConfigurationError(f"malformed sample {entry!r}") from error
     return results
-
-
-def measurements_to_json(results: MeasurementSet) -> str:
-    """Render a measurement set as a JSON list of sample objects."""
-    return json.dumps(measurements_to_records(results), indent=2)
-
-
-def measurements_from_json(text: str) -> MeasurementSet:
-    """Parse :func:`measurements_to_json` output back into a set."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(f"malformed measurement JSON: {error}") from error
-    if not isinstance(payload, list):
-        raise ConfigurationError("measurement JSON must be a list")
-    return measurements_from_records(payload)

@@ -21,6 +21,11 @@ X5550", "unroll": 6}``, never a pickled object.
 The batch sweeps and the job service build every sweep key from the
 same record, so a ``repro fig3`` point is a cache hit for ``repro
 submit``; a record the service does not expose declares no params.
+The traced Figure 4 run has three records here, each with its worker:
+``FIG4`` (``repro fig4``'s alltoallv delays per switch variant),
+``TRACE_REPORT`` (the bundle's ``trace-report``) and ``TRACE_ANALYSIS``
+(the service's streamed summary); all three simulate it through
+:func:`repro.obs.report.run_fig4_job`, which holds its shape.
 Records hold no worker: each caller names its worker where it runs,
 looked up as a module attribute at call time, so a wrapper installed
 on a ``*_point`` attribute after import (``e2ebench/tracer.py``) is
@@ -40,7 +45,7 @@ from typing import Any, Mapping, Sequence
 from repro.apps import APPS, build_app
 from repro.arch import EXYNOS5_DUAL, SNOWBALL_A9500, TEGRA2_NODE, XEON_X5550
 from repro.arch.cpu import MachineModel
-from repro.cluster import MpiJob, tibidabo
+from repro.cluster import tibidabo
 from repro.core.artifacts import (
     measurements_from_records, measurements_to_records,
 )
@@ -57,9 +62,13 @@ from repro.kernels import CounterSet, MagicFilterBenchmark, MemBench
 from repro.kernels.magicfilter import UNROLL_RANGE
 from repro.kernels.membench import MemBenchConfig
 from repro.kernels.memmodel import fit_memory_model
-from repro.obs.report import write_trace_report
+from repro.obs.report import (
+    FIG4_RANKS, build_run_report, fig4_num_nodes, run_fig4_job,
+    write_trace_report,
+)
 from repro.osmodel import OSModel, SchedulingPolicy
 from repro.tracing import TraceRecorder, analyze_collectives, resilience_summary
+from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
 
 #: Machines addressable by name in sweep params.
 MACHINES: dict[str, MachineModel] = {
@@ -166,7 +175,6 @@ CHAOS_SQUARES = Experiment("chaos-squares", {
     "state_dir": Param((str,)),
     "faults": Param((dict,), {}),
 })
-FIG4 = Experiment("fig4-delays", {}, ("app", "num_nodes", "ranks", "seed"))
 FIG5 = Experiment("fig5-rt-samples", {})
 FAULT_SCALING = Experiment(
     "fault-scaling", {}, ("app", "app_args", "plan", "num_nodes", "seed")
@@ -176,7 +184,13 @@ CHECKPOINT_SWEEP = Experiment("checkpoint-sweep", {}, (
 ))
 VARIANT_GRID = Experiment("membench-variant-samples", {})
 MEMMODEL_FIT = Experiment("memmodel-fit", {})
+FIG4 = Experiment("fig4-delays", {}, ("app", "num_nodes", "ranks", "seed"))
 TRACE_REPORT = Experiment("trace-report", {})
+TRACE_ANALYSIS = Experiment("trace-analysis", {
+    "app": Param((str,), "bigdft", ("bigdft", "specfem3d")),
+    "seed": Param((int,), 7),
+    "num_ranks": Param((int,), FIG4_RANKS),
+}, ("app", "num_ranks"))
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +285,13 @@ def page_alloc_point(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def fig4_point(params: Mapping[str, Any]) -> dict[str, Any]:
-    """One Figure 4 job: its alltoallv delays on one switch variant."""
-    cluster = tibidabo(
-        num_nodes=params["num_nodes"], seed=params["seed"],
-        upgraded_switches=params["upgraded"],
-    )
-    ranks = params["ranks"]
-    app = build_app(params["app"])
+    """One Figure 4 job: its alltoallv delays on one switch variant
+    (``num_nodes`` is key material: :func:`run_fig4_job` packs ranks)."""
     recorder = TraceRecorder()
-    result = MpiJob(
-        cluster, ranks, app.rank_program(cluster, ranks), tracer=recorder
-    ).run()
+    _, result = run_fig4_job(
+        params["app"], params["ranks"], params["seed"], recorder,
+        upgraded=params["upgraded"],
+    )
     report = analyze_collectives(recorder, "alltoallv")
     return {
         "delayed": len(report.delayed),
@@ -378,9 +388,50 @@ def trace_report_point(params: Mapping[str, Any]) -> dict[str, Any]:
         }
 
 
+def trace_analysis_point(params: Mapping[str, Any]) -> dict[str, Any]:
+    """The service's ``trace-analysis``: one Figure 4 job of any rank
+    count under the streaming analyzer, and its final summary.
+
+    The trace never materializes: the simulation drives
+    :class:`~repro.tracing.stream.TraceStreamAnalyzer` directly, and
+    when the forked attempt gave the worker a ``_progress`` callable,
+    every provisional live summary goes through it, over the attempt's
+    result pipe, into the job (what ``GET /jobs/<id>/trace`` streams).
+    """
+    on_summary = params.get("_progress")
+    analyzer = TraceStreamAnalyzer(StreamConfig(on_summary=on_summary))
+    try:
+        scenario, _ = run_fig4_job(
+            params["app"], params["num_ranks"], params["seed"], analyzer
+        )
+        result = analyzer.finalize()
+        if on_summary is not None:
+            # One last provisional line so late subscribers see the
+            # stream reach its final event count before the job value.
+            on_summary(analyzer.live_summary())
+        report = build_run_report(result, scenario=scenario).to_dict()
+        return {
+            "scenario": scenario,
+            "num_ranks": report["num_ranks"],
+            "runtime_s": report["runtime_s"],
+            "explanation": report["wait_states"]["explanation"],
+            "critical_path_s": report["critical_path"]["breakdown_s"],
+            "wait_states": report["wait_states"]["entries"],
+            "efficiency": report["efficiency"],
+            "stream": result.stats.to_dict(),
+        }
+    finally:
+        analyzer.close()
+
+
 # ---------------------------------------------------------------------------
 # Sweep builders
 # ---------------------------------------------------------------------------
+
+
+#: The machines of Figures 6 and 7, in print order.
+FIG6_MACHINES = (XEON_X5550.name, SNOWBALL_A9500.name)
+FIG7_MACHINES = (XEON_X5550.name, TEGRA2_NODE.name)
 
 
 def run_magicfilter_sweep(
@@ -393,7 +444,8 @@ def run_magicfilter_sweep(
 ) -> dict[int, CounterSet]:
     """The Figure 7 unroll sweep; returns ``unroll -> CounterSet``.
 
-    ``unrolls`` defaults to the paper's ``UNROLL_RANGE``.
+    ``unrolls`` defaults to the paper's ``UNROLL_RANGE`` and ``label``
+    to Figure 7's ``fig7/<machine>``.
     """
     run = MAGICFILTER.run(
         engine, magicfilter_point,
@@ -401,7 +453,7 @@ def run_magicfilter_sweep(
             {"machine": machine, "shape": list(shape), "unroll": u}
             for u in (UNROLL_RANGE if unrolls is None else unrolls)
         ],
-        label=label or f"magicfilter/{machine}",
+        label=label or f"fig7/{machine}",
     )
     return {
         point["unroll"]: CounterSet(
@@ -420,7 +472,8 @@ def run_fig4(
     and a warm one reads both from the cache.  Returns
     ``(upgraded, payload)`` pairs in that order.
     """
-    base = {"app": "bigdft", "num_nodes": 18, "ranks": 36, "seed": seed}
+    base = {"app": "bigdft", "ranks": FIG4_RANKS, "seed": seed,
+            "num_nodes": fig4_num_nodes(FIG4_RANKS)}
     run = FIG4.run(
         engine, fig4_point,
         [dict(base, upgraded=upgraded) for upgraded in (False, True)],

@@ -42,7 +42,6 @@ from repro.metrics.registry import (
     MetricsRegistry,
     NullRegistry,
     current_registry,
-    get_registry,
     set_registry,
     use_registry,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "Span",
     "SpanNode",
     "current_registry",
-    "get_registry",
     "load_and_validate",
     "registry_to_dict",
     "render_metrics",

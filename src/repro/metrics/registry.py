@@ -401,11 +401,6 @@ def current_registry() -> AnyRegistry:
     return local if local is not None else _GLOBAL
 
 
-def get_registry() -> AnyRegistry:
-    """The process-global registry (ignores thread-local overrides)."""
-    return _GLOBAL
-
-
 def set_registry(registry: AnyRegistry | None) -> AnyRegistry:
     """Install *registry* process-wide; ``None`` restores the null one.
 

@@ -11,8 +11,9 @@ see the Figure 4 diagnosis without opening a trace viewer).
 
 :func:`write_trace_report` is the one ``trace-report`` pipeline: the
 CLI command and the bundle's cached ``trace-report`` point both run it.
-:func:`run_fig4_job` is the one traced Figure 4 job, shared with the
-job service's ``trace-analysis`` scenario.
+:func:`run_fig4_job` is the one builder of the Figure 4 job: ``repro
+fig4``'s points, this pipeline and the job service's ``trace-analysis``
+scenario all simulate it, at :data:`FIG4_RANKS` ranks by default.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Any
 
 from repro.apps import build_app
 from repro.cluster import MpiJob, tibidabo
+from repro.cluster.mpi import JobResult
 from repro.engine.manifest import RunManifest
 from repro.errors import ReproError
 from repro.metrics.export import registry_to_dict, write_metrics
@@ -42,8 +44,9 @@ from repro.tracing.waitstates import WaitStateReport
 #: Bump when the report document layout changes shape.
 REPORT_SCHEMA_VERSION = 1
 
-#: MPI ranks of the traced Figure 4 job ``trace-report`` runs.
-TRACE_REPORT_RANKS = 36
+#: MPI ranks of the traced Figure 4 run (``repro fig4``,
+#: ``trace-report`` and the service's ``trace-analysis`` default).
+FIG4_RANKS = 36
 
 
 @dataclass(frozen=True)
@@ -215,18 +218,25 @@ def build_run_report(
     )
 
 
-def run_fig4_job(app: str, ranks: int, seed: int, tracer) -> str:
-    """Simulate the Figure 4 job of *app* at *ranks* ranks under *tracer*.
+def fig4_num_nodes(ranks: int) -> int:
+    """Tibidabo nodes of a Figure 4 job of *ranks* ranks, two per node."""
+    return (ranks + 1) // 2
 
-    The job packs two ranks per Tibidabo node.  Returns the run's
-    name, ``fig4-<app>-<ranks>ranks-seed<seed>``.
-    """
+
+def run_fig4_job(
+    app: str, ranks: int, seed: int, tracer, *, upgraded: bool = False
+) -> tuple[str, JobResult]:
+    """Simulate the Figure 4 job of *app* at *ranks* ranks under *tracer*
+    (on the upgraded switches with *upgraded*); return the run's name,
+    ``fig4-<app>-<ranks>ranks-seed<seed>``, and the job's result."""
     model = build_app(app)
-    cluster = tibidabo(num_nodes=(ranks + 1) // 2, seed=seed)
-    MpiJob(
+    cluster = tibidabo(
+        num_nodes=fig4_num_nodes(ranks), seed=seed, upgraded_switches=upgraded
+    )
+    result = MpiJob(
         cluster, ranks, model.rank_program(cluster, ranks), tracer=tracer
     ).run()
-    return f"fig4-{app}-{ranks}ranks-seed{seed}"
+    return f"fig4-{app}-{ranks}ranks-seed{seed}", result
 
 
 def write_trace_report(
@@ -268,8 +278,8 @@ def write_trace_report(
         analyzer = TraceStreamAnalyzer(config, registry=registry)
         recorder = TraceRecorder() if chrome_out else None
         with use_registry(registry):
-            scenario = run_fig4_job(
-                app, TRACE_REPORT_RANKS, seed,
+            scenario, _ = run_fig4_job(
+                app, FIG4_RANKS, seed,
                 analyzer if recorder is None else recorder,
             )
         if recorder is not None:
@@ -303,7 +313,7 @@ def write_trace_report(
         written["metrics.json"] = write_metrics(
             registry, out_dir / "metrics.json", "json", deterministic=True
         )
-        key = {"app": app, "seed": seed, "ranks": TRACE_REPORT_RANKS}
+        key = {"app": app, "seed": seed, "ranks": FIG4_RANKS}
         if stream:
             key["stream"] = True
         manifest = RunManifest(

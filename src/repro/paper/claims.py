@@ -51,16 +51,14 @@ def paper_values(engine: ExperimentEngine, seed: int) -> dict[str, Any]:
         "fig5": sweeps.run_fig5(engine, seed=seed),
         "fig6": {
             machine: sweeps.run_fig6_grid(engine, machine, seed=seed)
-            for machine in (_XEON, _SNOWBALL)
+            for machine in sweeps.FIG6_MACHINES
         },
         "fig7": {
             machine: {
-                unroll: counters.cycles
-                for unroll, counters in sweeps.run_magicfilter_sweep(
-                    engine, machine, label=f"fig7/{machine}"
-                ).items()
+                unroll: counters.cycles for unroll, counters in
+                sweeps.run_magicfilter_sweep(engine, machine).items()
             }
-            for machine in (_XEON, _TEGRA2)
+            for machine in sweeps.FIG7_MACHINES
         },
     }
 

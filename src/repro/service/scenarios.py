@@ -37,8 +37,6 @@ from repro.engine.engine import point_key
 from repro.engine.hashing import content_key
 from repro.engine.sweeps import REQUIRED, Experiment, Param
 from repro.errors import InvalidJobRequest
-from repro.obs.report import build_run_report, run_fig4_job
-from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
 
 
 # ---------------------------------------------------------------------------
@@ -220,42 +218,6 @@ def _check_ranks(point: dict[str, Any]) -> None:
         )
 
 
-def trace_analysis_point(params: Mapping[str, Any]) -> dict[str, Any]:
-    """Run one fig4-style traced job under the streaming analyzer.
-
-    The trace never materializes: the simulation drives
-    :class:`~repro.tracing.stream.TraceStreamAnalyzer` directly, and
-    when the forked attempt gave the worker a ``_progress`` callable,
-    every provisional live summary goes through it, over the attempt's
-    result pipe, into the job (what ``GET /jobs/<id>/trace`` streams).
-    The returned value is the final exact analysis summary.
-    """
-    on_summary = params.get("_progress")
-    analyzer = TraceStreamAnalyzer(StreamConfig(on_summary=on_summary))
-    try:
-        scenario = run_fig4_job(
-            params["app"], params["num_ranks"], params["seed"], analyzer
-        )
-        result = analyzer.finalize()
-        if on_summary is not None:
-            # One last provisional line so late subscribers see the
-            # stream reach its final event count before the job value.
-            on_summary(analyzer.live_summary())
-        report = build_run_report(result, scenario=scenario).to_dict()
-        return {
-            "scenario": scenario,
-            "num_ranks": report["num_ranks"],
-            "runtime_s": report["runtime_s"],
-            "explanation": report["wait_states"]["explanation"],
-            "critical_path_s": report["critical_path"]["breakdown_s"],
-            "wait_states": report["wait_states"]["entries"],
-            "efficiency": report["efficiency"],
-            "stream": result.stats.to_dict(),
-        }
-    finally:
-        analyzer.close()
-
-
 #: Built after ``sweeps`` has finished importing, so each worker is the
 #: module attribute as it stands then (a tracer's wrapper included).
 SCENARIOS: dict[str, Scenario] = {
@@ -292,16 +254,8 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "trace-analysis", "tracing",
-            Experiment(
-                "trace-analysis",
-                {
-                    "app": Param((str,), "bigdft", ("bigdft", "specfem3d")),
-                    "seed": Param((int,), 7),
-                    "num_ranks": Param((int,), 36),
-                },
-                ("app", "num_ranks"),
-            ),
-            trace_analysis_point, _check_ranks, progress=True,
+            sweeps.TRACE_ANALYSIS, sweeps.trace_analysis_point, _check_ranks,
+            progress=True,
         ),
     )
 }

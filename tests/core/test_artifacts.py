@@ -1,9 +1,14 @@
-"""Tests for repro.core.artifacts (JSON export)."""
+"""Tests for repro.core.artifacts (JSON record export)."""
+
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.artifacts import measurements_from_json, measurements_to_json
+from repro.core.artifacts import (
+    measurements_from_records,
+    measurements_to_records,
+)
 from repro.core.measurement import MeasurementSet
 from repro.errors import ConfigurationError
 
@@ -16,10 +21,16 @@ def _sample_set() -> MeasurementSet:
     return results
 
 
+def _json_roundtrip(results: MeasurementSet) -> MeasurementSet:
+    """Records through JSON text and back, as a cache entry holds them."""
+    text = json.dumps(measurements_to_records(results))
+    return measurements_from_records(json.loads(text))
+
+
 class TestJsonRoundtrip:
     def test_roundtrip_preserves_everything(self):
         original = _sample_set()
-        back = measurements_from_json(measurements_to_json(original))
+        back = _json_roundtrip(original)
         assert len(back) == len(original)
         for a, b in zip(original, back):
             assert a.metric == b.metric
@@ -29,11 +40,9 @@ class TestJsonRoundtrip:
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ConfigurationError):
-            measurements_from_json("not json")
+            measurements_from_records(json.loads('{"a": 1}'))
         with pytest.raises(ConfigurationError):
-            measurements_from_json('{"a": 1}')
-        with pytest.raises(ConfigurationError):
-            measurements_from_json('[{"metric": "x"}]')
+            measurements_from_records(json.loads('[{"metric": "x"}]'))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(
@@ -46,5 +55,5 @@ class TestJsonRoundtrip:
         original = MeasurementSet()
         for metric, value, factor in rows:
             original.record(metric, value, size=factor)
-        back = measurements_from_json(measurements_to_json(original))
+        back = _json_roundtrip(original)
         assert [s.value for s in back] == [s.value for s in original]

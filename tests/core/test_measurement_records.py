@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.artifacts import (
     measurements_from_records,
-    measurements_to_json,
     measurements_to_records,
 )
 from repro.core.measurement import MeasurementSet
@@ -33,8 +32,6 @@ def test_non_json_factor_levels_are_kept_as_their_str():
     results.record("bandwidth", 1.0, policy=Policy.FIFO, shape=(2, 3))
     records = measurements_to_records(results)
     assert records[0]["factors"] == {"policy": "Policy.FIFO", "shape": [2, 3]}
-    # The JSON text is the records, indented.
-    assert json.loads(measurements_to_json(results)) == records
 
 
 @pytest.mark.parametrize("records", [

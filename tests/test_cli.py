@@ -226,6 +226,26 @@ class TestFlagValidation:
         assert captured.out == ""
         assert captured.err == f"error: {named}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["trace-report", "--summary-out", "s.json"],
+        ["cache", "stats", "--run-dir", "rd"],
+        ["trace-report", "--resume", "rd"],
+        ["reproduce-all", "--metrics-out", "m.json"],
+        ["reproduce-all", "--metrics-format", "prom"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_output_flags_the_command_never_honours_exit_2(
+        self, argv, tmp_path, monkeypatch, capsys,
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {argv[-2]} has no effect on {argv[0]}: "
+        )
+        assert len(captured.err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag, value", [
         ("--breaker-threshold", "0"),
         ("--breaker-cooldown", "0"),
