@@ -1,51 +1,59 @@
 """X9 — LINPACK under faults: time-to-solution with checkpoint/restart
 and the checkpoint-interval sweet spot (Daly's trade-off) on the
-simulated Tibidabo cluster."""
+simulated Tibidabo cluster.  The sweep is the ``repro x9`` record, on
+a smaller instance of its own."""
 
-from repro.apps import Linpack
+from repro.apps import build_app
 from repro.cluster import tibidabo
 from repro.core.report import render_table
-from repro.faults import checkpoint_interval_sweep, named_plan
+from repro.engine.sweeps import run_checkpoint_sweep
+from repro.faults import named_plan
 from repro.tracing import TraceRecorder, resilience_summary
 
+APP_ARGS = {"cluster_n": 4096}
+NUM_NODES, CORES, SEED = 8, 16, 7
 
-def _regenerate():
-    app = Linpack(cluster_n=4096, nb=256)
-    num_nodes, cores = 8, 16
-    cluster = tibidabo(num_nodes=num_nodes, seed=7)
-    clean = app.run_cluster(cluster, cores)
-    plan = named_plan("crashy", num_nodes=num_nodes, horizon_s=4.0 * clean, seed=7)
-    intervals = [max(0.5, f * clean) for f in (0.05, 0.15, 0.4, 1.0)]
-    sweep = checkpoint_interval_sweep(
-        cluster, cores, app.rank_program(cluster, cores), plan, intervals,
-        state_bytes=app.checkpoint_bytes(cluster, cores),
+
+def _regenerate(engine):
+    app = build_app("linpack", APP_ARGS)
+    cluster = tibidabo(num_nodes=NUM_NODES, seed=SEED)
+    clean = app.run_cluster(cluster, CORES)
+    plan = named_plan(
+        "crashy", num_nodes=NUM_NODES, horizon_s=4.0 * clean, seed=SEED
+    )
+    sweep = run_checkpoint_sweep(
+        engine, [max(0.5, f * clean) for f in (0.05, 0.15, 0.4, 1.0)],
+        plan="crashy", horizon_s=4.0 * clean, clean_s=clean, cores=CORES,
+        num_nodes=NUM_NODES, seed=SEED, app_args=APP_ARGS,
     )
     recorder = TraceRecorder()
     single = app.run_under_faults(
-        cluster, cores,
-        named_plan("single-crash", num_nodes=num_nodes, horizon_s=clean, seed=7),
+        cluster, CORES,
+        named_plan("single-crash", num_nodes=NUM_NODES, horizon_s=clean,
+                   seed=SEED),
+        clean_elapsed_s=clean,
         checkpoint_interval_s=max(0.5, clean / 6.0),
         tracer=recorder,
     )
     return clean, plan, sweep, single, resilience_summary(recorder)
 
 
-def test_x9_faults_smoke(benchmark, artefact):
+def test_x9_faults_smoke(benchmark, artefact, engine):
     clean, plan, sweep, single, report = benchmark.pedantic(
-        _regenerate, rounds=1, iterations=1
+        lambda: _regenerate(engine), rounds=1, iterations=1
     )
 
     rows = [
         [
             f"{interval:.2f}",
-            f"{result.wall_seconds:.2f}",
-            f"{result.rework_seconds:.2f}",
-            f"{result.checkpoint_overhead_seconds:.2f}",
-            result.restarts,
+            f"{value['wall_s']:.2f}",
+            f"{value['rework_fraction'] * value['wall_s']:.2f}",
+            f"{value['checkpoint_overhead_s']:.2f}",
+            value["restarts"],
         ]
-        for interval, result in sweep
+        for interval, value in sweep
     ]
-    best_interval, best = min(sweep, key=lambda pair: pair[1].wall_seconds)
+    best_interval, best = min(sweep, key=lambda pair: pair[1]["wall_s"])
     artefact(
         "X9 — LINPACK under faults: checkpoint-interval sweep",
         render_table(
@@ -53,16 +61,16 @@ def test_x9_faults_smoke(benchmark, artefact):
             ["interval (s)", "wall (s)", "rework (s)", "ckpt ovh (s)", "restarts"],
             rows,
         )
-        + f"\n\nsweet spot: interval {best_interval:.2f}s -> {best.wall_seconds:.2f}s"
+        + f"\n\nsweet spot: interval {best_interval:.2f}s -> {best['wall_s']:.2f}s"
         + f"\nsingle-crash run: wall {single.wall_seconds:.2f}s, "
         f"restarts {single.restarts}, rework {single.rework_fraction:.1%}\n"
         + report.format(),
     )
 
     # Every sweep point completed the job and is decomposed sanely.
-    for _, result in sweep:
-        assert result.wall_seconds >= result.useful_seconds
-        assert result.rework_seconds >= 0.0
+    for _, value in sweep:
+        assert value["wall_s"] >= clean
+        assert value["rework_fraction"] >= 0.0
     # The crash was detected with the configured heartbeat latency and
     # the job still completed.
     assert single.restarts >= 1
@@ -70,5 +78,5 @@ def test_x9_faults_smoke(benchmark, artefact):
     assert report.mean_detection_latency_s is not None
     # Daly's trade-off: the best interval is interior or at least no
     # worse than the extremes.
-    assert best.wall_seconds <= sweep[0][1].wall_seconds
-    assert best.wall_seconds <= sweep[-1][1].wall_seconds
+    assert best["wall_s"] <= sweep[0][1]["wall_s"]
+    assert best["wall_s"] <= sweep[-1][1]["wall_s"]

@@ -125,6 +125,7 @@ class ScalableAppModel(AppModel):
         num_ranks: int,
         plan,
         *,
+        clean_elapsed_s: float,
         checkpoint_interval_s: float = 30.0,
         resilience=None,
         tracer=None,
@@ -132,8 +133,10 @@ class ScalableAppModel(AppModel):
         """Time-to-solution of the cluster job under a fault plan.
 
         Combines :meth:`rank_program` with the resilience stack:
-        checkpoint costs derive from :meth:`checkpoint_bytes`, the DES
-        probe runs under the plan's injector, and the result is a
+        ``clean_elapsed_s`` is the failure-free time
+        :meth:`run_cluster` returned, checkpoint costs derive from
+        :meth:`checkpoint_bytes`, the DES probe runs under the plan's
+        injector, and the result is a
         :class:`~repro.faults.checkpoint.ResilientRunResult`.
         """
         # Deferred: keeps the apps layer importable without pulling in
@@ -149,6 +152,7 @@ class ScalableAppModel(AppModel):
             num_ranks,
             self.rank_program(cluster, num_ranks),
             plan,
+            clean_elapsed_s=clean_elapsed_s,
             checkpoint=config,
             resilience=resilience,
             tracer=tracer,

@@ -392,15 +392,21 @@ def _cmd_x7(args) -> None:
 
 def _cmd_x8(args) -> None:
     from repro.apps import BigDFT
-    from repro.cluster import tibidabo
     from repro.cluster.prototype import montblanc_prototype
+    from repro.engine.sweeps import run_fig4
+    from repro.obs.report import FIG4_RANKS, fig4_num_nodes
 
-    app = BigDFT()
-    tibi = tibidabo(num_nodes=18, seed=args.seed)
-    proto = montblanc_prototype(num_nodes=18, seed=args.seed)
-    print("X8: Tibidabo vs the final Mont-Blanc prototype (BigDFT, 36 cores)")
-    print(f"  Tibidabo  : {app.run_cluster(tibi, 36):.1f} s")
-    print(f"  prototype : {app.run_cluster(proto, 36):.1f} s")
+    # Tibidabo's row is Figure 4's commodity job, read from its record.
+    [(_, tibidabo_job)] = run_fig4(
+        args.engine, seed=args.seed, variants=(False,), label="x8/tibidabo"
+    )
+    proto = montblanc_prototype(
+        num_nodes=fig4_num_nodes(FIG4_RANKS), seed=args.seed
+    )
+    print("X8: Tibidabo vs the final Mont-Blanc prototype "
+          f"(BigDFT, {FIG4_RANKS} cores)")
+    print(f"  Tibidabo  : {tibidabo_job['elapsed_s']:.1f} s")
+    print(f"  prototype : {BigDFT().run_cluster(proto, FIG4_RANKS):.1f} s")
 
 
 def _cmd_faults(args) -> None:
@@ -441,22 +447,23 @@ def _cmd_x9(args) -> None:
     from repro.engine.sweeps import run_checkpoint_sweep, run_replicated_times
     from repro.faults import named_plan
 
-    num_nodes, cores = 16, 32
+    num_nodes, cores, plan = 16, 32, "crashy"
     clean = run_replicated_times(
         args.engine, "linpack", counts=[cores], num_nodes=num_nodes,
         seeds=[args.seed], label="x9/clean",
     )[cores][0]
-    plan = named_plan(
-        "crashy", num_nodes=num_nodes, horizon_s=4.0 * clean, seed=args.seed
-    )
+    horizon = 4.0 * clean
+    crashes = named_plan(
+        plan, num_nodes=num_nodes, horizon_s=horizon, seed=args.seed
+    ).crashes
     fractions = [0.05, 0.2, 0.6] if args.quick else [0.02, 0.05, 0.1, 0.2, 0.4, 0.8]
     intervals = [max(0.5, f * clean) for f in fractions]
     sweep = run_checkpoint_sweep(
-        args.engine, intervals, plan="crashy", horizon_s=4.0 * clean,
+        args.engine, intervals, plan=plan, horizon_s=horizon, clean_s=clean,
         cores=cores, num_nodes=num_nodes, seed=args.seed, label="x9/checkpoint",
     )
-    print(f"X9: LINPACK checkpoint-interval sweep under 'crashy' "
-          f"({len(plan.crashes)} crashes over {4.0 * clean:.0f}s horizon)")
+    print(f"X9: LINPACK checkpoint-interval sweep under {plan!r} "
+          f"({len(crashes)} crashes over {horizon:.0f}s horizon)")
     print(render_series(
         "time-to-solution vs checkpoint interval",
         [(round(interval, 2), value["wall_s"]) for interval, value in sweep],
@@ -912,6 +919,38 @@ COMMANDS: dict[str, Callable] = {
 }
 
 
+_ARTEFACTS = (*COMMANDS, "all")
+
+#: Each command-specific flag, the commands that read it, and why.  A
+#: flag moved off its parser default on any other command would do
+#: nothing, so ``main`` refuses it before anything runs.  The shared
+#: engine and replicate flags are read everywhere and not listed.
+FLAG_READERS: tuple[tuple[tuple[str, ...], tuple[str, ...], str], ...] = (
+    (("--summary-out",), _ARTEFACTS,
+     "only the artefacts and all write a replicate-summary document"),
+    (("--run-dir", "--resume"), (*_ARTEFACTS, "serve"),
+     "only the artefacts, all and serve keep a run directory"),
+    (("--metrics-out", "--metrics-format"),
+     (*_ARTEFACTS, *(name for name in TOOL_COMMANDS if name != "reproduce-all")),
+     "the bundle writes each artefact's own metrics.json"),
+    (("--app", "--out"), ("trace-report", "reproduce-all"),
+     "only trace-report and reproduce-all read it"),
+    (("--stream", "--frontier", "--chrome-out"), ("trace-report",),
+     "only trace-report reads it"),
+    (("--only",), ("reproduce-all",), "only reproduce-all reads it"),
+    (("--plan",), ("faults", "all"), "only faults and all read it"),
+    (("--threshold",), ("diff-metrics",), "only diff-metrics reads it"),
+    (("--alpha",), ("compare",), "only compare reads it"),
+    (("--host", "--port", "--pool", "--queue-limit", "--drain",
+      "--breaker-threshold", "--breaker-cooldown"), ("serve",),
+     "only serve reads it"),
+    (("--deadline",), ("serve", "submit"), "only serve and submit read it"),
+    (("--url",), ("submit", "status", "result"),
+     "only submit, status and result read it"),
+    (("--param", "--no-wait"), ("submit",), "only submit reads it"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -1113,20 +1152,15 @@ def main(argv: list[str] | None = None) -> int:
     # parse_intermixed_args lets flags appear between the positionals
     # ("diff-metrics --threshold 5% A.json B.json" and
     # "diff-metrics A.json B.json --threshold 5%" both work).
-    args = build_parser().parse_intermixed_args(argv)
+    parser = build_parser()
+    args = parser.parse_intermixed_args(argv)
     if args.run_dir is not None and args.resume is not None:
         print("error: --run-dir and --resume are mutually exclusive "
               "(--resume already names the run directory)", file=sys.stderr)
         return 2
-    if args.seeds < 1:
-        print(f"error: --seeds must be >= 1, got {args.seeds}",
-              file=sys.stderr)
-        return 2
-    if not 0.0 < args.ci < 1.0:
-        print(f"error: --ci must be in (0, 1), got {args.ci}",
-              file=sys.stderr)
-        return 2
     for flag, value, bad, want in (
+        ("--seeds", args.seeds, args.seeds < 1, ">= 1"),
+        ("--ci", args.ci, not 0.0 < args.ci < 1.0, "in (0, 1)"),
         ("--jobs", args.jobs, args.jobs < 1, ">= 1"),
         ("--retries", args.retries, args.retries < 0, ">= 0"),
         ("--point-timeout", args.point_timeout,
@@ -1138,25 +1172,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {flag} must be {want}, got {value}",
                   file=sys.stderr)
             return 2
-    # An output flag the command never honours would silently write
-    # nothing (or, for the bundle's metrics, an empty export).
-    artefact = args.artefact in COMMANDS or args.artefact == "all"
-    run_dir_rule = (artefact or args.artefact == "serve",
-                    "only the artefacts, all and serve keep a run directory")
-    metrics_rule = (args.artefact != "reproduce-all",
-                    "the bundle writes each artefact's own metrics.json")
-    for flag, value, (honoured, why) in (
-        ("--summary-out", args.summary_out, (artefact, "only the "
-         "artefacts and all write a replicate-summary document")),
-        ("--run-dir", args.run_dir, run_dir_rule),
-        ("--resume", args.resume, run_dir_rule),
-        ("--metrics-out", args.metrics_out, metrics_rule),
-        ("--metrics-format", args.metrics_format, metrics_rule),
-    ):
-        if value is not None and not honoured:
-            print(f"error: {flag} has no effect on {args.artefact}: {why}",
-                  file=sys.stderr)
-            return 2
+    # A flag the command never reads would silently do nothing (or,
+    # for the bundle's metrics, write an empty export).
+    for flags, readers, why in FLAG_READERS:
+        for flag in flags:
+            dest = flag[2:].replace("-", "_")
+            if (args.artefact not in readers
+                    and getattr(args, dest) != parser.get_default(dest)):
+                print(f"error: {flag} has no effect on {args.artefact}: "
+                      f"{why}", file=sys.stderr)
+                return 2
     # Imported after parsing, so `--help` and a usage error load
     # nothing else.
     from repro import metrics as metrics_mod

@@ -177,10 +177,11 @@ CHAOS_SQUARES = Experiment("chaos-squares", {
 })
 FIG5 = Experiment("fig5-rt-samples", {})
 FAULT_SCALING = Experiment(
-    "fault-scaling", {}, ("app", "app_args", "plan", "num_nodes", "seed")
+    "fault-slowdown", {}, ("app", "app_args", "plan", "num_nodes", "seed")
 )
 CHECKPOINT_SWEEP = Experiment("checkpoint-sweep", {}, (
-    "app", "app_args", "plan", "horizon_s", "cores", "num_nodes", "seed",
+    "app", "app_args", "plan", "horizon_s", "clean_s", "cores", "num_nodes",
+    "seed",
 ))
 VARIANT_GRID = Experiment("membench-variant-samples", {})
 MEMMODEL_FIT = Experiment("memmodel-fit", {})
@@ -230,7 +231,7 @@ def fault_scaling_point(params: Mapping[str, Any]) -> dict[str, Any]:
     )
     recorder = TraceRecorder()
     result = app.run_under_faults(
-        cluster, cores, plan,
+        cluster, cores, plan, clean_elapsed_s=clean,
         checkpoint_interval_s=max(1.0, clean / 5.0),
         tracer=recorder,
     )
@@ -249,7 +250,8 @@ def fault_scaling_point(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def checkpoint_interval_point(params: Mapping[str, Any]) -> dict[str, Any]:
-    """Time-to-solution under faults at one checkpoint interval."""
+    """Time-to-solution under faults at one checkpoint interval, against
+    the failure-free time ``clean_s`` the sweep was given."""
     cluster = tibidabo(num_nodes=params["num_nodes"], seed=params["seed"])
     app = build_app(params["app"], params.get("app_args"))
     cores = params["cores"]
@@ -263,7 +265,7 @@ def checkpoint_interval_point(params: Mapping[str, Any]) -> dict[str, Any]:
     )
     result = run_with_checkpoints(
         cluster, cores, app.rank_program(cluster, cores), plan,
-        checkpoint=config,
+        clean_elapsed_s=params["clean_s"], checkpoint=config,
     )
     return {
         "wall_s": result.wall_seconds,
@@ -464,20 +466,24 @@ def run_magicfilter_sweep(
 
 
 def run_fig4(
-    engine: ExperimentEngine, *, seed: int
+    engine: ExperimentEngine,
+    *,
+    seed: int,
+    variants: Sequence[bool] = (False, True),
+    label: str = "fig4",
 ) -> list[tuple[bool, dict[str, Any]]]:
     """The Figure 4 BigDFT job on commodity, then upgraded, switches.
 
-    One point per switch variant, so a cold run fans the two jobs out
-    and a warm one reads both from the cache.  Returns
+    One point per switch variant of *variants*, so a cold run fans the
+    jobs out and a warm one reads them from the cache.  Returns
     ``(upgraded, payload)`` pairs in that order.
     """
     base = {"app": "bigdft", "ranks": FIG4_RANKS, "seed": seed,
             "num_nodes": fig4_num_nodes(FIG4_RANKS)}
     run = FIG4.run(
         engine, fig4_point,
-        [dict(base, upgraded=upgraded) for upgraded in (False, True)],
-        label="fig4",
+        [dict(base, upgraded=upgraded) for upgraded in variants],
+        label=label,
     )
     return [(point["upgraded"], value) for point, value in run]
 
@@ -548,6 +554,7 @@ def run_checkpoint_sweep(
     *,
     plan: str,
     horizon_s: float,
+    clean_s: float,
     cores: int,
     num_nodes: int,
     seed: int,
@@ -555,10 +562,11 @@ def run_checkpoint_sweep(
     app_args: Mapping[str, Any] | None = None,
     label: str | None = None,
 ) -> list[tuple[float, dict[str, Any]]]:
-    """The X9 checkpoint-interval sweep, one engine point per interval."""
+    """The X9 checkpoint-interval sweep, one engine point per interval,
+    each measured against the failure-free elapsed time *clean_s*."""
     base = {
         "app": app, "app_args": dict(app_args or {}),
-        "plan": plan, "horizon_s": horizon_s,
+        "plan": plan, "horizon_s": horizon_s, "clean_s": clean_s,
         "cores": cores, "num_nodes": num_nodes, "seed": seed,
     }
     run = CHECKPOINT_SWEEP.run(

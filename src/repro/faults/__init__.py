@@ -24,7 +24,6 @@ timestamps, detection times and resilience reports across runs.
 from repro.faults.checkpoint import (
     CheckpointConfig,
     ResilientRunResult,
-    checkpoint_interval_sweep,
     run_with_checkpoints,
 )
 from repro.faults.detect import FailureDetector, ResilienceConfig, RetryPolicy
@@ -59,7 +58,6 @@ __all__ = [
     "ResilientRunResult",
     "RetryPolicy",
     "SwitchBufferShrink",
-    "checkpoint_interval_sweep",
     "named_plan",
     "run_with_checkpoints",
 ]

@@ -22,6 +22,10 @@ X9 experiment sweeps it.
   (rank programs are generators and cannot be fast-forwarded to a
   checkpoint; the walk is the standard first-order model instead).
 
+The walk measures progress against the failure-free elapsed time,
+which every caller has already simulated and passes in (X9's
+intervals share one), so no checkpointed run simulates the clean job.
+
 Crashed nodes are assumed repaired (rebooted or swapped from spares)
 by the time the restart cost has been paid, so every attempt runs on
 the full machine; crashes triggering during a restart window are
@@ -139,27 +143,24 @@ def run_with_checkpoints(
     program_factory,
     plan: FaultPlan,
     *,
+    clean_elapsed_s: float,
     checkpoint: CheckpointConfig | None = None,
     resilience: ResilienceConfig | None = None,
     tracer=None,
-    clean_elapsed_s: float | None = None,
 ) -> ResilientRunResult:
     """Time-to-solution of one MPI job under *plan* with checkpointing.
 
-    Runs the failure-free job once (unless ``clean_elapsed_s`` is
-    given), probes the faulty execution through the DES so failure
-    dynamics are real, then composes the restart timeline.  Raises
-    :class:`CheckpointError` if ``max_restarts`` is exceeded.
+    ``clean_elapsed_s`` is the failure-free job's elapsed time, which
+    the caller has already simulated; this probes the faulty execution
+    through the DES so failure dynamics are real, then composes the
+    restart timeline.  Raises :class:`CheckpointError` if
+    ``max_restarts`` is exceeded.
     """
     from repro.metrics.registry import current_registry
 
     metrics = current_registry()
     checkpoint = checkpoint or CheckpointConfig()
     resilience = resilience or ResilienceConfig()
-
-    if clean_elapsed_s is None:
-        cluster.reset()
-        clean_elapsed_s = MpiJob(cluster, num_ranks, program_factory).run().elapsed_seconds
     useful = clean_elapsed_s
 
     # DES probe: faithful dynamics of the execution up to the first
@@ -167,7 +168,6 @@ def run_with_checkpoints(
     cluster.reset()
     injector = FaultInjector(plan, resilience=resilience)
     job = MpiJob(cluster, num_ranks, program_factory, tracer=tracer, injector=injector)
-    probe_failed = False
     try:
         probe = job.run()
         probe_failed = bool(probe.failed_ranks)
@@ -210,7 +210,6 @@ def run_with_checkpoints(
     rework_total = 0.0
     downtime_total = 0.0
     restarts = 0
-    failures = list(injector.failures)
     for crash_t in crash_times:
         if crash_t < wall:
             continue  # struck during a restart window: absorbed by it
@@ -238,7 +237,7 @@ def run_with_checkpoints(
         wall = crash_t + down
         downtime_total += down
         progress = checkpointed
-    if probe_failed and restarts == 0:
+    if restarts == 0:
         # Aborted without a node crash (link-retry exhaustion): one
         # relaunch; the flap window is over by the time it comes back.
         down = detect_latency + checkpoint.restart_cost_s
@@ -258,48 +257,9 @@ def run_with_checkpoints(
         ),
         downtime_seconds=downtime_total,
         restarts=restarts,
-        failures=tuple(failures),
+        failures=tuple(injector.failures),
         retry_wait_seconds=retry_wait,
         loss_episodes=losses,
         plan_name=plan.name,
         checkpoint=checkpoint,
     )
-
-
-def checkpoint_interval_sweep(
-    cluster,
-    num_ranks: int,
-    program_factory,
-    plan: FaultPlan,
-    intervals_s: list[float],
-    *,
-    state_bytes: float | None = None,
-    write_cost_s: float = 2.0,
-    resilience: ResilienceConfig | None = None,
-) -> list[tuple[float, ResilientRunResult]]:
-    """Time-to-solution across checkpoint intervals (the X9 sweep).
-
-    Returns ``(interval, result)`` pairs; the failure-free elapsed
-    time is simulated once and shared across the sweep.
-    """
-    if not intervals_s:
-        raise ConfigurationError("need at least one interval to sweep")
-    cluster.reset()
-    clean = MpiJob(cluster, num_ranks, program_factory).run().elapsed_seconds
-    out = []
-    for interval in intervals_s:
-        if state_bytes is not None:
-            config = CheckpointConfig.from_state_bytes(
-                state_bytes, interval_s=interval
-            )
-        else:
-            config = CheckpointConfig(interval_s=interval, write_cost_s=write_cost_s)
-        out.append((
-            interval,
-            run_with_checkpoints(
-                cluster, num_ranks, program_factory, plan,
-                checkpoint=config, resilience=resilience,
-                clean_elapsed_s=clean,
-            ),
-        ))
-    return out

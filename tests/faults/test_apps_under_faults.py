@@ -28,7 +28,7 @@ class TestRunUnderFaults:
         )
         recorder = TraceRecorder()
         result = app.run_under_faults(
-            cluster, 8, plan,
+            cluster, 8, plan, clean_elapsed_s=clean,
             checkpoint_interval_s=max(0.5, clean / 8.0),
             tracer=recorder,
         )
@@ -43,7 +43,10 @@ class TestRunUnderFaults:
     def test_fault_free_plan_only_pays_checkpoints(self):
         app = _small_linpack()
         cluster = _cluster()
-        result = app.run_under_faults(cluster, 8, FaultPlan())
+        result = app.run_under_faults(
+            cluster, 8, FaultPlan(),
+            clean_elapsed_s=app.run_cluster(cluster, 8),
+        )
         assert result.restarts == 0 and result.rework_seconds == 0.0
 
     def test_checkpoint_bytes_overrides(self):

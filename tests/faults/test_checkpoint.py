@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.cluster import tibidabo
+from repro.cluster import MpiJob, tibidabo
 from repro.errors import CheckpointError, ConfigurationError
 from repro.faults import (
     CheckpointConfig,
     FaultPlan,
     NodeCrash,
-    checkpoint_interval_sweep,
     run_with_checkpoints,
 )
 from repro.tracing import TraceRecorder
@@ -25,6 +24,11 @@ def _long_program(steps=30, compute_s=1.0):
             yield from rank.allreduce(64_000)
 
     return program
+
+
+def _clean_s(cluster, num_ranks, program):
+    """The failure-free elapsed time a checkpointed run measures against."""
+    return MpiJob(cluster, num_ranks, program).run().elapsed_seconds
 
 
 class TestCheckpointConfig:
@@ -49,8 +53,10 @@ class TestCheckpointConfig:
 class TestRunWithCheckpoints:
     def test_failure_free_run_pays_only_checkpoint_overhead(self):
         cluster = _cluster()
+        program = _long_program(steps=5)
         result = run_with_checkpoints(
-            cluster, 8, _long_program(steps=5), FaultPlan(),
+            cluster, 8, program, FaultPlan(),
+            clean_elapsed_s=_clean_s(cluster, 8, program),
             checkpoint=CheckpointConfig(interval_s=5.0, write_cost_s=0.5),
         )
         assert result.restarts == 0 and not result.failures
@@ -65,8 +71,10 @@ class TestRunWithCheckpoints:
         cluster = _cluster()
         recorder = TraceRecorder()
         plan = FaultPlan(events=(NodeCrash(time_s=9.0, node=0),), name="one-crash")
+        program = _long_program()
         result = run_with_checkpoints(
-            cluster, 8, _long_program(), plan,
+            cluster, 8, program, plan,
+            clean_elapsed_s=_clean_s(cluster, 8, program),
             checkpoint=CheckpointConfig(
                 interval_s=5.0, write_cost_s=0.5, restart_cost_s=3.0
             ),
@@ -98,9 +106,11 @@ class TestRunWithCheckpoints:
             ),
             name="relentless",
         )
+        program = _long_program()
+        clean = _clean_s(cluster, 8, program)
         with pytest.raises(CheckpointError, match="restarts"):
             run_with_checkpoints(
-                cluster, 8, _long_program(), plan,
+                cluster, 8, program, plan, clean_elapsed_s=clean,
                 checkpoint=CheckpointConfig(
                     interval_s=5.0, write_cost_s=0.5,
                     restart_cost_s=3.0, max_restarts=2,
@@ -110,8 +120,10 @@ class TestRunWithCheckpoints:
     def test_crash_after_finish_changes_nothing_but_overhead(self):
         cluster = _cluster()
         plan = FaultPlan(events=(NodeCrash(time_s=1e6, node=0),))
+        program = _long_program(steps=3)
         result = run_with_checkpoints(
-            cluster, 8, _long_program(steps=3), plan,
+            cluster, 8, program, plan,
+            clean_elapsed_s=_clean_s(cluster, 8, program),
             checkpoint=CheckpointConfig(interval_s=5.0, write_cost_s=0.5),
         )
         assert result.restarts == 0
@@ -130,16 +142,16 @@ class TestIntervalSweep:
             ),
             name="two-crash",
         )
-        sweep = checkpoint_interval_sweep(
-            cluster, 8, _long_program(), plan,
-            [1.0, 5.0, 30.0], write_cost_s=0.5,
-        )
-        walls = {interval: result.wall_seconds for interval, result in sweep}
+        program = _long_program()
+        clean = _clean_s(cluster, 8, program)
+        walls = {
+            interval: run_with_checkpoints(
+                cluster, 8, program, plan, clean_elapsed_s=clean,
+                checkpoint=CheckpointConfig(
+                    interval_s=interval, write_cost_s=0.5
+                ),
+            ).wall_seconds
+            for interval in (1.0, 5.0, 30.0)
+        }
         assert walls[5.0] < walls[1.0]
         assert walls[5.0] < walls[30.0]
-
-    def test_empty_sweep_rejected(self):
-        with pytest.raises(ConfigurationError):
-            checkpoint_interval_sweep(
-                _cluster(), 4, _long_program(steps=2), FaultPlan(), []
-            )

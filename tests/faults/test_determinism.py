@@ -73,8 +73,9 @@ class TestSameSeedIdentical:
         def run():
             cluster = tibidabo(num_nodes=8, seed=2)
             plan = named_plan("crashy", num_nodes=8, horizon_s=30.0, seed=2)
+            clean = MpiJob(cluster, 8, _long_program).run().elapsed_seconds
             return run_with_checkpoints(
-                cluster, 8, _long_program, plan,
+                cluster, 8, _long_program, plan, clean_elapsed_s=clean,
                 checkpoint=CheckpointConfig(interval_s=5.0, write_cost_s=0.5),
             )
 

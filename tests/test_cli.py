@@ -194,17 +194,41 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "prototype" in out
 
-    def test_x9_quick(self, capsys):
-        assert main(["x9", "--quick"]) == 0
+    def test_x8_reads_figure_4s_commodity_run(self, capsys):
+        """x8's Tibidabo row is the cached Figure 4 commodity job."""
+        assert main(["fig4"]) == 0
+        capsys.readouterr()
+        assert main(["x8"]) == 0
+        captured = capsys.readouterr()
+        assert "  Tibidabo  : 42.6 s\n" in captured.out
+        assert "[engine] x8/tibidabo: 1 points | hits 1 | misses 0" in (
+            captured.err
+        )
+
+    @staticmethod
+    def _mpi_jobs(path):
+        counters = json.loads(path.read_text(encoding="utf-8"))["counters"]
+        return counters["mpi.jobs"]["value"]
+
+    def test_x9_quick(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.json"
+        assert main(["x9", "--quick", "--no-cache",
+                     "--metrics-out", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "sweet spot" in out and "rework" in out
+        # The clean job, then one faulty probe per checkpoint interval.
+        assert self._mpi_jobs(metrics) == 4
 
-    def test_faults_quick(self, capsys):
-        assert main(["faults", "--quick", "--plan", "single-crash"]) == 0
+    def test_faults_quick(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.json"
+        assert main(["faults", "--quick", "--plan", "single-crash",
+                     "--no-cache", "--metrics-out", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "resilience summary" in out
         assert "MTTF" in out and "detection latency" in out
         assert "goodput lost to retries" in out and "rework" in out
+        # Per core count: the clean job, then the faulty probe.
+        assert self._mpi_jobs(metrics) == 4
 
     def test_faults_unknown_plan_fails_cleanly(self, capsys):
         assert main(["faults", "--quick", "--plan", "meteor"]) == 1
@@ -226,22 +250,31 @@ class TestFlagValidation:
         assert captured.out == ""
         assert captured.err == f"error: {named}\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["trace-report", "--summary-out", "s.json"],
-        ["cache", "stats", "--run-dir", "rd"],
-        ["trace-report", "--resume", "rd"],
-        ["reproduce-all", "--metrics-out", "m.json"],
-        ["reproduce-all", "--metrics-format", "prom"],
-    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(argv, flag, id=f"{argv[0]}{flag}")
+        for argv, flag in [
+            (["trace-report", "--summary-out", "s.json"], "--summary-out"),
+            (["cache", "stats", "--run-dir", "rd"], "--run-dir"),
+            (["trace-report", "--resume", "rd"], "--resume"),
+            (["reproduce-all", "--metrics-out", "m.json"], "--metrics-out"),
+            (["reproduce-all", "--metrics-format", "prom"],
+             "--metrics-format"),
+            (["fig1", "--chrome-out", "x.json", "--out", "xo", "--stream"],
+             "--out"),
+            (["reproduce-all", "--only", "table2", "--stream",
+              "--frontier", "5", "--chrome-out", "y.json"], "--stream"),
+            (["fig4", "--app", "specfem3d"], "--app"),
+        ]
+    ])
     def test_output_flags_the_command_never_honours_exit_2(
-        self, argv, tmp_path, monkeypatch, capsys,
+        self, argv, flag, tmp_path, monkeypatch, capsys,
     ):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            f"error: {argv[-2]} has no effect on {argv[0]}: "
+            f"error: {flag} has no effect on {argv[0]}: "
         )
         assert len(captured.err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
