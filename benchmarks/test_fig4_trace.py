@@ -2,19 +2,16 @@
 collective (all_to_all_v) communications are sometimes delayed by the
 Ethernet switches."""
 
-import pytest
-
-from repro.apps import BigDFT
-from repro.cluster import MpiJob, tibidabo
 from repro.core.report import render_table
+from repro.obs.report import FIG4_RANKS, run_fig4_job
 from repro.tracing import TraceRecorder, analyze_collectives, export_prv
 
 
 def _regenerate(upgraded: bool):
-    cluster = tibidabo(num_nodes=18, seed=7, upgraded_switches=upgraded)
     recorder = TraceRecorder()
-    app = BigDFT()
-    result = MpiJob(cluster, 36, app.rank_program(cluster, 36), tracer=recorder).run()
+    _, result = run_fig4_job(
+        "bigdft", FIG4_RANKS, 7, recorder, upgraded=upgraded
+    )
     report = analyze_collectives(recorder, "alltoallv")
     return result, recorder, report
 

@@ -10,41 +10,33 @@ analysis must stay cheap relative to the simulation it explains.
 
 import time
 
-from repro.apps import BigDFT
-from repro.cluster import MpiJob, tibidabo
 from repro.obs import build_run_report
+from repro.obs.report import FIG4_RANKS, run_fig4_job
 from repro.tracing import TraceRecorder, export_chrome_trace
 from repro.tracing.stream import StreamConfig, TraceStreamAnalyzer
 
 
-def _simulate():
-    cluster = tibidabo(num_nodes=18, seed=7)
-    recorder = TraceRecorder()
-    app = BigDFT()
-    MpiJob(cluster, 36, app.rank_program(cluster, 36), tracer=recorder).run()
-    return recorder
-
-
-def _analyze(recorder):
+def _analyze(scenario, recorder):
     with TraceStreamAnalyzer(StreamConfig(frontier_limit=None)) as analyzer:
         recorder.replay(analyzer)
         result = analyzer.finalize()
-    report = build_run_report(result, scenario="fig4-bigdft-36ranks-seed7")
+    report = build_run_report(result, scenario=scenario)
     chrome = export_chrome_trace(recorder)
     return report, chrome
 
 
 def test_trace_analysis_pipeline(benchmark, artefact):
     start = time.perf_counter()
-    recorder = _simulate()
+    recorder = TraceRecorder()
+    scenario, _ = run_fig4_job("bigdft", FIG4_RANKS, 7, recorder)
     simulate_s = time.perf_counter() - start
 
     report, chrome = benchmark.pedantic(
-        lambda: _analyze(recorder), rounds=3, iterations=1
+        lambda: _analyze(scenario, recorder), rounds=3, iterations=1
     )
 
     start = time.perf_counter()
-    _analyze(recorder)
+    _analyze(scenario, recorder)
     analyze_s = time.perf_counter() - start
 
     artefact(

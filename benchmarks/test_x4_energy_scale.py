@@ -4,61 +4,63 @@ inefficiency".
 
 Measures energy-to-solution across strong-scaling sweeps of SPECFEM3D
 (scales cleanly — fabric power amortizes) and BigDFT (incast collapse
-makes energy U-shaped with an optimum well below the largest run)."""
+makes energy U-shaped with an optimum well below the largest run).
+The sweeps are ``repro x4``'s records at seed 7."""
 
-import pytest
-
-from repro.apps import BigDFT, Specfem3D
-from repro.cluster import tibidabo
 from repro.core.report import render_table
-from repro.energy.scale import counterbalance_study
+from repro.engine.sweeps import run_replicated_energy
+
+STUDIES = (
+    ("SPECFEM3D", "specfem3d", {"timesteps": 10}, [8, 16, 32, 64]),
+    ("BigDFT", "bigdft", {"scf_iterations": 4}, [4, 8, 16, 24, 36]),
+)
 
 
-def _study():
-    cluster = tibidabo(num_nodes=96, seed=7)
-    specfem = counterbalance_study(
-        Specfem3D(timesteps=10), cluster, [8, 16, 32, 64]
-    )
-    bigdft = counterbalance_study(
-        BigDFT(scf_iterations=4), cluster, [4, 8, 16, 24, 36]
-    )
-    return specfem, bigdft
+def _study(engine):
+    """``name -> {cores: payload}`` for both codes."""
+    study = {}
+    for name, app, app_args, counts in STUDIES:
+        grid = run_replicated_energy(
+            engine, app, counts=counts, num_nodes=96, seeds=[7],
+            app_args=app_args,
+        )
+        study[name] = {cores: values[0] for cores, values in grid.items()}
+    return study
 
 
-def test_x4_energy_at_scale(benchmark, artefact):
-    specfem, bigdft = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_x4_energy_at_scale(benchmark, artefact, engine):
+    study = benchmark.pedantic(lambda: _study(engine), rounds=1, iterations=1)
+    specfem, bigdft = study["SPECFEM3D"], study["BigDFT"]
+    specfem_energy = {cores: run["energy_j"] for cores, run in specfem.items()}
+    bigdft_energy = {cores: run["energy_j"] for cores, run in bigdft.items()}
+    optimum = min(bigdft_energy, key=bigdft_energy.get)
 
-    rows = []
-    for name, study in (("SPECFEM3D", specfem), ("BigDFT", bigdft)):
-        for run in study.runs:
-            rows.append([
-                name,
-                run.cores,
-                f"{run.elapsed_seconds:.1f}",
-                f"{run.total_power_w:.0f}",
-                f"{run.energy_joules:,.0f}",
-                f"{run.network_power_fraction:.0%}",
-            ])
     artefact(
         "X4 — energy to solution at scale (Tibidabo)",
         render_table(
             "node vs network counterbalance",
-            ["code", "cores", "time (s)", "power (W)", "energy (J)", "net power"],
-            rows,
+            ["code", "cores", "time (s)", "energy (J)", "net power"],
+            [
+                [name, cores, f"{run['elapsed_s']:.1f}",
+                 f"{run['energy_j']:,.0f}",
+                 f"{run['network_power_fraction']:.0%}"]
+                for name, runs in study.items()
+                for cores, run in runs.items()
+            ],
         )
-        + f"\n\nBigDFT energy optimum: {bigdft.most_efficient_cores} cores "
+        + f"\n\nBigDFT energy optimum: {optimum} cores "
         "(beyond it, incast burns joules)",
     )
 
-    specfem_energy = dict(specfem.energy_curve())
-    bigdft_energy = dict(bigdft.energy_curve())
     # Clean scaling: energy does not explode with cores.
     assert specfem_energy[64] < specfem_energy[8] * 1.6
     # Congested scaling: U-shaped, optimum strictly below 36 cores.
-    assert bigdft.most_efficient_cores < 36
-    assert bigdft_energy[36] > bigdft_energy[bigdft.most_efficient_cores]
+    assert optimum < 36
+    assert bigdft_energy[36] > bigdft_energy[optimum]
     # At small scale the fabric dominates the power budget (the
     # "network inefficiency" side of the trade).
-    fractions = dict(specfem.network_fraction_curve())
+    fractions = {
+        cores: run["network_power_fraction"] for cores, run in specfem.items()
+    }
     assert fractions[8] > 0.5
     assert fractions[64] < fractions[8]

@@ -5,9 +5,6 @@ needs applications to scale") applied to all eleven codes: the nine
 characterized models plus the two detailed ones, strong-scaled on the
 simulated cluster and sorted by efficiency."""
 
-import pytest
-
-from repro.apps import BigDFT, Specfem3D
 from repro.apps.portfolio import CommPattern, portfolio_scaling_report
 from repro.cluster import tibidabo
 from repro.core.report import render_table
@@ -16,22 +13,6 @@ from repro.core.report import render_table
 def _report():
     cluster = tibidabo(num_nodes=32, seed=11)
     verdicts = portfolio_scaling_report(cluster, cores=32, baseline=2)
-
-    # Add the two detailed models at the same protocol.
-    for app in (Specfem3D(timesteps=8), BigDFT(scf_iterations=4)):
-        curve = dict(app.speedup_curve(cluster, [2, 32], baseline_cores=2))
-        from repro.apps.portfolio import PortfolioVerdict
-        pattern = (
-            CommPattern.HALO_EXCHANGE
-            if app.name == "SPECFEM3D"
-            else CommPattern.TRANSPOSE_ALLTOALL
-        )
-        verdicts.append(
-            PortfolioVerdict(
-                code=app.name, pattern=pattern,
-                efficiency=curve[32] / 32, cores=32,
-            )
-        )
     return sorted(verdicts, key=lambda v: -v.efficiency)
 
 

@@ -13,41 +13,35 @@ Usage::
     python examples/energy_at_scale.py
 """
 
-from repro.apps import BigDFT, Specfem3D
-from repro.cluster import tibidabo
 from repro.core.report import render_table
-from repro.energy.scale import counterbalance_study
+from repro.engine import ExperimentEngine
+from repro.engine.sweeps import run_replicated_energy
 
 
 def main() -> None:
-    cluster = tibidabo(num_nodes=96, seed=7)
-
-    studies = [
+    engine = ExperimentEngine()
+    for title, app, app_args, counts in (
         ("SPECFEM3D (clean p2p scaling)",
-         counterbalance_study(Specfem3D(timesteps=10), cluster, [8, 16, 32, 64])),
+         "specfem3d", {"timesteps": 10}, [8, 16, 32, 64]),
         ("BigDFT (alltoallv incast past ~16 cores)",
-         counterbalance_study(BigDFT(scf_iterations=4), cluster,
-                              [4, 8, 16, 24, 36])),
-    ]
-
-    for title, study in studies:
-        rows = [
-            [
-                run.cores,
-                run.nodes,
-                f"{run.elapsed_seconds:.1f}",
-                f"{run.total_power_w:.0f}",
-                f"{run.energy_joules:,.0f}",
-                f"{run.network_power_fraction:.0%}",
-            ]
-            for run in study.runs
-        ]
+         "bigdft", {"scf_iterations": 4}, [4, 8, 16, 24, 36]),
+    ):
+        grid = run_replicated_energy(
+            engine, app, counts=counts, num_nodes=96, seeds=[7],
+            app_args=app_args,
+        )
+        runs = {cores: values[0] for cores, values in grid.items()}
         print(render_table(
             title,
-            ["cores", "nodes", "time (s)", "power (W)", "energy (J)", "net share"],
-            rows,
+            ["cores", "time (s)", "energy (J)", "net share"],
+            [
+                [cores, f"{run['elapsed_s']:.1f}", f"{run['energy_j']:,.0f}",
+                 f"{run['network_power_fraction']:.0%}"]
+                for cores, run in runs.items()
+            ],
         ))
-        print(f"  energy-optimal core count: {study.most_efficient_cores}\n")
+        optimum = min(runs, key=lambda cores: runs[cores]["energy_j"])
+        print(f"  energy-optimal core count: {optimum}\n")
 
     print("Reading: SPECFEM3D's energy keeps improving as the fixed fabric")
     print("power amortizes over more useful work; BigDFT's energy is")

@@ -13,8 +13,7 @@ Usage::
     python examples/portfolio_viability.py
 """
 
-from repro.apps import BigDFT, CommPattern, Specfem3D, portfolio_scaling_report
-from repro.apps.portfolio import PortfolioVerdict
+from repro.apps import portfolio_scaling_report
 from repro.cluster import tibidabo
 from repro.core.report import render_table
 
@@ -22,16 +21,6 @@ from repro.core.report import render_table
 def main() -> None:
     cluster = tibidabo(num_nodes=32, seed=11)
     verdicts = portfolio_scaling_report(cluster, cores=32, baseline=2)
-
-    for app, pattern in (
-        (Specfem3D(timesteps=8), CommPattern.HALO_EXCHANGE),
-        (BigDFT(scf_iterations=4), CommPattern.TRANSPOSE_ALLTOALL),
-    ):
-        curve = dict(app.speedup_curve(cluster, [2, 32], baseline_cores=2))
-        verdicts.append(PortfolioVerdict(
-            code=app.name, pattern=pattern, efficiency=curve[32] / 32, cores=32,
-        ))
-
     verdicts.sort(key=lambda v: -v.efficiency)
     print(render_table(
         "Mont-Blanc portfolio on Tibidabo (32 cores vs 2-core baseline)",

@@ -14,9 +14,9 @@ Usage::
 
 import sys
 
-from repro.apps import BigDFT, Linpack, Specfem3D
-from repro.cluster import MpiJob, tibidabo
 from repro.core.report import render_series
+from repro.engine import ExperimentEngine, sweeps
+from repro.obs.report import FIG4_RANKS, run_fig4_job
 from repro.tracing import (
     TraceRecorder,
     analyze_collectives,
@@ -26,19 +26,14 @@ from repro.tracing import (
 
 
 def scaling_study(quick: bool) -> None:
-    cluster = tibidabo(num_nodes=96, seed=7)
-
-    linpack_counts = [1, 4, 16, 48] if quick else [1, 2, 4, 8, 16, 32, 64, 100]
-    specfem_counts = [4, 16, 64] if quick else [4, 8, 16, 32, 64, 128, 192]
-    bigdft_counts = [1, 4, 16, 36] if quick else [1, 2, 4, 8, 16, 24, 32, 36]
-
-    studies = [
-        ("Figure 3a — LINPACK", Linpack(), linpack_counts, 1),
-        ("Figure 3b — SPECFEM3D (vs 4-core run)", Specfem3D(), specfem_counts, 4),
-        ("Figure 3c — BigDFT", BigDFT(), bigdft_counts, 1),
-    ]
-    for title, app, counts, baseline in studies:
-        curve = app.speedup_curve(cluster, counts, baseline_cores=baseline)
+    engine = ExperimentEngine()
+    for title, app, quick_counts, full_counts, baseline in sweeps.FIG3_CURVES:
+        counts = quick_counts if quick else full_counts
+        grid = sweeps.run_replicated_speedups(
+            engine, app, counts=counts, num_nodes=sweeps.FIG3_NUM_NODES,
+            seeds=[7], baseline_cores=baseline,
+        )
+        curve = [(cores, grid[cores][0]) for cores in counts]
         print(render_series(title, curve, x_label="cores", y_label="speedup"))
         top_cores, top_speedup = curve[-1]
         print(f"  efficiency at {top_cores} cores: {top_speedup / top_cores:.0%}\n")
@@ -46,13 +41,13 @@ def scaling_study(quick: bool) -> None:
 
 def profile_bigdft(upgraded: bool) -> None:
     label = "upgraded" if upgraded else "commodity"
-    cluster = tibidabo(num_nodes=18, seed=7, upgraded_switches=upgraded)
     recorder = TraceRecorder()
-    app = BigDFT()
-    result = MpiJob(cluster, 36, app.rank_program(cluster, 36), tracer=recorder).run()
+    _, result = run_fig4_job(
+        "bigdft", FIG4_RANKS, 7, recorder, upgraded=upgraded
+    )
     report = analyze_collectives(recorder, "alltoallv")
 
-    print(f"Figure 4 — BigDFT on 36 cores, {label} switches")
+    print(f"Figure 4 — BigDFT on {FIG4_RANKS} cores, {label} switches")
     print(f"  job time          : {result.elapsed_seconds:.2f} s")
     print(f"  loss episodes     : {result.loss_episodes}")
     print(f"  alltoallv delayed : {len(report.delayed)}/{len(report.instances)}")
@@ -63,10 +58,12 @@ def profile_bigdft(upgraded: bool) -> None:
             f"{instance.ranks_delayed}/{instance.ranks_involved} ranks delayed "
             f"[{verdict}]"
         )
-    trace_lines = len(export_prv(recorder, job_name=f"bigdft-36-{label}").splitlines())
+    trace_lines = len(
+        export_prv(recorder, job_name=f"bigdft-{FIG4_RANKS}-{label}").splitlines()
+    )
     print(f"  Paraver trace     : {trace_lines} records")
     print()
-    print(render_timeline(recorder, width=96, ranks=list(range(0, 36, 6))))
+    print(render_timeline(recorder, width=96, ranks=list(range(0, FIG4_RANKS, 6))))
     print()
 
 

@@ -157,27 +157,3 @@ class ScalableAppModel(AppModel):
             resilience=resilience,
             tracer=tracer,
         )
-
-    def speedup_curve(
-        self,
-        cluster: ClusterModel,
-        core_counts: list[int],
-        *,
-        baseline_cores: int = 1,
-    ) -> list[tuple[int, float]]:
-        """Strong-scaling speedups relative to *baseline_cores*.
-
-        SPECFEM3D's instance "cannot be run on less than 2 nodes", so
-        its Figure 3b curve uses ``baseline_cores=4`` — the speedup is
-        normalized as ``baseline_cores * t(baseline) / t(cores)``.
-        """
-        if baseline_cores not in core_counts:
-            raise ConfigurationError(
-                f"baseline {baseline_cores} missing from sweep {core_counts}"
-            )
-        times = {n: self.run_cluster(cluster, n) for n in core_counts}
-        base_time = times[baseline_cores]
-        return [
-            (n, baseline_cores * base_time / times[n])
-            for n in sorted(core_counts)
-        ]

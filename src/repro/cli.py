@@ -416,8 +416,7 @@ def _cmd_faults(args) -> None:
     counts = [8, 16] if args.quick else [8, 16, 32, 64]
     print(f"faults: LINPACK scaling under plan {args.plan!r} (seed {args.seed})\n")
     results = run_fault_scaling(
-        args.engine, args.plan, counts=counts, num_nodes=32,
-        seed=args.seed, label=f"faults/{args.plan}",
+        args.engine, args.plan, counts=counts, num_nodes=32, seed=args.seed
     )
     rows = []
     for cores, value in results:
@@ -444,12 +443,14 @@ def _cmd_faults(args) -> None:
 
 def _cmd_x9(args) -> None:
     from repro.core.report import render_series
-    from repro.engine.sweeps import run_checkpoint_sweep, run_replicated_times
+    from repro.engine import sweeps
     from repro.faults import named_plan
 
     num_nodes, cores, plan = 16, 32, "crashy"
-    clean = run_replicated_times(
-        args.engine, "linpack", counts=[cores], num_nodes=num_nodes,
+    # The clean time is Figure 3's 32-core LINPACK point: nodes the job
+    # does not occupy cannot change its result.
+    clean = sweeps.run_replicated_times(
+        args.engine, "linpack", counts=[cores], num_nodes=sweeps.FIG3_NUM_NODES,
         seeds=[args.seed], label="x9/clean",
     )[cores][0]
     horizon = 4.0 * clean
@@ -458,7 +459,7 @@ def _cmd_x9(args) -> None:
     ).crashes
     fractions = [0.05, 0.2, 0.6] if args.quick else [0.02, 0.05, 0.1, 0.2, 0.4, 0.8]
     intervals = [max(0.5, f * clean) for f in fractions]
-    sweep = run_checkpoint_sweep(
+    sweep = sweeps.run_checkpoint_sweep(
         args.engine, intervals, plan=plan, horizon_s=horizon, clean_s=clean,
         cores=cores, num_nodes=num_nodes, seed=args.seed, label="x9/checkpoint",
     )

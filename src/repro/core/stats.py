@@ -634,17 +634,3 @@ def compare_replicates(
             a, b, resamples=resamples, seed=seed
         ).p_value,
     )
-
-
-def speedup_efficiency(
-    speedup: float, cores: int, baseline_cores: int = 1
-) -> float:
-    """Parallel efficiency of a measured speedup.
-
-    ``speedup`` is relative to a run on ``baseline_cores`` cores, as in
-    the paper's Figure 3b where SPECFEM3D speedups are taken against a
-    4-core execution.
-    """
-    if cores <= 0 or baseline_cores <= 0:
-        raise ConfigurationError("core counts must be positive")
-    return speedup * baseline_cores / cores

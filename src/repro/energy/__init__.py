@@ -18,20 +18,16 @@ from repro.energy.model import (
 )
 from repro.energy.scale import (
     ClusterRunEnergy,
-    CounterbalanceStudy,
     cluster_power_watts,
-    counterbalance_study,
     measure_cluster_energy,
     switches_in_use,
 )
 
 __all__ = [
     "ClusterRunEnergy",
-    "CounterbalanceStudy",
     "EnergyComparison",
     "cluster_power_watts",
     "compare_runs",
-    "counterbalance_study",
     "energy_ratio",
     "energy_to_solution",
     "gflops_per_watt",

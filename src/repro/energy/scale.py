@@ -4,9 +4,9 @@
 but experiments are ongoing.  Nonetheless, with current hardware, the
 node power efficiency is likely to be counterbalanced by the network
 inefficiency."  This module quantifies exactly that trade on the
-simulator: whole-cluster power (nodes + switches), energy to solution
-for the scaling runs, and the breakdown showing how much of the energy
-is burned by the fabric and by communication stalls.
+simulator: whole-cluster power (nodes + switches), and the energy to
+solution of one job with the fabric's share of it.  The X4 sweep over
+core counts is :func:`repro.engine.sweeps.run_replicated_energy`.
 """
 
 from __future__ import annotations
@@ -88,45 +88,3 @@ def measure_cluster_energy(
         node_power_w=cluster.node_power_watts(nodes),
         network_power_w=switches_in_use(cluster, nodes) * switch_power_w,
     )
-
-
-@dataclass(frozen=True)
-class CounterbalanceStudy:
-    """Node-vs-network efficiency at increasing scale."""
-
-    runs: tuple[ClusterRunEnergy, ...]
-
-    def energy_curve(self) -> list[tuple[int, float]]:
-        """(cores, joules) — how energy-to-solution moves with scale."""
-        return [(run.cores, run.energy_joules) for run in self.runs]
-
-    def network_fraction_curve(self) -> list[tuple[int, float]]:
-        """(cores, fabric share of power)."""
-        return [(run.cores, run.network_power_fraction) for run in self.runs]
-
-    @property
-    def most_efficient_cores(self) -> int:
-        """Core count minimizing energy to solution."""
-        return min(self.runs, key=lambda run: run.energy_joules).cores
-
-
-def counterbalance_study(
-    app: ScalableAppModel,
-    cluster: ClusterModel,
-    core_counts: list[int],
-    *,
-    switch_power_w: float = SWITCH_POWER_W,
-) -> CounterbalanceStudy:
-    """Measure energy to solution across a strong-scaling sweep.
-
-    For communication-light codes the energy stays roughly flat with
-    scale (time shrinks as power grows); for codes hit by the network
-    pathology, energy *rises* with scale — the paper's counterbalance.
-    """
-    if not core_counts:
-        raise ConfigurationError("need at least one core count")
-    runs = tuple(
-        measure_cluster_energy(app, cluster, cores, switch_power_w=switch_power_w)
-        for cores in sorted(core_counts)
-    )
-    return CounterbalanceStudy(runs=runs)

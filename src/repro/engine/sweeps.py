@@ -528,22 +528,19 @@ def run_fault_scaling(
     counts: Sequence[int],
     num_nodes: int,
     seed: int,
-    app: str = "linpack",
-    app_args: Mapping[str, Any] | None = None,
-    label: str | None = None,
 ) -> list[tuple[int, dict[str, Any]]]:
     """LINPACK-under-faults rows per core count (the ``faults`` artefact)."""
     run = FAULT_SCALING.run(
         engine, fault_scaling_point,
         [
             {
-                "app": app, "app_args": dict(app_args or {}),
+                "app": "linpack", "app_args": {},
                 "plan": plan, "num_nodes": num_nodes, "seed": seed,
                 "cores": cores,
             }
             for cores in sorted(counts)
         ],
-        label=label or f"faults/{plan}",
+        label=f"faults/{plan}",
     )
     return [(point["cores"], value) for point, value in run]
 
@@ -558,14 +555,13 @@ def run_checkpoint_sweep(
     cores: int,
     num_nodes: int,
     seed: int,
-    app: str = "linpack",
     app_args: Mapping[str, Any] | None = None,
     label: str | None = None,
 ) -> list[tuple[float, dict[str, Any]]]:
-    """The X9 checkpoint-interval sweep, one engine point per interval,
-    each measured against the failure-free elapsed time *clean_s*."""
+    """The X9 LINPACK checkpoint-interval sweep, one engine point per
+    interval, each measured against the failure-free time *clean_s*."""
     base = {
-        "app": app, "app_args": dict(app_args or {}),
+        "app": "linpack", "app_args": dict(app_args or {}),
         "plan": plan, "horizon_s": horizon_s, "clean_s": clean_s,
         "cores": cores, "num_nodes": num_nodes, "seed": seed,
     }

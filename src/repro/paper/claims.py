@@ -44,10 +44,11 @@ def paper_values(engine: ExperimentEngine, seed: int) -> dict[str, Any]:
             num_nodes=sweeps.FIG3_NUM_NODES, seeds=[seed],
             baseline_cores=baseline, label=f"fig3/{app}",
         )[cores][0] / cores
+    [(_, fig4)] = sweeps.run_fig4(engine, seed=seed, variants=(False,))
     return {
         "table2": table2_rows(),
         "fig3": fig3,
-        "fig4": dict(sweeps.run_fig4(engine, seed=seed))[False],
+        "fig4": fig4,
         "fig5": sweeps.run_fig5(engine, seed=seed),
         "fig6": {
             machine: sweeps.run_fig6_grid(engine, machine, seed=seed)

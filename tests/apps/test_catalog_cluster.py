@@ -7,7 +7,9 @@ import pytest
 from repro.apps import BigDFT, Linpack, Specfem3D
 from repro.apps.catalog import MONT_BLANC_APPLICATIONS, application_by_code
 from repro.cluster import tibidabo
-from repro.errors import ConfigurationError
+from repro.engine import ExperimentEngine
+from repro.engine.sweeps import run_replicated_speedups
+from repro.errors import ConfigurationError, EngineError
 
 
 class TestCatalog:
@@ -64,16 +66,20 @@ class TestClusterRuns:
 
         assert efficiency(specfem) > efficiency(bigdft)
 
-    def test_speedup_curve_requires_baseline_in_sweep(self, small_cluster):
-        app = Specfem3D(timesteps=2)
-        with pytest.raises(ConfigurationError):
-            app.speedup_curve(small_cluster, [8, 16], baseline_cores=4)
+    def test_speedup_curve_requires_baseline_in_sweep(self):
+        with pytest.raises(EngineError, match="baseline 4 missing"):
+            run_replicated_speedups(
+                ExperimentEngine(), "specfem3d", counts=[8, 16],
+                num_nodes=16, seeds=[11], baseline_cores=4,
+            )
 
-    def test_speedup_curve_baseline_normalization(self, small_cluster):
+    def test_speedup_curve_baseline_normalization(self):
         """The Figure 3b convention: speedup(baseline) == baseline."""
-        app = Specfem3D(timesteps=3)
-        curve = dict(app.speedup_curve(small_cluster, [4, 8], baseline_cores=4))
-        assert curve[4] == pytest.approx(4.0)
+        curve = run_replicated_speedups(
+            ExperimentEngine(), "specfem3d", counts=[4, 8], num_nodes=16,
+            seeds=[11], baseline_cores=4, app_args={"timesteps": 3},
+        )
+        assert curve[4] == (4.0,)
 
     def test_specfem_memory_constraint(self, small_cluster):
         """'the use-case cannot be run on less than 2 nodes'."""

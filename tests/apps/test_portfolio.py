@@ -91,9 +91,10 @@ class TestClusterScaling:
     def cluster(self):
         return tibidabo(num_nodes=32, seed=11)
 
-    def test_report_covers_all_nine(self, cluster):
+    def test_report_covers_all_eleven(self, cluster):
         verdicts = portfolio_scaling_report(cluster, cores=16, baseline=2)
-        assert len(verdicts) == 9
+        assert len(verdicts) == 11
+        assert [v.code for v in verdicts[-2:]] == ["SPECFEM3D", "BigDFT"]
 
     def test_halo_codes_scale_cleanly(self, cluster):
         verdicts = {

@@ -15,7 +15,6 @@ from repro.core.stats import (
     linear_fit,
     mann_whitney,
     permutation_test,
-    speedup_efficiency,
     summarize,
     summarize_replicates,
 )
@@ -179,19 +178,6 @@ class TestGeometricMean:
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             geometric_mean([])
-
-
-class TestSpeedupEfficiency:
-    def test_ideal_speedup_is_full_efficiency(self):
-        assert speedup_efficiency(16.0, 16) == pytest.approx(1.0)
-
-    def test_specfem_style_4core_baseline(self):
-        """Figure 3b normalizes against a 4-core run."""
-        assert speedup_efficiency(43.2, 192, baseline_cores=4) == pytest.approx(0.9)
-
-    def test_invalid_cores_rejected(self):
-        with pytest.raises(ConfigurationError):
-            speedup_efficiency(1.0, 0)
 
 
 class TestEdgeCaseContract:

@@ -8,6 +8,8 @@ from repro.arch import SNOWBALL_A9500, TEGRA2_NODE, XEON_X5550
 from repro.cluster import MpiJob, tibidabo
 from repro.core.stats import is_bimodal
 from repro.energy import compare_runs
+from repro.engine import ExperimentEngine
+from repro.engine.sweeps import run_replicated_speedups
 from repro.kernels import MagicFilterBenchmark, MemBench
 from repro.osmodel import OSModel, SchedulingPolicy
 from repro.tracing import TraceRecorder, analyze_collectives, export_prv, parse_prv
@@ -50,39 +52,39 @@ class TestTable2Pipeline:
         assert linpack.energy_ratio == pytest.approx(1.0, abs=0.1)
 
 
+def _speedups(app, counts, *, baseline=1, **app_args):
+    """Figure 3's engine records at seed 7 on a 32-node Tibidabo:
+    ``cores -> speedup``."""
+    grid = run_replicated_speedups(
+        ExperimentEngine(), app, counts=counts, num_nodes=32, seeds=[7],
+        baseline_cores=baseline, app_args=app_args,
+    )
+    return {cores: speedups[0] for cores, speedups in grid.items()}
+
+
 class TestFigure3Pipeline:
     """Strong scaling on a reduced Tibidabo (shapes, not wall time)."""
 
-    @pytest.fixture(scope="class")
-    def cluster(self):
-        return tibidabo(num_nodes=32, seed=7)
-
-    def test_linpack_scales_acceptably(self, cluster):
-        curve = dict(
-            Linpack().speedup_curve(cluster, [1, 4, 16, 48])
-        )
+    def test_linpack_scales_acceptably(self):
+        curve = _speedups("linpack", [1, 4, 16, 48])
         assert curve[48] / 48 > 0.7  # "acceptable", ~80% at scale
 
-    def test_specfem_scales_excellently(self, cluster):
-        app = Specfem3D(timesteps=8)
-        curve = dict(app.speedup_curve(cluster, [4, 16, 64], baseline_cores=4))
+    def test_specfem_scales_excellently(self):
+        curve = _speedups("specfem3d", [4, 16, 64], baseline=4, timesteps=8)
         assert curve[64] / 64 > 0.9  # "excellent ... 90%"
 
-    def test_bigdft_efficiency_drops_rapidly(self, cluster):
-        app = BigDFT(scf_iterations=4)
-        curve = dict(app.speedup_curve(cluster, [1, 4, 16, 36]))
+    def test_bigdft_efficiency_drops_rapidly(self):
+        curve = _speedups("bigdft", [1, 4, 16, 36], scf_iterations=4)
         assert curve[36] / 36 < 0.6
         # ordering of the three codes at comparable scale
-        linpack = dict(Linpack().speedup_curve(cluster, [1, 36]))
+        linpack = _speedups("linpack", [1, 36])
         assert curve[36] < linpack[36]
 
-    def test_efficiency_ordering_matches_paper(self, cluster):
+    def test_efficiency_ordering_matches_paper(self):
         """SPECFEM3D > LINPACK > BigDFT at a common core count."""
-        specfem = dict(
-            Specfem3D(timesteps=8).speedup_curve(cluster, [4, 32], baseline_cores=4)
-        )[32] / 32
-        linpack = dict(Linpack().speedup_curve(cluster, [1, 32]))[32] / 32
-        bigdft = dict(BigDFT(scf_iterations=4).speedup_curve(cluster, [1, 32]))[32] / 32
+        specfem = _speedups("specfem3d", [4, 32], baseline=4, timesteps=8)[32] / 32
+        linpack = _speedups("linpack", [1, 32])[32] / 32
+        bigdft = _speedups("bigdft", [1, 32], scf_iterations=4)[32] / 32
         assert specfem > linpack > bigdft
 
 

@@ -66,9 +66,12 @@ def run(worker, point, num_nodes):
 #: Cross-leaf BigDFT jobs whose edge ports do draw from their leaves'
 #: RNGs, on fabrics of two, three and four leaves.
 CROSS_LEAF = {"app": "bigdft", "app_args": {"scf_iterations": 2}, "seed": 3}
+#: x9's 16-node clean job, which reads Figure 3's 96-node point.
+X9_CLEAN = {"app": "linpack", "app_args": {}, "cores": 32, "seed": 7}
 
 
 @given(jobs())
+@example((cluster_time_point, X9_CLEAN, 16, 96))
 @example((cluster_time_point, dict(CROSS_LEAF, cores=96), 48, 121))
 @example((cluster_energy_point, dict(CROSS_LEAF, cores=90), 45, 81))
 def test_extra_nodes_change_nothing(job):

@@ -205,6 +205,15 @@ class TestCommands:
             captured.err
         )
 
+    def test_x9_reads_figure_3s_linpack_point(self, capsys):
+        """x9's clean time is Figure 3's cached 32-core LINPACK job."""
+        assert main(["fig3"]) == 0
+        capsys.readouterr()
+        assert main(["x9", "--quick"]) == 0
+        assert "[engine] x9/clean: 1 points | hits 1 | misses 0" in (
+            capsys.readouterr().err
+        )
+
     @staticmethod
     def _mpi_jobs(path):
         counters = json.loads(path.read_text(encoding="utf-8"))["counters"]

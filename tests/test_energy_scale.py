@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.apps import BigDFT, Specfem3D
+from repro.apps import Specfem3D
 from repro.cluster import tibidabo
 from repro.energy.scale import (
     cluster_power_watts,
-    counterbalance_study,
     measure_cluster_energy,
     switches_in_use,
 )
-from repro.errors import ConfigurationError
+from repro.engine import ExperimentEngine
+from repro.engine.sweeps import run_replicated_energy
+from repro.errors import ConfigurationError, EngineError
 
 
 @pytest.fixture(scope="module")
@@ -64,36 +65,41 @@ class TestMeasureEnergy:
             measure_cluster_energy(Specfem3D(), cluster, 0)
 
 
+def _x4(app, app_args, counts, field):
+    """One field of X4's engine records at seed 7 on 96 nodes:
+    ``cores -> value``."""
+    grid = run_replicated_energy(
+        ExperimentEngine(), app, counts=counts, num_nodes=96, seeds=[7],
+        app_args=app_args,
+    )
+    return {cores: values[0][field] for cores, values in grid.items()}
+
+
 class TestCounterbalance:
-    def test_scalable_code_energy_flat_or_falling(self, cluster):
+    def test_scalable_code_energy_flat_or_falling(self):
         """SPECFEM3D scales ~ideally: more nodes, proportionally less
         time — compute energy stays flat while the fixed switch power
         amortizes, so energy must not grow much."""
-        study = counterbalance_study(
-            Specfem3D(timesteps=5), cluster, [8, 16, 32, 64]
-        )
-        energies = dict(study.energy_curve())
+        energies = _x4("specfem3d", {"timesteps": 5}, [8, 16, 32, 64], "energy_j")
         assert energies[64] < energies[8] * 1.6
 
-    def test_congested_code_wastes_energy_at_scale(self, cluster):
+    def test_congested_code_wastes_energy_at_scale(self):
         """BigDFT's energy-to-solution is U-shaped: adding cores pays
         until the incast threshold, then the network pathology burns
         more joules for the same problem — the paper's counterbalance,
         quantified."""
-        study = counterbalance_study(
-            BigDFT(scf_iterations=4), cluster, [4, 8, 16, 24, 36]
+        energies = _x4(
+            "bigdft", {"scf_iterations": 4}, [4, 8, 16, 24, 36], "energy_j"
         )
-        energies = dict(study.energy_curve())
-        assert energies[36] > energies[24]          # the congestion tax
-        assert study.most_efficient_cores < 36      # optimum before 36
+        assert energies[36] > energies[24]                 # the congestion tax
+        assert min(energies, key=energies.get) < 36        # optimum before 36
 
-    def test_network_fraction_shrinks_with_nodes(self, cluster):
-        study = counterbalance_study(
-            Specfem3D(timesteps=5), cluster, [8, 64]
+    def test_network_fraction_shrinks_with_nodes(self):
+        fractions = _x4(
+            "specfem3d", {"timesteps": 5}, [8, 64], "network_power_fraction"
         )
-        fractions = dict(study.network_fraction_curve())
         assert fractions[64] < fractions[8]
 
-    def test_empty_sweep_rejected(self, cluster):
-        with pytest.raises(ConfigurationError):
-            counterbalance_study(Specfem3D(), cluster, [])
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(EngineError):
+            _x4("specfem3d", {}, [], "energy_j")

@@ -95,6 +95,11 @@ def test_claims_run_the_artefact_records_and_reuse_the_cache(
     assert all(manifest.misses == 0 for _, manifest in seen)
 
 
+def test_a_cold_run_simulates_only_the_commodity_figure_4_job(capsys):
+    assert main(["claims", "--no-cache"]) == 0
+    assert "[engine] fig4: 1 points | hits 0 | misses 1" in capsys.readouterr().err
+
+
 def test_an_unmeasurable_claim_fails_with_its_reason(claims_cache, capsys):
     # Seed 1 draws no degraded 16 KB sample: the Figure 5 factor has
     # no degraded mode to divide by.
